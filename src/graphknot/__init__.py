@@ -43,6 +43,7 @@ from .errors import (
 )
 from .invariants import (
     LaurentPoly,
+    bracket_state_sum,
     crossing_number,
     cr_at_least_two,
     kauffman_bracket,

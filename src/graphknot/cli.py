@@ -51,9 +51,13 @@ def _budget(args) -> Budget | None:
     if args.budget_crossings is None and args.budget_states is None:
         return None
     defaults = Budget()
+    crossings, states = args.budget_crossings, args.budget_states
+    for flag, value in (("--budget-crossings", crossings), ("--budget-states", states)):
+        if value is not None and value < 0:
+            raise FormatError(f"{flag} must be non-negative, got {value}")
     return Budget(
-        max_crossings=args.budget_crossings or defaults.max_crossings,
-        max_states=args.budget_states or defaults.max_states,
+        max_crossings=defaults.max_crossings if crossings is None else crossings,
+        max_states=defaults.max_states if states is None else states,
     )
 
 
@@ -89,19 +93,21 @@ def _cmd_tangle(args) -> int:
     t = parse_conway(args.word)
     p, q = t.fraction()
     nf = t.normal_form()
+    bracket_n = kauffman_bracket(t.closure_n())
+    bracket_d = kauffman_bracket(t.closure_d())
     report = {
         "word": t.display(),
         "fraction": f"{p}/{q}",
         "normal_form": nf.display(),
         "minimal_crossings": t.minimal_crossings(),
-        "closure_n_bracket": kauffman_bracket(t.closure_n()).to_json(),
-        "closure_d_bracket": kauffman_bracket(t.closure_d()).to_json(),
+        "closure_n_bracket": bracket_n.to_json(),
+        "closure_d_bracket": bracket_d.to_json(),
     }
     lines = [
         f"fraction {p}/{q}, |r| = {t.minimal_crossings()}",
         f"normal form: {nf.display()}",
-        f"N-closure bracket: {kauffman_bracket(t.closure_n())}",
-        f"D-closure bracket: {kauffman_bracket(t.closure_d())}",
+        f"N-closure bracket: {bracket_n}",
+        f"D-closure bracket: {bracket_d}",
     ]
     _emit(_dump(report) if args.json else "\n".join(lines), args.out)
     return 0
@@ -109,10 +115,8 @@ def _cmd_tangle(args) -> int:
 
 def _cmd_aut(args) -> int:
     g = parse_graph(_read(args.input))
-    verdict, blocks = minimalizability(g)
-    from .multigraph import automorphisms
-
-    order = automorphisms(g).order
+    verdict, blocks, aut = minimalizability(g)
+    order = aut.order
     sizes = sorted((len(b) for b in blocks), reverse=True) if blocks else None
     if verdict is Minimalizability.UNKNOWN:
         tail = "minimalizability unknown"

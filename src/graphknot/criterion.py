@@ -299,6 +299,8 @@ class VerifyReport:
 def _is_simple_cycle(g: Multigraph, cycle: tuple[int, ...]) -> bool:
     if not cycle or len(set(cycle)) != len(cycle):
         return False
+    if any(not 0 <= e < g.edge_count for e in cycle):
+        return False
     degree: dict[int, int] = {}
     for e in cycle:
         u, v = g.endpoints(e)
@@ -389,10 +391,14 @@ def verify_certificate(cert: NonPlanarCertificate | dict) -> VerifyReport:
     except FormatError as exc:
         return VerifyReport(False, (f"embedded diagram does not parse: {exc}",))
     v = cert.orientation.vertex
-    if v >= len(d.nodes) or d.is_crossing(v) or d.degree_of(v) != 4:
+    if not 0 <= v < len(d.nodes) or d.is_crossing(v) or d.degree_of(v) != 4:
         return VerifyReport(False, ("vertex is not a degree-4 graph vertex",))
     if not (0 <= cert.orientation.a_slot < 4):
         return VerifyReport(False, ("slot for corner a must be 0..3",))
+    if len(cert.witness.cycles) != 4 or len(cert.witness.pair_edges) != 4:
+        return VerifyReport(
+            False, ("witness needs exactly four cycles and four pairs",)
+        )
 
     projection = d.underlying_graph()
     g = projection.graph

@@ -1,9 +1,13 @@
 """Link invariants and crossing-number bounds.
 
-The bracket polynomial is computed as an exact state sum over smoothings,
-collected by (state exponent, circle count) before expanding powers of the
-circle polynomial.  Orientations for writhe and linking numbers are chosen
-canonically: every circle is traversed starting from its smallest entry dart.
+The bracket polynomial is computed by planar tangle contraction: crossings
+are added one at a time, and each non-crossing matching of the open
+boundary darts carries the states seen so far, collected by (state
+exponent, closed loops), before powers of the circle polynomial are
+expanded.  The exact 2^n state sum over smoothings, ``bracket_state_sum``,
+survives as the independent oracle that tests compare it with.
+Orientations for writhe and linking numbers are chosen canonically: every
+circle is traversed starting from its smallest entry dart.
 """
 
 from __future__ import annotations
@@ -135,8 +139,148 @@ def _circle_power(k: int) -> LaurentPoly:
     return _circle_powers[k]
 
 
+# A contraction key packs one class of states as
+# (A-exponent << _LOOP_BITS) + closed loops.
+_LOOP_BITS = 16
+_LOOP_MASK = (1 << _LOOP_BITS) - 1
+_A_STEP = 1 << _LOOP_BITS
+
+
 def kauffman_bracket(d: Diagram, max_crossings: int = 20) -> LaurentPoly:
-    """Bracket polynomial of a link diagram.
+    """Bracket polynomial of a link diagram, by planar tangle contraction.
+
+    The A-smoothing at a crossing whose over slots are ``(o, o+2)`` joins
+    slot pairs ``(o+1, o+2)`` and ``(o+3, o)``; the B-smoothing joins
+    ``(o, o+1)`` and ``(o+2, o+3)``.  The result is identical to
+    ``bracket_state_sum``.
+    """
+    if d.vertices():
+        raise NotALinkError("bracket is defined for link diagrams")
+    n = len(d.nodes)
+    if n > max_crossings:
+        raise SizeLimitExceeded(f"{n} crossings exceeds the bracket guard")
+    if n == 0:
+        if d.free_loops == 0:
+            raise NotALinkError("empty diagram has no bracket")
+        return LaurentPoly(_circle_power(d.free_loops - 1).coeffs)
+    out: dict[int, int] = {}
+    for key, mult in _contract(d).items():
+        exp = key >> _LOOP_BITS
+        circles = (key & _LOOP_MASK) + d.free_loops
+        for e, c in _circle_power(circles - 1).coeffs.items():
+            out[e + exp] = out.get(e + exp, 0) + c * mult
+    return LaurentPoly(out)
+
+
+def _contract(d: Diagram) -> dict[int, int]:
+    """Multiplicity of every (A-exponent, closed loops) class of states.
+
+    Darts are integers ``4 * crossing + slot``.  Crossings are added one at
+    a time: next, the one with the most slots joined to crossings already
+    added, ties going to the lower node index.  ``boundary`` lists the open
+    darts, those of added crossings whose partner is not added yet, and a
+    matching is a tuple giving, for each boundary position, the position
+    its strand ends at.
+
+    When crossing ``c`` is added, its slots become points ``L .. L+3`` after
+    the ``L`` old positions: ``inner`` joins points along the old matching
+    and the smoothing, ``outer`` along the arcs at ``c``.  Every strand then
+    runs from one new boundary point to another, alternating inner and outer
+    steps; each cycle left over passes through a joined slot of ``c`` and is
+    a closed loop.
+    """
+    n = len(d.nodes)
+    pair = [0] * (4 * n)
+    for (a, s), (b, t) in d.arcs:
+        pair[4 * a + s] = 4 * b + t
+        pair[4 * b + t] = 4 * a + s
+    added = [False] * n
+    joined_to_added = [0] * n
+    boundary: list[int] = []
+    position: dict[int, int] = {}
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    for _ in range(n):
+        c = -1
+        for x in range(n):
+            if not added[x] and (c < 0 or joined_to_added[x] > joined_to_added[c]):
+                c = x
+        added[c] = True
+        size = len(boundary)
+        outer = [-1] * (size + 4)
+        joined = []
+        arcs_out = 0
+        for s in range(4):
+            other = pair[4 * c + s]
+            if other >> 2 == c:
+                outer[size + s] = size + (other & 3)
+                joined.append(size + s)
+                arcs_out += s < (other & 3)  # each self-arc once
+            elif other in position:
+                p = position[other]
+                outer[size + s] = p
+                outer[p] = size + s
+                joined.append(size + s)
+                arcs_out += 1
+            else:
+                joined_to_added[other >> 2] += 1
+        ends = [p for p in range(size + 4) if outer[p] < 0]
+        new_index = [-1] * (size + 4)
+        for i, p in enumerate(ends):
+            new_index[p] = i
+        boundary = [boundary[p] if p < size else 4 * c + p - size for p in ends]
+        position = {x: i for i, x in enumerate(boundary)}
+        width = len(ends)
+        join_12_30 = (size + 3, size + 2, size + 1, size)
+        join_01_23 = (size + 1, size, size + 3, size + 2)
+        if d.nodes[c].over == 0:
+            smoothings = ((join_12_30, _A_STEP), (join_01_23, -_A_STEP))
+        else:
+            smoothings = ((join_01_23, _A_STEP), (join_12_30, -_A_STEP))
+        merged: dict[tuple[int, ...], dict[int, int]] = {}
+        for matching, classes in states.items():
+            for table, step in smoothings:
+                inner = matching + table
+                strands = [-1] * width
+                arcs_on_strands = 0
+                for i in range(width):
+                    if strands[i] >= 0:
+                        continue
+                    q = inner[ends[i]]
+                    o = outer[q]
+                    while o >= 0:
+                        arcs_on_strands += 1
+                        q = inner[o]
+                        o = outer[q]
+                    j = new_index[q]
+                    strands[i] = j
+                    strands[j] = i
+                if arcs_on_strands < arcs_out:
+                    # count each cycle once, from its lowest joined slot
+                    for start in joined:
+                        q = inner[start]
+                        while q < size or q > start:
+                            q = outer[q]
+                            if q == start:
+                                step += 1
+                                break
+                            if q < 0 or size <= q < start:
+                                break
+                            q = inner[q]
+                key = tuple(strands)
+                target = merged.get(key)
+                if target is None:
+                    merged[key] = {k + step: v for k, v in classes.items()}
+                else:
+                    for k, v in classes.items():
+                        k += step
+                        target[k] = target.get(k, 0) + v
+        states = merged
+    return states[()]
+
+
+def bracket_state_sum(d: Diagram, max_crossings: int = 20) -> LaurentPoly:
+    """Bracket polynomial by the 2^n state sum; independent slow oracle for
+    tests.
 
     The A-smoothing at a crossing whose over slots are ``(o, o+2)`` joins
     slot pairs ``(o+1, o+2)`` and ``(o+3, o)``; the B-smoothing joins

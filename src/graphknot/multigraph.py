@@ -507,11 +507,13 @@ def symmetric_product_orbits(
 
 def minimalizability(
     g: Multigraph, *, max_vertices: int | None = DEFAULT_MAX_AUT_VERTICES
-) -> tuple[Minimalizability, tuple[frozenset[int], ...] | None]:
+) -> tuple[Minimalizability, tuple[frozenset[int], ...] | None, AutGroup]:
+    """The verdict, its orbit blocks, and the automorphism group of ``g``
+    that they were read from."""
     aut = automorphisms(g, max_vertices=max_vertices)
     if aut.order == 1:
-        return Minimalizability.TRIVIAL, symmetric_product_orbits(aut)
+        return Minimalizability.TRIVIAL, symmetric_product_orbits(aut), aut
     blocks = symmetric_product_orbits(aut)
     if blocks is not None:
-        return Minimalizability.SYMMETRIC_PRODUCT, blocks
-    return Minimalizability.UNKNOWN, None
+        return Minimalizability.SYMMETRIC_PRODUCT, blocks, aut
+    return Minimalizability.UNKNOWN, None, aut

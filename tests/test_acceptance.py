@@ -23,11 +23,14 @@ from graphknot import (
     additivity_check,
     apply_move,
     automorphisms,
+    bracket_state_sum,
     cc_equivalent_within,
     check_nonplanar,
     complete_graph,
     connected_sum_diagrams,
     descending_diagram,
+    diagram_to_text,
+    disjoint_union_diagrams,
     enumerate_moves,
     is_alternating,
     is_reduced,
@@ -37,7 +40,15 @@ from graphknot import (
     symmetric_product_orbits,
     verify_certificate,
 )
-from graphknot.gallery import k5_diagram, unknot, unlink
+from graphknot.gallery import (
+    figure_eight,
+    hopf_link,
+    k5_diagram,
+    kinked_unknot,
+    trefoil,
+    unknot,
+    unlink,
+)
 from graphknot.layout import base_diagram
 from graphknot.tangle import (
     infinity_tangle,
@@ -225,6 +236,33 @@ def test_bracket_values_and_move_behavior():
                 assert nb == b * units[0] or nb == b * units[1], site
                 unit_sites += 1
         assert invariant_sites > 1000 and unit_sites > 500
+
+
+def test_bracket_contraction_matches_the_state_sum():
+    """The contraction and the 2^n state sum give identical brackets on
+    every gallery link diagram and on both closures of every normal form
+    ``normal_forms`` yields up to nine crossings, and of a fixed sample of
+    10..12-crossing forms."""
+    with scored("bracket-contraction-oracle", 20.0):
+        diagrams = [
+            unknot(), unlink(2), unlink(3), kinked_unknot(3), hopf_link(),
+            trefoil(), figure_eight(),
+            disjoint_union_diagrams(hopf_link(), trefoil()),
+            connected_sum_diagrams(hopf_link(), 0, figure_eight(), 0),
+        ]
+        small = normal_forms(0, 9)
+        assert len(small) == 576
+        large = normal_forms(10, 12)[::36]
+        assert len(large) == 12
+        for t in small + large:
+            diagrams.extend((t.closure_n(), t.closure_d()))
+        compared = 0
+        for d in diagrams:
+            if d.crossing_count == 0 and d.free_loops == 0:
+                continue  # the empty diagram has no bracket
+            assert kauffman_bracket(d) == bracket_state_sum(d), diagram_to_text(d)
+            compared += 1
+        assert compared > 1100
 
 
 def test_crossing_number_driver():

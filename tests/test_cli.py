@@ -6,6 +6,7 @@ import pytest
 
 from graphknot import diagram_to_text, graph_to_text, complete_graph
 from graphknot.cli import main
+from graphknot.diagram import Diagram
 from graphknot.gallery import hopf_link, k5_diagram, kinked_unknot
 
 
@@ -160,3 +161,135 @@ def test_out_flag_writes_the_artifact(capsys, tmp_path):
     code, out = run(capsys, "invariant", str(path), "--json", "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text()) == json.loads(out)
+
+
+def test_tangle_computes_each_closure_bracket_once(capsys, monkeypatch):
+    import graphknot.cli as cli
+    from graphknot import RationalTangle, kauffman_bracket
+
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return kauffman_bracket(d)
+
+    monkeypatch.setattr(cli, "kauffman_bracket", counted)
+    t = RationalTangle((2, 2, 2, 1))
+    code, out = run(capsys, "tangle", "2 2 2 1")
+    assert code == 0 and len(calls) == 2
+    assert out.splitlines()[2:] == [
+        f"N-closure bracket: {kauffman_bracket(t.closure_n())}",
+        f"D-closure bracket: {kauffman_bracket(t.closure_d())}",
+    ]
+    code, out = run(capsys, "tangle", "2 2 2 1", "--json")
+    data = json.loads(out)
+    assert len(calls) == 4
+    assert data["closure_n_bracket"] == kauffman_bracket(t.closure_n()).to_json()
+    assert data["closure_d_bracket"] == kauffman_bracket(t.closure_d()).to_json()
+
+
+def test_aut_computes_the_group_once(capsys, monkeypatch, k5_graph_file):
+    import graphknot.multigraph as multigraph
+
+    calls = []
+    original = multigraph.automorphisms
+
+    def counted(g, **kwargs):
+        calls.append(g)
+        return original(g, **kwargs)
+
+    monkeypatch.setattr(multigraph, "automorphisms", counted)
+    code, out = run(capsys, "aut", k5_graph_file, "--json")
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["order"] == 120
+
+
+def test_zero_budget_is_not_the_default(capsys, k5_graph_file):
+    code, out = run(
+        capsys, "crossing-number", k5_graph_file, "--budget-crossings", "0", "--json"
+    )
+    assert code == 0
+    subproblems = json.loads(out)["subproblems"]
+    assert subproblems
+    assert all(sp["report"]["crossing_cap"] == 0 for sp in subproblems)
+
+
+@pytest.mark.parametrize("flag", ["--budget-crossings", "--budget-states"])
+def test_negative_budget_is_an_input_error(capsys, k5_graph_file, flag):
+    code = main(["crossing-number", k5_graph_file, flag, "-1"])
+    assert code == 1
+    assert "must be non-negative" in capsys.readouterr().err
+
+
+def certificate_for(capsys, tmp_path, d, vertex):
+    diagram_path = tmp_path / "routing.diagram"
+    diagram_path.write_text(diagram_to_text(d))
+    cert_path = tmp_path / "cert.json"
+    code, _ = run(
+        capsys, "criterion", str(diagram_path), "--vertex", str(vertex),
+        "--out", str(cert_path),
+    )
+    assert code == 0
+    return json.loads(cert_path.read_text())
+
+
+def verify_verdict(capsys, tmp_path, data):
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "verify", str(path), "--json")
+    return code, json.loads(out)["ok"]
+
+
+def test_verify_rejects_a_cycle_edge_out_of_range(capsys, tmp_path):
+    data = certificate_for(capsys, tmp_path, k5_diagram(), 0)
+    data["condition_i"]["cycles"][0] = [99, 100, 101]
+    assert verify_verdict(capsys, tmp_path, data) == (1, False)
+
+
+def test_verify_rejects_an_obstruction_edge_out_of_range(capsys, tmp_path):
+    data = certificate_for(capsys, tmp_path, k5_diagram(), 0)
+    data["assignments"][0]["certificate"]["cycles"][0] = [0, 1, 999]
+    assert verify_verdict(capsys, tmp_path, data) == (1, False)
+
+
+def test_verify_rejects_a_witness_with_two_cycles(capsys, tmp_path):
+    data = certificate_for(capsys, tmp_path, k5_diagram(), 0)
+    data["condition_i"]["cycles"] = data["condition_i"]["cycles"][:2]
+    assert verify_verdict(capsys, tmp_path, data) == (1, False)
+
+
+def test_verify_rejects_vertex_minus_one(capsys, tmp_path):
+    # with the vertices numbered last, node -1 is a degree-4 vertex
+    d = k5_diagram()
+    order = d.crossings() + d.vertices()
+    new = {old: i for i, old in enumerate(order)}
+    renumbered = Diagram(
+        [d.nodes[old] for old in order],
+        [((new[a], s), (new[b], t)) for (a, s), (b, t) in d.arcs],
+        d.free_loops,
+    )
+    data = certificate_for(capsys, tmp_path, renumbered, len(order) - 1)
+    data["vertex"] = -1
+    assert verify_verdict(capsys, tmp_path, data) == (1, False)
+
+
+def test_bracket_guard_exits_two_without_a_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import graphknot
+    from graphknot import RationalTangle
+
+    path = tmp_path / "t21.diagram"
+    path.write_text(diagram_to_text(RationalTangle((21,)).closure_n()))
+    src = str(Path(graphknot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphknot", "invariant", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("budget exceeded:")
+    assert "Traceback" not in proc.stderr

@@ -1,5 +1,7 @@
 """Bracket polynomial, linking numbers, span bounds, cycle obstructions."""
 
+import time
+
 import pytest
 
 from graphknot import (
@@ -8,6 +10,9 @@ from graphknot import (
     LaurentPoly,
     Multigraph,
     NotALinkError,
+    RationalTangle,
+    SizeLimitExceeded,
+    bracket_state_sum,
     complete_graph,
     component_span_lower_bound,
     connected_sum_diagrams,
@@ -76,6 +81,33 @@ def test_bracket_gains_a_circle_factor_under_disjoint_union():
     assert kauffman_bracket(d) == delta * kauffman_bracket(
         hopf_link()
     ) * kauffman_bracket(trefoil())
+
+
+def test_bracket_at_the_twenty_crossing_guard():
+    """T(2, 20) sits at the guard and is cheap.  Its value follows the twist
+    recurrence: of the two smoothings at one crossing of the T(2, n) twist,
+    the B-smoothing leaves the T(2, n-1) twist and the A-smoothing a chain of
+    n-1 kinks, each worth -A^3, so <T(2,n)> = A^-1 <T(2,n-1)> + A (-A^3)^(n-1)
+    from <T(2,0)> = delta, the two-circle unlink."""
+    a, a_inv = LaurentPoly.monomial(1, 1), LaurentPoly.monomial(1, -1)
+    kink = LaurentPoly.monomial(-1, 3)
+    expected = LaurentPoly({2: -1, -2: -1})
+    for n in range(1, 21):
+        expected = a_inv * expected + a * kink ** (n - 1)
+    d = RationalTangle((20,)).closure_n()
+    assert d.crossing_count == 20
+    t0 = time.monotonic()
+    value = kauffman_bracket(d)
+    assert time.monotonic() - t0 < 1.0
+    assert value == expected
+
+
+def test_bracket_guard_rejects_twenty_one_crossings():
+    d = RationalTangle((21,)).closure_n()
+    with pytest.raises(SizeLimitExceeded):
+        kauffman_bracket(d)
+    with pytest.raises(SizeLimitExceeded):
+        bracket_state_sum(d)
 
 
 def test_bracket_rejects_graph_diagrams():

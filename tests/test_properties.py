@@ -7,6 +7,7 @@ from graphknot import (
     Multigraph,
     RationalTangle,
     apply_move,
+    bracket_state_sum,
     diagram_from_json,
     diagram_to_json,
     diagram_to_text,
@@ -191,3 +192,13 @@ def test_bracket_survives_second_and_third_moves(d, pick):
         return
     site = sites[pick % len(sites)]
     assert kauffman_bracket(apply_move(d, site)) == kauffman_bracket(d)
+
+
+@given(link_diagrams(), st.integers(0, 10_000))
+@settings(deadline=None, max_examples=40)
+def test_bracket_contraction_matches_the_state_sum_after_moves(d, pick):
+    sites = enumerate_moves(d, ("R2_add", "R2_remove", "R3"))
+    if sites:
+        d = apply_move(d, sites[pick % len(sites)])
+    if d.crossing_count <= 12 and (d.crossing_count or d.free_loops):
+        assert kauffman_bracket(d) == bracket_state_sum(d)
