@@ -14,7 +14,6 @@ Distinct components live on separate spheres.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -63,6 +62,10 @@ class Vertex:
 
 Node = Crossing | Vertex
 
+# the head of a crossing's row in a trace, by its over parity relative to the
+# slot the trace enters it at
+_CROSSING_HEADS = (("x", 0), ("x", 1))
+
 
 def _normalize_arc(arc) -> Arc:
     (a, b) = arc
@@ -94,34 +97,48 @@ class Diagram:
         labels = [n.label for n in self.nodes if isinstance(n, Vertex)]
         if len(labels) != len(set(labels)):
             raise FormatError("vertex labels must be distinct")
-        seen: set[Dart] = set()
-        for arc in self.arcs:
-            for n, s in arc:
-                if not (0 <= n < len(self.nodes)):
-                    raise InvalidVertexError(f"arc endpoint {(n, s)} names no node")
-                if not (0 <= s < self.degree_of(n)):
-                    raise FormatError(f"slot {s} out of range at node {n}")
-                if (n, s) in seen:
-                    raise TopologyError(f"slot {(n, s)} used by two arc ends")
-                seen.add((n, s))
-        expected = sum(self.degree_of(n) for n in range(len(self.nodes)))
-        if len(seen) != expected:
+        deg = [node.degree for node in self.nodes]
+        pair: dict[Dart, Dart] = {}
+        for a, b in self.arcs:
+            # both ends checked in line: a loop over (a, b) costs more than
+            # the checks themselves
+            n, s = a
+            if not (0 <= n < len(deg)):
+                raise InvalidVertexError(f"arc endpoint {a} names no node")
+            if not (0 <= s < deg[n]):
+                raise FormatError(f"slot {s} out of range at node {n}")
+            if a in pair:
+                raise TopologyError(f"slot {a} used by two arc ends")
+            pair[a] = b
+            n, s = b
+            if not (0 <= n < len(deg)):
+                raise InvalidVertexError(f"arc endpoint {b} names no node")
+            if not (0 <= s < deg[n]):
+                raise FormatError(f"slot {s} out of range at node {n}")
+            if b in pair:
+                raise TopologyError(f"slot {b} used by two arc ends")
+            pair[b] = a
+        if len(pair) != sum(deg):
             raise TopologyError("every slot must be matched by exactly one arc end")
-        # sphere check, one component at a time
-        face_count = [0] * max(len(self.components()), 1)
-        comp_of = {}
-        for ci, comp in enumerate(self.components()):
+        self._pair = pair
+        # sphere check, one component at a time: V - E + F = 2
+        comps = self.components()
+        comp_of = [0] * len(deg)
+        for ci, comp in enumerate(comps):
             for n in comp:
                 comp_of[n] = ci
+        edge_count = [0] * len(comps)
+        for a, _b in self.arcs:
+            edge_count[comp_of[a[0]]] += 1
+        face_count = [0] * len(comps)
         for face in self.faces():
             face_count[comp_of[face[0][0]]] += 1
-        for ci, comp in enumerate(self.components()):
-            v = len(comp)
-            e = sum(1 for (a, _b) in self.arcs if comp_of[a[0]] == ci)
-            f = face_count[ci] if face_count[ci] else 1  # isolated degree-0 vertex
-            if v - e + f != 2:
+        for ci, comp in enumerate(comps):
+            f = face_count[ci] or 1  # isolated degree-0 vertex
+            chi = len(comp) - edge_count[ci] + f
+            if chi != 2:
                 raise TopologyError(
-                    f"component {sorted(comp)} has Euler characteristic {v - e + f}, "
+                    f"component {sorted(comp)} has Euler characteristic {chi}, "
                     "not a sphere diagram"
                 )
 
@@ -156,64 +173,63 @@ class Diagram:
 
     @property
     def pair(self) -> dict[Dart, Dart]:
-        if self._pair is None:
-            p = {}
-            for a, b in self.arcs:
-                p[a] = b
-                p[b] = a
-            self._pair = p
+        """The arc partner of every dart (built once, by validation)."""
         return self._pair
 
     def next_dart(self, d: Dart) -> Dart:
         n, s = d
         return (n, (s + 1) % self.degree_of(n))
 
-    def prev_dart(self, d: Dart) -> Dart:
-        n, s = d
-        return (n, (s - 1) % self.degree_of(n))
-
     def phi(self, d: Dart) -> Dart:
         """Next dart along the face to the right of ``d``."""
         return self.next_dart(self.pair[d])
 
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
+        """Face orbits, each starting at its least dart, in dart order."""
         if self._faces is None:
-            remaining = set(self.darts())
+            pair = self._pair
+            deg = [node.degree for node in self.nodes]
+            visited: set[Dart] = set()
             out = []
-            while remaining:
-                start = min(remaining)
-                orbit = [start]
-                remaining.discard(start)
-                d = self.phi(start)
-                while d != start:
-                    orbit.append(d)
-                    remaining.discard(d)
-                    d = self.phi(d)
-                out.append(tuple(orbit))
-            self._faces = tuple(sorted(out))
+            # scanning darts in order, the first dart met of each orbit is
+            # its least one
+            for n, k in enumerate(deg):
+                for s in range(k):
+                    start = (n, s)
+                    if start in visited:
+                        continue
+                    orbit = [start]
+                    m, t = pair[start]
+                    d = (m, (t + 1) % deg[m])
+                    while d != start:
+                        orbit.append(d)
+                        m, t = pair[d]
+                        d = (m, (t + 1) % deg[m])
+                    visited.update(orbit)
+                    out.append(tuple(orbit))
+            self._faces = tuple(out)
         return self._faces
 
     def components(self) -> tuple[frozenset[int], ...]:
-        """Connected components of the node set under arcs."""
+        """Connected components of the node set under arcs, by least node."""
         if self._components is None:
-            parent = list(range(len(self.nodes)))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for (a, b) in self.arcs:
-                ra, rb = find(a[0]), find(b[0])
-                if ra != rb:
-                    parent[ra] = rb
-            groups: dict[int, set[int]] = {}
-            for n in range(len(self.nodes)):
-                groups.setdefault(find(n), set()).add(n)
-            self._components = tuple(
-                sorted((frozenset(g) for g in groups.values()), key=min)
-            )
+            pair = self._pair
+            deg = [node.degree for node in self.nodes]
+            placed = [False] * len(deg)
+            out = []
+            for start in range(len(deg)):
+                if placed[start]:
+                    continue
+                placed[start] = True
+                members = [start]
+                for n in members:  # grows as the search reaches new nodes
+                    for s in range(deg[n]):
+                        m = pair[(n, s)][0]
+                        if not placed[m]:
+                            placed[m] = True
+                            members.append(m)
+                out.append(frozenset(members))
+            self._components = tuple(out)
         return self._components
 
     # -- equality ------------------------------------------------------------
@@ -237,105 +253,104 @@ class Diagram:
 
     # -- canonical form -------------------------------------------------------
 
-    def _trace(self, root: Dart):
+    def _trace(self, root: Dart, deg: list[int], best=None):
         """Breadth-first code of the component of ``root``, rooted at it.
 
         Node numbers and slot origins are both traversal-derived, so two
         diagrams get equal codes exactly when they are the same map up to
-        renumbering nodes and rotating slot labels.
+        renumbering nodes and rotating slot labels.  ``deg`` lists each
+        node's degree.
+
+        ``best`` is the least code found so far for the same component (same
+        row count).  The trace compares itself with it row by row and
+        returns None as soon as its rows so far are larger, since it can
+        then no longer be the minimum.
         """
-        number: dict[int, int] = {root[0]: 0}
-        origin: dict[int, int] = {root[0]: root[1]}
+        nodes = self.nodes
+        pair = self._pair
+        number = [-1] * len(nodes)
+        origin = [0] * len(nodes)
+        number[root[0]] = 0
+        origin[root[0]] = root[1]
         order = [root[0]]
         code = []
-        i = 0
-        while i < len(order):
-            n = order[i]
-            i += 1
-            node = self.nodes[n]
+        tied = best is not None
+        for i, n in enumerate(order):  # order grows as nodes get numbers
+            node = nodes[n]
+            o = origin[n]
             if isinstance(node, Crossing):
-                head = ("x", (node.over - origin[n]) % 2)
+                head = _CROSSING_HEADS[(node.over - o) % 2]
             else:
                 head = ("v", node.label, node.degree)
+            k = deg[n]
             row = []
-            deg = self.degree_of(n)
-            for k in range(deg):
-                s = (origin[n] + k) % deg
-                m, t = self.pair[(n, s)]
-                if m not in number:
+            for j in range(k):
+                m, t = pair[(n, (o + j) % k)]
+                if number[m] < 0:
+                    row.append((len(order), 0))
                     number[m] = len(order)
                     origin[m] = t
                     order.append(m)
-                row.append((number[m], (t - origin[m]) % self.degree_of(m)))
-            code.append((head, tuple(row)))
+                else:
+                    row.append((number[m], (t - origin[m]) % deg[m]))
+            entry = (head, tuple(row))
+            if tied and entry != best[i]:
+                if entry > best[i]:
+                    return None
+                tied = False
+            code.append(entry)
         return tuple(code), order, origin
 
-    def _root_candidates(self, comp_darts):
-        """Darts that can start a minimal trace of this component.
+    def _root_candidates(self, comp: list[int]) -> list[Dart]:
+        """Darts that can start a minimal trace of a component, in order.
 
         The first entry of a trace is the head of the root node, so only
-        darts realising the smallest head tuple are in the running.
+        darts realising the smallest head are in the running.  Vertex heads
+        ``("v", label, degree)`` sort before crossing heads ``("x", 0|1)``
+        and labels are distinct, so these are every slot of the vertex with
+        the least label or, in a crossing-only component, the two over slots
+        of every crossing (head ``("x", 0)``).  ``comp`` lists the
+        component's nodes in increasing order.
         """
-        best_head = None
-        cands: list[Dart] = []
-        for n, s in comp_darts:
-            node = self.nodes[n]
-            if isinstance(node, Crossing):
-                head = ("x", (node.over - s) % 2)
-            else:
-                head = ("v", node.label, node.degree)
-            if best_head is None or head < best_head:
-                best_head = head
-                cands = [(n, s)]
-            elif head == best_head:
-                cands.append((n, s))
-        return cands
+        nodes = self.nodes
+        vertices = [n for n in comp if isinstance(nodes[n], Vertex)]
+        if vertices:
+            v = min(vertices, key=lambda n: nodes[n].label)
+            return [(v, s) for s in range(nodes[v].degree)]
+        return [(n, s) for n in comp for s in (nodes[n].over, nodes[n].over + 2)]
 
-    def canonical_code(self):
-        """Hashable key equal for diagrams that are the same abstract map."""
-        if self._code is None:
-            comp_codes = []
-            for comp in self.components():
-                comp_darts = [
-                    (n, s) for n in sorted(comp) for s in range(self.degree_of(n))
-                ]
-                if not comp_darts:
-                    node = self.nodes[min(comp)]
-                    comp_codes.append(((("isolated", node.label, node.degree), ()),))
-                    continue
-                best = None
-                for d in self._root_candidates(comp_darts):
-                    code, _, _ = self._trace(d)
-                    if best is None or code < best:
-                        best = code
-                comp_codes.append(best)
-            self._code = (tuple(sorted(comp_codes)), self.free_loops)
-        return self._code
-
-    def same_map(self, other: "Diagram") -> bool:
-        """True when the diagrams differ only by renumbering/slot rotation."""
-        return self.canonical_code() == other.canonical_code()
-
-    def canonical_form(self) -> "Diagram":
-        """A representative with nodes renumbered into canonical order."""
-        pieces = []  # (code, node order, slot origins)
+    def _least_traces(self):
+        """(code, node order, slot origins) of each component's least trace,
+        in component order; the first root to reach the least code wins."""
+        deg = [node.degree for node in self.nodes]
+        pieces = []
         for comp in self.components():
-            comp_darts = [
-                (n, s) for n in sorted(comp) for s in range(self.degree_of(n))
-            ]
-            if not comp_darts:
-                n = min(comp)
+            comp = sorted(comp)
+            if len(comp) == 1 and not deg[comp[0]]:
+                n = comp[0]
                 node = self.nodes[n]
                 pieces.append(
                     (((("isolated", node.label, node.degree), ()),), [n], {n: 0})
                 )
                 continue
             best = None
-            for d in self._root_candidates(comp_darts):
-                code, order, origin = self._trace(d)
-                if best is None or code < best[0]:
-                    best = (code, order, origin)
+            for d in self._root_candidates(comp):
+                traced = self._trace(d, deg, None if best is None else best[0])
+                if traced is not None and (best is None or traced[0] < best[0]):
+                    best = traced
             pieces.append(best)
+        return pieces
+
+    def canonical_code(self):
+        """Hashable key equal for diagrams that are the same abstract map."""
+        if self._code is None:
+            codes = sorted(code for code, _order, _origin in self._least_traces())
+            self._code = (tuple(codes), self.free_loops)
+        return self._code
+
+    def canonical_form(self) -> "Diagram":
+        """A representative with nodes renumbered into canonical order."""
+        pieces = self._least_traces()
         pieces.sort(key=lambda p: p[0])
         new_index: dict[int, int] = {}
         origins: dict[int, int] = {}
@@ -343,7 +358,7 @@ class Diagram:
         for _code, order, origin in pieces:
             for n in order:
                 new_index[n] = len(new_nodes)
-                origins[n] = origin.get(n, 0)
+                origins[n] = origin[n]
                 node = self.nodes[n]
                 if isinstance(node, Crossing):
                     node = Crossing((node.over - origin[n]) % 2)
@@ -406,40 +421,6 @@ class Diagram:
         open_paths.sort(key=lambda p: p.ends)
         circles.sort()
         return open_paths, circles
-
-    def link_components(self) -> int:
-        """Number of circles in a vertex-free diagram."""
-        if self.vertices():
-            raise NotALinkError("diagram has graph vertices")
-        _, circles = self.strands()
-        return len(circles) + self.free_loops
-
-    def is_alternating(self) -> bool:
-        """Along every circle, passages alternate over/under (cyclically)."""
-        if self.vertices():
-            raise NotALinkError("alternation is defined for link diagrams")
-        _, circles = self.strands()
-        for entries in circles:
-            bits = [self.nodes[n].is_over_slot(s) for n, s in entries]
-            if len(bits) % 2 == 1:
-                return False
-            for i, b in enumerate(bits):
-                if b == bits[(i + 1) % len(bits)]:
-                    return False
-        return True
-
-    def is_reduced(self) -> bool:
-        """No crossing has a face touching it at two opposite corners."""
-        for face in self.faces():
-            at_node: dict[int, list[int]] = {}
-            for n, s in face:
-                if self.is_crossing(n):
-                    at_node.setdefault(n, []).append(s)
-            for slots in at_node.values():
-                for a, b in itertools.combinations(slots, 2):
-                    if (a - b) % 4 == 2:
-                        return False
-        return True
 
     # -- relation to the underlying graph ---------------------------------------
 

@@ -57,6 +57,19 @@ def _jsonify(x):
 
 @dataclass(frozen=True)
 class Budget:
+    """Limits of a search.
+
+    ``max_crossings`` caps the crossings of every diagram a search visits.
+    ``max_states`` caps the distinct diagrams it records, but softly: a
+    state is not expanded once ``len(seen) >= max_states``, yet the last
+    expansion records all of its new neighbours, so a search can end with
+    more than ``max_states`` states.  ``exhausted`` needs an empty queue;
+    it is false whenever the cap stopped the search.  In
+    ``equivalent_within``, ``seen`` counts the states of both sides and
+    the cap is tested after each expansion, so its first state is always
+    expanded.
+    """
+
     max_crossings: int = 10
     max_states: int = 2_000_000
 
@@ -99,11 +112,6 @@ def _r1_add(d: Diagram, params, shadow: bool) -> Diagram:
     arcs = [a for i, a in enumerate(d.arcs) if i != arc_index]
     arcs += [(x, (c, 0)), (y, (c, 1)), ((c, 2), (c, 3))]
     return Diagram(list(d.nodes) + [Crossing(over)], arcs, d.free_loops)
-
-
-def _bigon_end_nodes(d: Diagram, s, t):
-    """For a 2-dart face {s, t}: the nodes carrying it, as (node(s), node(t))."""
-    return s[0], t[0]
 
 
 def _r2_remove(d: Diagram, params, shadow: bool) -> Diagram:

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,9 @@ from graphknot import diagram_to_text, graph_to_text, complete_graph
 from graphknot.cli import main
 from graphknot.diagram import Diagram
 from graphknot.gallery import hopf_link, k5_diagram, kinked_unknot
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture()
@@ -256,6 +260,21 @@ def test_verify_rejects_a_witness_with_two_cycles(capsys, tmp_path):
     data = certificate_for(capsys, tmp_path, k5_diagram(), 0)
     data["condition_i"]["cycles"] = data["condition_i"]["cycles"][:2]
     assert verify_verdict(capsys, tmp_path, data) == (1, False)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("bits", [2]), ("bits", [-1]), ("r", 3)],
+    ids=["bit-2", "bit-minus-1", "r-3"],
+)
+def test_verify_rejects_a_bad_bit_or_sign(capsys, tmp_path, field, value):
+    data = json.loads((DATA / "k5_certificate.json").read_text())
+    data["assignments"][0][field] = value
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out.startswith("certificate REJECTED")
 
 
 def test_verify_rejects_vertex_minus_one(capsys, tmp_path):

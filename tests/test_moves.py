@@ -30,6 +30,7 @@ from graphknot.gallery import (
     unknot,
     wheel4,
 )
+from graphknot.diagram import mirror_diagram
 from graphknot.layout import base_diagram
 
 
@@ -166,3 +167,29 @@ def test_cross_component_pokes_are_enumerated():
     poked = apply_move(d, sites[0])
     assert poked.crossing_count == d.crossing_count + 2
     assert len(poked.components()) == 1
+
+
+def test_max_states_stops_expansion_at_the_cap():
+    # 6 diagrams of at most 4 crossings are reachable from the trefoil; the
+    # first expansion alone records 5 of them
+    def run(max_states):
+        r = search_min_crossings(trefoil(), Budget(max_crossings=4, max_states=max_states))
+        return r.states, r.exhausted
+
+    assert run(1) == (1, False)
+    assert run(2) == (5, False)  # the last expansion overshoots the cap
+    assert run(6) == (6, False)  # every state recorded, but the cap stopped it
+    assert run(7) == (6, True)
+
+
+def test_equivalent_within_tests_max_states_after_each_expansion():
+    # the trefoil and its mirror are separated by 11 states within 4 crossings
+    def run(max_states):
+        r = equivalent_within(
+            trefoil(), mirror_diagram(trefoil()), Budget(max_crossings=4, max_states=max_states)
+        )
+        return r.equivalent, r.states, r.exhausted
+
+    assert run(1) == (None, 6, False)  # the first state is always expanded
+    assert run(11) == (None, 11, False)
+    assert run(12) == (False, 11, True)

@@ -17,7 +17,7 @@ from graphknot import (
     parse_diagram,
     parse_graph,
 )
-from graphknot.diagram import Diagram
+from graphknot.diagram import Crossing, Diagram
 from graphknot.layout import base_diagram
 from graphknot.tangle import normalize_fraction, tangle_from_fraction
 
@@ -138,6 +138,144 @@ def test_diagram_json_round_trip(d):
 
 
 # -- canonical codes ----------------------------------------------------------------
+
+
+# Reference implementations: the map structure computed the slow, obvious way,
+# and the canonical code as the least full trace over every dart of each
+# component.  ``Diagram`` prunes roots by their head and stops a trace once it
+# loses to the best so far; its answers must be exactly these.
+
+
+def reference_pair(d):
+    pair = {}
+    for a, b in d.arcs:
+        pair[a] = b
+        pair[b] = a
+    return pair
+
+
+def reference_faces(d):
+    pair = reference_pair(d)
+
+    def phi(dart):
+        n, s = pair[dart]
+        return (n, (s + 1) % d.degree_of(n))
+
+    remaining = set(pair)
+    out = []
+    while remaining:
+        start = min(remaining)
+        orbit = [start]
+        remaining.discard(start)
+        dart = phi(start)
+        while dart != start:
+            orbit.append(dart)
+            remaining.discard(dart)
+            dart = phi(dart)
+        out.append(tuple(orbit))
+    return tuple(sorted(out))
+
+
+def reference_components(d):
+    parent = list(range(len(d.nodes)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in d.arcs:
+        parent[find(a[0])] = find(b[0])
+    groups = {}
+    for n in range(len(d.nodes)):
+        groups.setdefault(find(n), set()).add(n)
+    return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+
+
+def reference_trace(d, root):
+    """(code, node order, slot origins) of the full trace from ``root``."""
+    pair = reference_pair(d)
+    number = {root[0]: 0}
+    origin = {root[0]: root[1]}
+    order = [root[0]]
+    code = []
+    i = 0
+    while i < len(order):
+        n = order[i]
+        i += 1
+        node = d.nodes[n]
+        if isinstance(node, Crossing):
+            head = ("x", (node.over - origin[n]) % 2)
+        else:
+            head = ("v", node.label, node.degree)
+        row = []
+        for k in range(d.degree_of(n)):
+            m, t = pair[(n, (origin[n] + k) % d.degree_of(n))]
+            if m not in number:
+                number[m] = len(order)
+                origin[m] = t
+                order.append(m)
+            row.append((number[m], (t - origin[m]) % d.degree_of(m)))
+        code.append((head, tuple(row)))
+    return tuple(code), order, origin
+
+
+def reference_least_traces(d):
+    pieces = []
+    for comp in reference_components(d):
+        darts = [(n, s) for n in sorted(comp) for s in range(d.degree_of(n))]
+        if not darts:
+            n = min(comp)
+            node = d.nodes[n]
+            pieces.append((((("isolated", node.label, node.degree), ()),), [n], {n: 0}))
+            continue
+        best = None
+        for dart in darts:
+            traced = reference_trace(d, dart)
+            if best is None or traced[0] < best[0]:
+                best = traced
+        pieces.append(best)
+    return sorted(pieces, key=lambda p: p[0])
+
+
+def reference_canonical_code(d):
+    return (tuple(p[0] for p in reference_least_traces(d)), d.free_loops)
+
+
+def reference_canonical_form(d):
+    new_index, origins, nodes = {}, {}, []
+    for _code, order, origin in reference_least_traces(d):
+        for n in order:
+            new_index[n] = len(nodes)
+            origins[n] = origin[n]
+            node = d.nodes[n]
+            if isinstance(node, Crossing):
+                node = Crossing((node.over - origin[n]) % 2)
+            nodes.append(node)
+
+    def remap(dart):
+        n, s = dart
+        return (new_index[n], (s - origins[n]) % d.degree_of(n))
+
+    return Diagram(nodes, [(remap(a), remap(b)) for a, b in d.arcs], d.free_loops)
+
+
+PLANAR_MOVES = ("R1_add", "R1_remove", "R2_add", "R2_remove", "R3")
+
+
+@given(st.one_of(link_diagrams(), graph_diagrams()), st.lists(st.integers(0, 10_000), max_size=2))
+@settings(deadline=None)
+def test_map_structure_and_canonical_form_match_the_references(d, picks):
+    for pick in picks:
+        sites = enumerate_moves(d, PLANAR_MOVES)
+        if sites:
+            d = apply_move(d, sites[pick % len(sites)])
+    assert d.pair == reference_pair(d)
+    assert d.faces() == reference_faces(d)
+    assert d.components() == reference_components(d)
+    assert d.canonical_code() == reference_canonical_code(d)
+    assert d.canonical_form() == reference_canonical_form(d)
+
 
 
 @given(st.one_of(link_diagrams(), graph_diagrams()), st.randoms())
