@@ -28,13 +28,10 @@ from .diagram import (
     parse_diagram,
 )
 from .errors import (
-    BudgetExceeded,
-    CyclesShareVertexError,
     DisconnectedError,
     FormatError,
     GraphKnotError,
     InvalidVertexError,
-    LoopEdgeError,
     MoveNotApplicable,
     NotALinkError,
     SizeLimitExceeded,

@@ -3,7 +3,7 @@
 Every subcommand is deterministic: identical invocations produce
 byte-identical output.  Exit codes: 0 for a completed computation
 (including an inconclusive one), 1 for an input problem (unreadable
-file, malformed text, rejected certificate), 2 for an exceeded budget.
+file, malformed text, rejected certificate), 2 for an exceeded size guard.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .criterion import (
     verify_certificate,
 )
 from .diagram import Diagram, Vertex, diagram_to_text, parse_diagram
-from .errors import BudgetExceeded, FormatError, GraphKnotError, SizeLimitExceeded
+from .errors import FormatError, GraphKnotError, SizeLimitExceeded
 from .invariants import kauffman_bracket, linking_numbers, writhe
 from .moves import Budget, simplify
 from .multigraph import Minimalizability, minimalizability, parse_graph
@@ -78,8 +78,8 @@ def _cmd_invariant(args) -> int:
         f"crossings: {d.crossing_count}",
     ]
     if not d.vertices():
-        report["writhe"] = writhe(d)
-        lines.append(f"writhe: {writhe(d)}")
+        report["writhe"] = wr = writhe(d)
+        lines.append(f"writhe: {wr}")
         lks = linking_numbers(d)
         if lks:
             report["linking"] = {f"{i},{j}": lk for (i, j), lk in sorted(lks.items())}
@@ -146,12 +146,11 @@ def _criterion_vertices(d: Diagram, vertex: int | None) -> list[int]:
 
 def _cmd_criterion(args) -> int:
     d = parse_diagram(_read(args.input))
-    budget = _budget(args)
     cert: NonPlanarCertificate | None = None
     tried = []
     for v in _criterion_vertices(d, args.vertex):
         where = VertexOrientation(v, args.orientation)
-        cert = check_nonplanar(d, where, budget=budget)
+        cert = check_nonplanar(d, where)
         tried.append(v)
         if cert is not None:
             break
@@ -281,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("criterion", help="search for a non-planarity certificate")
     s.add_argument("input", help="diagram file, or - for stdin")
-    _add_common(s, budget=True, vertex=True)
+    _add_common(s, vertex=True)
     s.set_defaults(func=_cmd_criterion)
 
     s = subs.add_parser(
@@ -308,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceeded, SizeLimitExceeded) as exc:
+    except SizeLimitExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return 2
     except GraphKnotError as exc:

@@ -34,7 +34,6 @@ from .diagram import (
 )
 from .errors import FormatError, TopologyError, WrongDegreeError
 from .invariants import (
-    CrTwoResult,
     Obstruction,
     component_span_lower_bound,
     cr_at_least_two,
@@ -91,21 +90,24 @@ def condition_i(d: Diagram, vertex: int) -> ConditionOneWitness | None:
     slot_edges = tuple(projection.edge_at_slot((vertex, s)) for s in range(4))
     pairs = tuple((slot_edges[s], slot_edges[(s + 1) % 4]) for s in range(4))
     cycles = simple_cycles(g)
-    through: list[list[list[int]]] = []
+    # each cycle through a pair, with its vertex set
+    through: list[list[tuple[list[int], set[int]]]] = []
     for ea, eb in pairs:
         need = {ea, eb}
-        through.append([c for c in cycles if need <= set(c)])
+        through.append(
+            [(c, cycle_vertices(g, c)) for c in cycles if need <= set(c)]
+        )
     chosen: list[tuple[int, ...] | None] = [None] * 4
     for s in (0, 1):
-        hit = None
-        for c1 in through[s]:
-            vs1 = cycle_vertices(g, c1)
-            for c2 in through[s + 2]:
-                if vs1 & cycle_vertices(g, c2) == {gv}:
-                    hit = (tuple(c1), tuple(c2))
-                    break
-            if hit:
-                break
+        hit = next(
+            (
+                (tuple(c1), tuple(c2))
+                for c1, vs1 in through[s]
+                for c2, vs2 in through[s + 2]
+                if vs1 & vs2 == {gv}
+            ),
+            None,
+        )
         if hit is None:
             return None
         chosen[s], chosen[s + 2] = hit
@@ -147,18 +149,8 @@ def _signed_linking(sub: Diagram, cert: Obstruction) -> tuple[int, ...]:
     return tuple(lk[key] for key in sorted(lk))
 
 
-def _substitution_budget(sub: Diagram, budget: Budget | None) -> Budget:
-    if budget is not None:
-        return budget
-    return Budget(max_crossings=sub.crossing_count + 2, max_states=4_000)
-
-
 def condition_ii(
-    d: Diagram,
-    where: VertexOrientation,
-    budget: Budget | None = None,
-    allow_cap_relative: bool = False,
-    max_assignment_crossings: int = 16,
+    d: Diagram, where: VertexOrientation
 ) -> tuple[AssignmentRecord, ...] | None:
     """Certify cr >= 2 for a substitution of every crossing assignment.
 
@@ -167,23 +159,18 @@ def condition_ii(
     the first whose result is certified to need at least two crossings.
     Returns ``None`` as soon as some assignment certifies neither way.
 
-    Cap-relative search certificates are excluded unless asked for, so by
-    default every record rests on an assignment-independent obstruction
-    (linked cycles or a sublink span) and the outcome is sound uncondition-
-    ally.
+    Only assignment-independent obstructions (linked cycles or a sublink
+    span) are tried, never a move search, so every record can be replayed
+    by ``verify_certificate`` and the outcome is sound unconditionally.
     """
     records: list[AssignmentRecord] = []
-    for assigned in crossing_assignments(d, max_assignment_crossings):
+    for assigned in crossing_assignments(d):
         bits = tuple(assigned.nodes[n].over for n in assigned.crossings())
         hit = None
         for r, tangle in ((1, TANGLE_PLUS), (-1, TANGLE_MINUS)):
             sub = substitute(assigned, where, tangle)
-            res = cr_at_least_two(
-                sub, _substitution_budget(sub, budget), search=allow_cap_relative
-            )
+            res = cr_at_least_two(sub, search=False)
             if not res.holds or res.certificate is None:
-                continue
-            if res.certificate.kind == "exhausted-search" and not allow_cap_relative:
                 continue
             hit = AssignmentRecord(
                 bits, r, res.certificate, _signed_linking(sub, res.certificate)
@@ -219,8 +206,10 @@ class NonPlanarCertificate:
 
 
 def certificate_from_json(data: dict) -> NonPlanarCertificate:
-    if data.get("format") != CERTIFICATE_FORMAT:
+    if not isinstance(data, dict) or data.get("format") != CERTIFICATE_FORMAT:
         raise FormatError("not a recognized certificate payload")
+    if not isinstance(data.get("diagram"), str):
+        raise FormatError("malformed certificate: the diagram must be text")
     try:
         wit = data["condition_i"]
         witness = ConditionOneWitness(
@@ -252,15 +241,13 @@ def certificate_from_json(data: dict) -> NonPlanarCertificate:
             per_assignment=records,
             minimalizability=data.get("minimalizability", "asserted by caller"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed certificate: {exc}") from exc
 
 
 def check_nonplanar(
     d: Diagram,
     where: VertexOrientation,
-    budget: Budget | None = None,
-    allow_cap_relative: bool = False,
     minimalizability: str = "asserted by caller",
 ) -> NonPlanarCertificate | None:
     """Run both conditions at ``where`` and assemble a certificate.
@@ -272,7 +259,7 @@ def check_nonplanar(
     witness = condition_i(d, where.vertex)
     if witness is None:
         return None
-    records = condition_ii(d, where, budget, allow_cap_relative)
+    records = condition_ii(d, where)
     if records is None:
         return None
     return NonPlanarCertificate(
@@ -483,7 +470,6 @@ def section3_crossing_number(
     g: Multigraph,
     budget: Budget | None = None,
     edge_order: list[int] | None = None,
-    max_assignment_crossings: int = 16,
 ) -> Section3Report:
     """Minimum crossing number over rewirings and crossing assignments.
 
@@ -511,7 +497,7 @@ def section3_crossing_number(
             edge_order,
         )
         base_texts.append(diagram_to_text(layered))
-        for assigned in crossing_assignments(layered, max_assignment_crossings):
+        for assigned in crossing_assignments(layered):
             bits = tuple(assigned.nodes[n].over for n in assigned.crossings())
             sub_budget = budget or Budget(
                 max_crossings=assigned.crossing_count + 1, max_states=200_000

@@ -912,5 +912,5 @@ def diagram_from_json(text: str) -> Diagram:
             ((a[0], a[1]), (b[0], b[1])) for a, b in data["arcs"]
         ]
         return Diagram(nodes, arcs, data.get("free_loops", 0))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed diagram JSON: {exc!r}") from None

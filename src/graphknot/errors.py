@@ -21,10 +21,6 @@ class WrongDegreeError(GraphKnotError):
     """Raised when a vertex does not have the degree an operation requires."""
 
 
-class LoopEdgeError(GraphKnotError):
-    """Raised when an operation cannot accept a loop edge."""
-
-
 class InvalidVertexError(GraphKnotError):
     """Raised when a vertex or node reference does not exist."""
 
@@ -33,17 +29,9 @@ class DisconnectedError(GraphKnotError):
     """Raised when a computation requires a connected object."""
 
 
-class CyclesShareVertexError(GraphKnotError):
-    """Raised when requested cycles overlap where they must not."""
-
-
 class MoveNotApplicable(GraphKnotError):
     """Raised when a local move is requested at a site that does not admit it."""
 
 
 class SizeLimitExceeded(GraphKnotError):
     """Raised when an enumeration grows past an explicit size limit."""
-
-
-class BudgetExceeded(GraphKnotError):
-    """Raised when a search exhausts its configured budget."""

@@ -11,7 +11,6 @@ from .layout import base_diagram
 from .moves import MoveSite, apply_move, enumerate_moves
 from .multigraph import (
     Multigraph,
-    complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -85,10 +84,6 @@ def k4_diagram() -> Diagram:
 def k5_diagram() -> Diagram:
     """The standard one-crossing drawing of K5."""
     return base_diagram(complete_graph(5))
-
-
-def k33_diagram() -> Diagram:
-    return base_diagram(complete_bipartite(3, 3))
 
 
 def subdivided_k5() -> Multigraph:

@@ -145,8 +145,11 @@ _LOOP_BITS = 16
 _LOOP_MASK = (1 << _LOOP_BITS) - 1
 _A_STEP = 1 << _LOOP_BITS
 
+# The bracket and its state-sum oracle refuse diagrams with more crossings.
+MAX_BRACKET_CROSSINGS = 20
 
-def kauffman_bracket(d: Diagram, max_crossings: int = 20) -> LaurentPoly:
+
+def kauffman_bracket(d: Diagram) -> LaurentPoly:
     """Bracket polynomial of a link diagram, by planar tangle contraction.
 
     The A-smoothing at a crossing whose over slots are ``(o, o+2)`` joins
@@ -157,7 +160,7 @@ def kauffman_bracket(d: Diagram, max_crossings: int = 20) -> LaurentPoly:
     if d.vertices():
         raise NotALinkError("bracket is defined for link diagrams")
     n = len(d.nodes)
-    if n > max_crossings:
+    if n > MAX_BRACKET_CROSSINGS:
         raise SizeLimitExceeded(f"{n} crossings exceeds the bracket guard")
     if n == 0:
         if d.free_loops == 0:
@@ -278,7 +281,7 @@ def _contract(d: Diagram) -> dict[int, int]:
     return states[()]
 
 
-def bracket_state_sum(d: Diagram, max_crossings: int = 20) -> LaurentPoly:
+def bracket_state_sum(d: Diagram) -> LaurentPoly:
     """Bracket polynomial by the 2^n state sum; independent slow oracle for
     tests.
 
@@ -290,7 +293,7 @@ def bracket_state_sum(d: Diagram, max_crossings: int = 20) -> LaurentPoly:
         raise NotALinkError("bracket is defined for link diagrams")
     xs = d.crossings()
     n = len(xs)
-    if n > max_crossings:
+    if n > MAX_BRACKET_CROSSINGS:
         raise SizeLimitExceeded(f"{n} crossings exceeds the bracket guard")
     if n == 0 and d.free_loops == 0:
         raise NotALinkError("empty diagram has no bracket")
@@ -437,20 +440,18 @@ def is_reduced(d: Diagram) -> bool:
 # -- span bounds -----------------------------------------------------------------
 
 
-def span_lower_bound(d: Diagram, max_crossings: int = 20) -> int:
+def span_lower_bound(d: Diagram) -> int:
     """Crossing-number lower bound from the bracket span, for diagrams with
     a single connected component.  (The bound is unsound for split diagrams:
     each extra split part inflates the span by 4.)"""
     if len(d.components()) + d.free_loops != 1:
         raise DisconnectedError("span bound requires a connected diagram")
-    return (kauffman_bracket(d, max_crossings).span + 3) // 4
+    return (kauffman_bracket(d).span + 3) // 4
 
 
-def component_span_lower_bound(d: Diagram, max_crossings: int = 20) -> int:
+def component_span_lower_bound(d: Diagram) -> int:
     """Sum of per-component span bounds (sound for split diagrams)."""
-    return sum(
-        span_lower_bound(part, max_crossings) for part in d.split_components()
-    )
+    return sum(span_lower_bound(part) for part in d.split_components())
 
 
 # -- cycle-based obstructions ----------------------------------------------------
@@ -503,10 +504,10 @@ def cycle_vertices(g: Multigraph, cycle: list[int]) -> set[int]:
 
 def disjoint_cycle_pairs(g: Multigraph, cycles=None):
     cycles = simple_cycles(g) if cycles is None else cycles
-    for c1, c2 in itertools.combinations(cycles, 2):
-        if cycle_vertices(g, c1) & cycle_vertices(g, c2):
-            continue
-        yield c1, c2
+    vertex_sets = [cycle_vertices(g, c) for c in cycles]
+    for i, j in itertools.combinations(range(len(cycles)), 2):
+        if vertex_sets[i].isdisjoint(vertex_sets[j]):
+            yield cycles[i], cycles[j]
 
 
 # -- crossing-number estimation ---------------------------------------------------
@@ -530,9 +531,7 @@ class Obstruction:
         }
 
 
-def _sublink_obstructions(
-    projection: GraphProjection, max_crossings: int = 20, stop_when: int | None = None
-):
+def _sublink_obstructions(projection: GraphProjection, stop_when: int | None = None):
     """Obstructions from links carried by cycles of the underlying graph.
 
     Cheap evidence comes first: linking numbers of disjoint cycle pairs,
@@ -568,16 +567,16 @@ def _sublink_obstructions(
             sub = extract_sublink(projection, [cycle])
         except TopologyError:
             continue
-        bound = component_span_lower_bound(sub, max_crossings)
+        bound = component_span_lower_bound(sub)
         if bound > 0:
             out.append(
                 Obstruction("sublink-span", bound, (tuple(cycle),),
-                            kauffman_bracket(sub, max_crossings).span)
+                            kauffman_bracket(sub).span)
             )
             if satisfied():
                 return out
     for c1, c2, sub in unlinked:
-        bound = component_span_lower_bound(sub, max_crossings)
+        bound = component_span_lower_bound(sub)
         if bound >= 2:
             out.append(
                 Obstruction("sublink-span", bound, (tuple(c1), tuple(c2)), -1)
@@ -614,7 +613,7 @@ class CrossingNumberReport:
 
 
 def lower_bound_obstructions(
-    d: Diagram, max_crossings: int = 20, stop_when: int | None = None
+    d: Diagram, stop_when: int | None = None
 ) -> tuple[int, tuple[Obstruction, ...]]:
     projection = d.underlying_graph()
     obstructions: list[Obstruction] = []
@@ -626,13 +625,11 @@ def lower_bound_obstructions(
         obstructions.append(Obstruction("nonplanar-graph", 1))
     if not d.vertices() and (d.components() or d.free_loops):
         # a pure link diagram bounds itself through its own span
-        bound = component_span_lower_bound(d, max_crossings)
+        bound = component_span_lower_bound(d)
         if bound > 0:
             obstructions.append(Obstruction("sublink-span", bound, (), -1))
     if stop_when is None or best() < stop_when:
-        obstructions.extend(
-            _sublink_obstructions(projection, max_crossings, stop_when)
-        )
+        obstructions.extend(_sublink_obstructions(projection, stop_when))
     return best(), tuple(obstructions)
 
 

@@ -32,9 +32,9 @@ MOVE_KINDS = (
     "R5_twist",
 )
 
-# Crossing changes alter the object, not just the picture, so searches that
-# decide equivalence or count minimal crossings must not take them by
-# default.  Equivalence *up to* crossing changes is the shadow search.
+# Crossing changes alter the object, not just the picture, so the searches
+# that decide equivalence or count minimal crossings never take them.
+# Equivalence *up to* crossing changes is the shadow search.
 ISOTOPY_KINDS = tuple(k for k in MOVE_KINDS if k != "CrossingChange")
 
 _THROUGH = ((0, 2), (1, 3))
@@ -440,9 +440,9 @@ _KIND_DELTA = {
 }
 
 
-def _neighbors(d: Diagram, budget: Budget, shadow: bool, kinds):
+def _neighbors(d: Diagram, budget: Budget, shadow: bool):
     room = budget.max_crossings - d.crossing_count
-    use = tuple(k for k in kinds if _KIND_DELTA[k] <= room)
+    use = tuple(k for k in ISOTOPY_KINDS if _KIND_DELTA[k] <= room)
     for site in enumerate_moves(d, use, shadow=shadow):
         try:
             nd = apply_move(d, site, shadow=shadow)
@@ -457,7 +457,6 @@ def search_min_crossings(
     d: Diagram,
     budget: Budget | None = None,
     shadow: bool = False,
-    kinds=ISOTOPY_KINDS,
     stop_at: int | None = None,
 ) -> SearchResult:
     """Breadth-first search of everything reachable without exceeding the
@@ -485,7 +484,7 @@ def search_min_crossings(
         if len(seen) >= budget.max_states:
             exhausted = False
             break
-        for _site, nd in _neighbors(cur, budget, shadow, kinds):
+        for _site, nd in _neighbors(cur, budget, shadow):
             code = nd.canonical_code()
             if code in seen:
                 continue
@@ -511,8 +510,8 @@ class EquivalenceResult:
     exhausted: bool
 
 
-def _recover_step(cur: Diagram, target_code, budget, shadow, kinds):
-    for site, nd in _neighbors(cur, budget, shadow, kinds):
+def _recover_step(cur: Diagram, target_code, budget, shadow):
+    for site, nd in _neighbors(cur, budget, shadow):
         if nd.canonical_code() == target_code:
             return site, nd
     return None
@@ -523,7 +522,6 @@ def equivalent_within(
     d2: Diagram,
     budget: Budget | None = None,
     shadow: bool = False,
-    kinds=ISOTOPY_KINDS,
 ) -> EquivalenceResult:
     """Bidirectional search for a move path ``d1 -> d2``.
 
@@ -552,7 +550,7 @@ def equivalent_within(
         for _ in range(len(frontier)):
             code = frontier.popleft()
             cur = pending[side].pop(code)
-            for site, nd in _neighbors(cur, budget, shadow, kinds):
+            for site, nd in _neighbors(cur, budget, shadow):
                 ncode = nd.canonical_code()
                 if ncode in info[side]:
                     continue
@@ -589,7 +587,7 @@ def equivalent_within(
     ok = True
     while info[1][code][0] is not None:
         parent = info[1][code][0]
-        step = _recover_step(cur, parent, budget, shadow, kinds)
+        step = _recover_step(cur, parent, budget, shadow)
         if step is None:
             ok = False
             break

@@ -15,12 +15,7 @@ from enum import Enum
 
 import networkx as nx
 
-from .errors import (
-    FormatError,
-    InvalidVertexError,
-    LoopEdgeError,
-    SizeLimitExceeded,
-)
+from .errors import FormatError, InvalidVertexError, SizeLimitExceeded
 
 
 @dataclass(frozen=True)
@@ -135,19 +130,6 @@ class Multigraph:
             tuple((perm(u), perm(v)) for u, v in self.edges),
         )
 
-    def without_edge(self, edge_index: int) -> "Multigraph":
-        rest = self.edges[:edge_index] + self.edges[edge_index + 1 :]
-        return Multigraph(self.vertex_count, rest)
-
-    def with_edge(self, u: int, v: int) -> "Multigraph":
-        return Multigraph(self.vertex_count, self.edges + ((u, v),))
-
-    def to_networkx(self) -> nx.MultiGraph:
-        g = nx.MultiGraph()
-        g.add_nodes_from(range(self.vertex_count))
-        g.add_edges_from(self.edges)
-        return g
-
     def is_planar(self) -> bool:
         simple = nx.Graph()
         simple.add_nodes_from(range(self.vertex_count))
@@ -184,26 +166,6 @@ def one_point_union(g: Multigraph, gv: int, h: Multigraph, hv: int) -> Multigrap
         g.vertex_count + h.vertex_count - 1,
         g.edges + tuple((mapping[u], mapping[v]) for u, v in h.edges),
     )
-
-
-def connected_sum(
-    g: Multigraph, g_edge: int, h: Multigraph, h_edge: int
-) -> Multigraph:
-    """Remove one non-loop edge from each graph and bridge the stubs.
-
-    With ``g_edge = (a, b)`` and ``h_edge = (c, d)`` the result contains the
-    new edges ``a - c`` and ``b - d``.
-    """
-    a, b = g.endpoints(g_edge)
-    c, d = h.endpoints(h_edge)
-    if a == b or c == d:
-        raise LoopEdgeError("connected sum requires non-loop edges")
-    shift = g.vertex_count
-    edges = list(g.without_edge(g_edge).edges)
-    edges.extend((u + shift, v + shift) for u, v in h.without_edge(h_edge).edges)
-    edges.append((a, c + shift))
-    edges.append((b, d + shift))
-    return Multigraph(g.vertex_count + h.vertex_count, tuple(edges))
 
 
 # -- standard constructions --------------------------------------------------
@@ -338,7 +300,7 @@ def _adjacency(g: Multigraph) -> list[list[int]]:
     return m
 
 
-def _mappings(g: Multigraph, h: Multigraph, limit: int | None):
+def _mappings(g: Multigraph, h: Multigraph):
     """Yield vertex bijections g -> h preserving edge multiplicities."""
     n = g.vertex_count
     if n != h.vertex_count or g.edge_count != h.edge_count:
@@ -349,16 +311,9 @@ def _mappings(g: Multigraph, h: Multigraph, limit: int | None):
     ag, ah = _adjacency(g), _adjacency(h)
     image = [-1] * n
     used = [False] * n
-    count = 0
 
     def extend(k: int):
-        nonlocal count
         if k == n:
-            if limit is not None and count >= limit:
-                raise SizeLimitExceeded(
-                    f"more than {limit} mappings; raise the limit to enumerate them"
-                )
-            count += 1
             yield Permutation(tuple(image))
             return
         for w in range(n):
@@ -409,49 +364,18 @@ class AutGroup:
             buckets.setdefault(find(i), set()).add(i)
         return sorted((frozenset(b) for b in buckets.values()), key=min)
 
-    def generators(self) -> list[Permutation]:
-        """A small (greedy, not provably minimal) generating set."""
-        have = {Permutation.identity(self.degree).image}
-        gens: list[Permutation] = []
-        remaining = sorted(
-            (p for p in self.elements if not p.is_identity()),
-            key=lambda p: p.image,
-        )
-        for p in remaining:
-            if p.image in have:
-                continue
-            gens.append(p)
-            # close under composition with everything generated so far
-            frontier = list(have) + [p.image]
-            have.add(p.image)
-            changed = True
-            while changed:
-                changed = False
-                current = [Permutation(im) for im in have]
-                for a in current:
-                    for b in current:
-                        c = a.compose(b).image
-                        if c not in have:
-                            have.add(c)
-                            changed = True
-            if len(have) == len(self.elements):
-                break
-        return gens
-
-
-def automorphisms(
-    g: Multigraph, *, max_vertices: int | None = DEFAULT_MAX_AUT_VERTICES
-) -> AutGroup:
+def automorphisms(g: Multigraph) -> AutGroup:
     """Full automorphism group by pruned backtracking.
 
-    Guarded by ``max_vertices`` because the group itself can be factorially
-    large; pass ``None`` to lift the guard.
+    Guarded by ``DEFAULT_MAX_AUT_VERTICES`` because the group itself can be
+    factorially large.
     """
-    if max_vertices is not None and g.vertex_count > max_vertices:
+    if g.vertex_count > DEFAULT_MAX_AUT_VERTICES:
         raise SizeLimitExceeded(
-            f"{g.vertex_count} vertices exceeds the guard of {max_vertices}"
+            f"{g.vertex_count} vertices exceeds the guard of "
+            f"{DEFAULT_MAX_AUT_VERTICES}"
         )
-    elems = tuple(_mappings(g, g, None))
+    elems = tuple(_mappings(g, g))
     return AutGroup(g.vertex_count, elems)
 
 
@@ -470,7 +394,7 @@ def brute_force_automorphisms(g: Multigraph) -> AutGroup:
 
 
 def are_isomorphic(g: Multigraph, h: Multigraph) -> bool:
-    for _ in _mappings(g, h, None):
+    for _ in _mappings(g, h):
         return True
     return False
 
@@ -506,11 +430,11 @@ def symmetric_product_orbits(
 
 
 def minimalizability(
-    g: Multigraph, *, max_vertices: int | None = DEFAULT_MAX_AUT_VERTICES
+    g: Multigraph,
 ) -> tuple[Minimalizability, tuple[frozenset[int], ...] | None, AutGroup]:
     """The verdict, its orbit blocks, and the automorphism group of ``g``
     that they were read from."""
-    aut = automorphisms(g, max_vertices=max_vertices)
+    aut = automorphisms(g)
     if aut.order == 1:
         return Minimalizability.TRIVIAL, symmetric_product_orbits(aut), aut
     blocks = symmetric_product_orbits(aut)

@@ -312,3 +312,53 @@ def test_bracket_guard_exits_two_without_a_traceback(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("budget exceeded:")
     assert "Traceback" not in proc.stderr
+
+
+def verify_error(capsys, tmp_path, raw):
+    path = tmp_path / "payload.json"
+    path.write_text(raw)
+    code = main(["verify", str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_verify_rejects_a_payload_that_is_not_an_object(capsys, tmp_path):
+    code, err = verify_error(capsys, tmp_path, "[1]")
+    assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", [5, None], ids=["number", "null"])
+def test_verify_rejects_a_diagram_that_is_not_text(capsys, tmp_path, value):
+    data = json.loads((DATA / "k5_certificate.json").read_text())
+    data["diagram"] = value
+    code, err = verify_error(capsys, tmp_path, json.dumps(data))
+    assert code == 1 and err.startswith("error:")
+
+
+def test_verify_rejects_an_infinite_vertex(capsys, tmp_path):
+    raw = (DATA / "k5_certificate.json").read_text()
+    assert raw.count('"vertex": 0\n') == 1
+    code, err = verify_error(
+        capsys, tmp_path, raw.replace('"vertex": 0\n', '"vertex": 1e400\n')
+    )
+    assert code == 1 and err.startswith("error:")
+
+
+def test_aut_guard_exits_two(capsys, tmp_path):
+    from graphknot import path_graph
+
+    path = tmp_path / "p11.graph"
+    path.write_text(graph_to_text(path_graph(11)))
+    assert main(["aut", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("budget exceeded:")
+
+
+def test_criterion_assignment_guard_exits_two(capsys, tmp_path):
+    from graphknot import apply_move, enumerate_moves
+
+    d = k5_diagram()
+    while d.crossing_count < 17:
+        d = apply_move(d, enumerate_moves(d, ("R1_add",))[0])
+    path = tmp_path / "k5-17.diagram"
+    path.write_text(diagram_to_text(d))
+    assert main(["criterion", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("budget exceeded:")

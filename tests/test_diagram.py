@@ -1,11 +1,15 @@
 """Diagrams as combinatorial maps: faces, canonical codes, serialization."""
 
+import json
+
 import pytest
 
 from graphknot import (
     Crossing,
     Diagram,
     FormatError,
+    RationalTangle,
+    SizeLimitExceeded,
     TopologyError,
     Vertex,
     complete_graph,
@@ -133,6 +137,23 @@ def test_json_round_trip():
         assert back.free_loops == d.free_loops
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("arcs", [[[0, "a"], [0, 1]]]),
+        ("arcs", [[[0, 1e400], [1, 0]]]),
+        ("free_loops", "a"),
+        ("free_loops", 1e400),
+    ],
+    ids=["arc-end-text", "arc-end-inf", "free-loops-text", "free-loops-inf"],
+)
+def test_json_rejects_non_integer_fields(field, value):
+    data = json.loads(diagram_to_json(hopf_link()))
+    data[field] = value
+    with pytest.raises(FormatError):
+        diagram_from_json(json.dumps(data))
+
+
 def test_parse_errors():
     with pytest.raises(FormatError):
         parse_diagram("crossing 02")  # no header
@@ -172,6 +193,13 @@ def test_crossing_assignments_enumerate_all_bit_patterns():
     for assigned in crossing_assignments(d):
         seen.add(tuple(assigned.nodes[n].over for n in assigned.crossings()))
     assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_assignment_guard_at_its_edge():
+    first = next(crossing_assignments(RationalTangle((16,)).closure_n()))
+    assert [first.nodes[n].over for n in first.crossings()] == [0] * 16
+    with pytest.raises(SizeLimitExceeded):
+        next(crossing_assignments(RationalTangle((17,)).closure_n()))
 
 
 def test_extract_sublink_from_linked_triangles():

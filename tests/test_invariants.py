@@ -164,6 +164,13 @@ def test_simple_cycle_counts():
     assert len(simple_cycles(Multigraph(2, [(0, 0), (0, 1), (0, 1)]))) == 2
 
 
+def test_cycle_guard_at_its_edge():
+    # K4 has exactly seven simple cycles
+    assert len(simple_cycles(complete_graph(4), max_cycles=7)) == 7
+    with pytest.raises(SizeLimitExceeded):
+        simple_cycles(complete_graph(4), max_cycles=6)
+
+
 def test_cycle_vertices():
     g = complete_graph(4)
     triangle = next(c for c in simple_cycles(g) if len(c) == 3)

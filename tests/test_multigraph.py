@@ -8,6 +8,7 @@ from graphknot import (
     Minimalizability,
     Multigraph,
     Permutation,
+    SizeLimitExceeded,
     automorphisms,
     brute_force_automorphisms,
     complete_bipartite,
@@ -51,6 +52,12 @@ def test_backtracking_agrees_with_brute_force(g, order):
     slow = brute_force_automorphisms(g)
     assert fast.order == slow.order == order
     assert set(fast.elements) == set(slow.elements)
+
+
+def test_automorphism_guard_at_its_edge():
+    assert automorphisms(path_graph(10)).order == 2
+    with pytest.raises(SizeLimitExceeded):
+        automorphisms(path_graph(11))
 
 
 def test_automorphisms_fix_the_graph():

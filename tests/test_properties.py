@@ -1,8 +1,13 @@
 """Property-based invariants: algebra laws, round trips, move reversibility."""
 
+import copy
+import json
+from pathlib import Path
+
 from hypothesis import assume, given, settings, strategies as st
 
 from graphknot import (
+    GraphKnotError,
     LaurentPoly,
     Multigraph,
     RationalTangle,
@@ -16,7 +21,9 @@ from graphknot import (
     kauffman_bracket,
     parse_diagram,
     parse_graph,
+    verify_certificate,
 )
+from graphknot.criterion import VerifyReport
 from graphknot.diagram import Crossing, Diagram
 from graphknot.layout import base_diagram
 from graphknot.tangle import normalize_fraction, tangle_from_fraction
@@ -340,3 +347,54 @@ def test_bracket_contraction_matches_the_state_sum_after_moves(d, pick):
         d = apply_move(d, sites[pick % len(sites)])
     if d.crossing_count <= 12 and (d.crossing_count or d.free_loops):
         assert kauffman_bracket(d) == bracket_state_sum(d)
+
+
+# -- the certificate trust boundary ------------------------------------------------
+
+
+K5_CERTIFICATE = json.loads(
+    (Path(__file__).resolve().parent.parent / "data" / "k5_certificate.json").read_text()
+)
+
+
+def leaf_paths(node, path=()):
+    """Key/index paths to every scalar of a parsed JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for key, child in items for p in leaf_paths(child, path + (key,))]
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400), 2**63, -(2**63)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=12),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@given(st.sampled_from(leaf_paths(K5_CERTIFICATE)), json_values)
+@settings(deadline=None, max_examples=300)
+def test_verify_survives_any_value_at_any_certificate_leaf(path, value):
+    data = copy.deepcopy(K5_CERTIFICATE)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        report = verify_certificate(data)
+    except GraphKnotError:
+        return
+    assert isinstance(report, VerifyReport)
