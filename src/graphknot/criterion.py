@@ -169,7 +169,7 @@ def condition_ii(
         hit = None
         for r, tangle in ((1, TANGLE_PLUS), (-1, TANGLE_MINUS)):
             sub = substitute(assigned, where, tangle)
-            res = cr_at_least_two(sub, search=False)
+            res = cr_at_least_two(sub)
             if not res.holds or res.certificate is None:
                 continue
             hit = AssignmentRecord(
@@ -205,6 +205,13 @@ class NonPlanarCertificate:
         }
 
 
+def _int(x) -> int:
+    """A certificate number: a JSON integer, never a fraction or a boolean."""
+    if type(x) is not int:
+        raise FormatError(f"malformed certificate: {x!r} is not an integer")
+    return x
+
+
 def certificate_from_json(data: dict) -> NonPlanarCertificate:
     if not isinstance(data, dict) or data.get("format") != CERTIFICATE_FORMAT:
         raise FormatError("not a recognized certificate payload")
@@ -213,47 +220,43 @@ def certificate_from_json(data: dict) -> NonPlanarCertificate:
     try:
         wit = data["condition_i"]
         witness = ConditionOneWitness(
-            vertex=int(data["vertex"]),
-            graph_vertex=int(wit["graph_vertex"]),
-            pair_edges=tuple((int(a), int(b)) for a, b in wit["pairs"]),
-            cycles=tuple(tuple(int(e) for e in c) for c in wit["cycles"]),
+            vertex=_int(data["vertex"]),
+            graph_vertex=_int(wit["graph_vertex"]),
+            pair_edges=tuple((_int(a), _int(b)) for a, b in wit["pairs"]),
+            cycles=tuple(tuple(_int(e) for e in c) for c in wit["cycles"]),
         )
         records = tuple(
             AssignmentRecord(
-                bits=tuple(int(b) for b in rec["bits"]),
-                r=int(rec["r"]),
+                bits=tuple(_int(b) for b in rec["bits"]),
+                r=_int(rec["r"]),
                 certificate=Obstruction(
                     kind=rec["certificate"]["kind"],
-                    bound=int(rec["certificate"]["bound"]),
+                    bound=_int(rec["certificate"]["bound"]),
                     cycles=tuple(
-                        tuple(int(e) for e in c) for c in rec["certificate"]["cycles"]
+                        tuple(_int(e) for e in c) for c in rec["certificate"]["cycles"]
                     ),
-                    value=int(rec["certificate"]["value"]),
+                    value=_int(rec["certificate"]["value"]),
                 ),
-                linking=tuple(int(x) for x in rec["linking"]),
+                linking=tuple(_int(x) for x in rec["linking"]),
             )
             for rec in data["assignments"]
         )
         return NonPlanarCertificate(
             diagram_text=data["diagram"],
-            orientation=VertexOrientation(int(data["vertex"]), int(data["a_slot"])),
+            orientation=VertexOrientation(_int(data["vertex"]), _int(data["a_slot"])),
             witness=witness,
             per_assignment=records,
             minimalizability=data.get("minimalizability", "asserted by caller"),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed certificate: {exc}") from exc
 
 
-def check_nonplanar(
-    d: Diagram,
-    where: VertexOrientation,
-    minimalizability: str = "asserted by caller",
-) -> NonPlanarCertificate | None:
+def check_nonplanar(d: Diagram, where: VertexOrientation) -> NonPlanarCertificate | None:
     """Run both conditions at ``where`` and assemble a certificate.
 
     The caller is responsible for the hypothesis that the underlying graph
-    is minimalizable; whatever grounds they have are recorded verbatim.
+    is minimalizable; the certificate records it as asserted by the caller.
     ``None`` is always inconclusive, never a planarity claim.
     """
     witness = condition_i(d, where.vertex)
@@ -267,7 +270,6 @@ def check_nonplanar(
         orientation=where,
         witness=witness,
         per_assignment=records,
-        minimalizability=minimalizability,
     )
 
 
@@ -305,15 +307,10 @@ def _is_simple_cycle(g: Multigraph, cycle: tuple[int, ...]) -> bool:
 
 
 def _replay_assignment(
-    d: Diagram, where: VertexOrientation, rec: AssignmentRecord
+    assigned: Diagram, where: VertexOrientation, rec: AssignmentRecord
 ) -> str | None:
-    """Recheck one assignment record; a message on failure, None when good."""
-    xs = d.crossings()
-    if len(rec.bits) != len(xs):
-        return "assignment bit count does not match the diagram"
-    assigned = d
-    for j, n in enumerate(xs):
-        assigned = assigned.with_over(n, rec.bits[j])
+    """Recheck the record of one crossing assignment; a message on failure,
+    None when good."""
     if rec.r not in (1, -1):
         return f"r must be +1 or -1, got {rec.r}"
     sub = substitute(assigned, where, TANGLE_PLUS if rec.r == 1 else TANGLE_MINUS)
@@ -412,15 +409,17 @@ def verify_certificate(cert: NonPlanarCertificate | dict) -> VerifyReport:
             )
     notes.append("condition (i) witness rechecked")
 
-    c = d.crossing_count
-    expected = sorted(
-        tuple((word >> j) & 1 for j in range(c)) for word in range(1 << c)
-    )
-    got = sorted(rec.bits for rec in cert.per_assignment)
-    if got != expected:
-        return VerifyReport(False, ("assignments do not cover every reassignment",))
-    for rec in cert.per_assignment:
-        problem = _replay_assignment(d, cert.orientation, rec)
+    # the count comes first: the diagram is untrusted, and 2^c assignments
+    # are only walked when the certificate already holds that many records
+    uncovered = VerifyReport(False, ("assignments do not cover every reassignment",))
+    if len(cert.per_assignment) != 1 << d.crossing_count:
+        return uncovered
+    by_bits = {rec.bits: rec for rec in cert.per_assignment}
+    for assigned in crossing_assignments(d):
+        rec = by_bits.get(tuple(assigned.nodes[n].over for n in assigned.crossings()))
+        if rec is None:
+            return uncovered
+        problem = _replay_assignment(assigned, cert.orientation, rec)
         if problem is not None:
             return VerifyReport(
                 False, (f"assignment {list(rec.bits)} (r={rec.r:+d}): {problem}",)

@@ -732,6 +732,9 @@ def extract_sublink(
         vertex_join[first.ends[0]] = prev_end
 
     kept_crossings = sorted(n for n, ps in kept_parity.items() if len(ps) == 2)
+    if not kept_crossings:
+        # no crossing is met twice, so each cycle runs as one free circle
+        return Diagram([], [], len(cycles))
     new_index = {n: i for i, n in enumerate(kept_crossings)}
     new_nodes = [d.nodes[n] for n in kept_crossings]
 
@@ -766,32 +769,6 @@ def extract_sublink(
             seen.add(end)
             new_arcs.append(((new_index[n], s), (new_index[end[0]], end[1])))
 
-    loops = 0
-    if not kept_crossings:
-        # each cycle that survives with no kept crossing is one free circle;
-        # walk cycles of vertex_join/pair starting at each strand end
-        done: set[Dart] = set()
-        for dart in list(vertex_join):
-            if dart in done:
-                continue
-            cur = dart
-            while True:
-                done.add(cur)
-                nxt = vertex_join[cur]
-                done.add(nxt)
-                # run along the strand to its other end
-                path_cur = d.pair[nxt]
-                while True:
-                    n, s = path_cur
-                    if d.is_crossing(n):
-                        path_cur = d.pair[(n, (s + 2) % 4)]
-                    else:
-                        break
-                cur = path_cur
-                if cur == dart:
-                    break
-            loops += 1
-        return Diagram([], [], loops)
     return Diagram(new_nodes, new_arcs, 0)
 
 

@@ -517,7 +517,7 @@ def disjoint_cycle_pairs(g: Multigraph, cycles=None):
 class Obstruction:
     """Why the crossing number is at least ``bound``."""
 
-    kind: str  # "nonplanar-graph" | "linked-cycles" | "sublink-span" | "exhausted-search"
+    kind: str  # "nonplanar-graph" | "linked-cycles" | "sublink-span"
     bound: int
     cycles: tuple[tuple[int, ...], ...] = ()
     value: int = 0  # linking number or span, depending on kind
@@ -704,7 +704,7 @@ def crossing_number(d: Diagram, budget: Budget | None = None) -> CrossingNumberR
 
 @dataclass(frozen=True)
 class CrTwoResult:
-    holds: bool | None  # None: inconclusive within budget
+    holds: bool | None  # None: no obstruction applies
     certificate: Obstruction | None
     states: int = 0
     notes: tuple[str, ...] = ()
@@ -718,41 +718,17 @@ class CrTwoResult:
         }
 
 
-def cr_at_least_two(
-    d: Diagram, budget: Budget | None = None, search: bool = True
-) -> CrTwoResult:
+def cr_at_least_two(d: Diagram) -> CrTwoResult:
     """Certify that every diagram equivalent to ``d`` has at least two
-    crossings (or refute it, or give up within budget).
+    crossings, or refute it for a diagram that has fewer.
 
-    Obstructions (linked cycles, sublink spans) are tried first and hold
-    unconditionally.  The move search behind ``search=True`` can addition-
-    ally refute the claim or certify it relative to the crossing cap; with
-    ``search=False`` the answer is ``None`` whenever no obstruction bites.
+    Only obstructions (linked cycles, sublink spans) are tried; they hold
+    unconditionally, and the answer is ``None`` whenever none bites.
     """
-    budget = budget or Budget()
     if d.crossing_count <= 1:
         return CrTwoResult(False, None, notes=("diagram itself has few crossings",))
-    lb, obstructions = lower_bound_obstructions(d, stop_when=2)
+    _lb, obstructions = lower_bound_obstructions(d, stop_when=2)
     for o in obstructions:
         if o.bound >= 2:
             return CrTwoResult(True, o)
-    if not search:
-        return CrTwoResult(None, None, notes=("no obstruction; search not attempted",))
-    result = search_min_crossings(d, budget, stop_at=1)
-    found = result.best.crossing_count
-    if found <= 1:
-        return CrTwoResult(
-            False, None, result.states, ("search found a small diagram",)
-        )
-    if result.exhausted:
-        cert = Obstruction("exhausted-search", 2, (), found)
-        return CrTwoResult(
-            True,
-            cert,
-            result.states,
-            (
-                f"no diagram with under two crossings is reachable within "
-                f"the {budget.max_crossings}-crossing cap",
-            ),
-        )
-    return CrTwoResult(None, None, result.states, ("state budget exhausted",))
+    return CrTwoResult(None, None, notes=("no obstruction applies",))

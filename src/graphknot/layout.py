@@ -1,7 +1,7 @@
 """Construct a concrete diagram of any multigraph by greedy edge insertion.
 
-Edges are inserted one at a time into a growing rotation system.  Each new
-edge is routed from a corner at one endpoint to a corner at the other by a
+Edges are inserted one at a time into a growing ``Diagram``.  Each new edge
+is routed from a corner at one endpoint to a corner at the other by a
 breadth-first search through the faces, crossing as few existing arcs as
 possible (deterministic tie-breaks).  A crossed arc passes *over* the new
 edge, so edges inserted later run underneath everything older.  Endpoints in
@@ -13,223 +13,107 @@ from __future__ import annotations
 
 from collections import deque
 
-from .diagram import Crossing, Diagram, Vertex
+from .diagram import Crossing, Dart, Diagram, Vertex
 from .errors import FormatError
 from .multigraph import Multigraph
 
 
-class _Builder:
-    """Mutable rotation system.  Slots are persistent plug tokens so that
-    rotations can grow without renaming anything."""
+def _route(d: Diagram, u: int, v: int) -> tuple[int, list[Dart], int]:
+    """Find (gap at u, darts to cross, gap at v) for a new edge u -> v.
 
-    def __init__(self) -> None:
-        self.kind: list[tuple] = []  # node -> ("v", label) | ("x", over)
-        self.rot: list[list[int]] = []  # node -> plug ids in rotation order
-        self.partner: dict[int, int] = {}
-        self.home: dict[int, int] = {}
-        self._next_plug = 0
-        self._union: list[int] = []  # per-node union-find for components
-
-    # -- structure ---------------------------------------------------------
-
-    def add_node(self, kind: tuple) -> int:
-        self.kind.append(kind)
-        self.rot.append([])
-        self._union.append(len(self._union))
-        return len(self.kind) - 1
-
-    def new_plug(self, node: int) -> int:
-        p = self._next_plug
-        self._next_plug += 1
-        self.home[p] = node
-        return p
-
-    def join(self, p: int, q: int) -> None:
-        self.partner[p] = q
-        self.partner[q] = p
-        self._merge(self.home[p], self.home[q])
-
-    def _find(self, n: int) -> int:
-        while self._union[n] != n:
-            self._union[n] = self._union[self._union[n]]
-            n = self._union[n]
-        return n
-
-    def _merge(self, a: int, b: int) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self._union[ra] = rb
-
-    def connected(self, a: int, b: int) -> bool:
-        return self._find(a) == self._find(b)
-
-    # -- faces ----------------------------------------------------------------
-
-    def _dart_of_plug(self, p: int) -> tuple[int, int]:
-        n = self.home[p]
-        return (n, self.rot[n].index(p))
-
-    def _phi(self, dart: tuple[int, int]) -> tuple[int, int]:
-        n, pos = dart
-        q = self.partner[self.rot[n][pos]]
-        m, mpos = self._dart_of_plug(q)
-        return (m, (mpos + 1) % len(self.rot[m]))
-
-    def faces(self) -> list[list[tuple[int, int]]]:
-        darts = [
-            (n, pos)
-            for n in range(len(self.rot))
-            for pos in range(len(self.rot[n]))
-        ]
-        remaining = set(darts)
-        out = []
-        for start in darts:
-            if start not in remaining:
+    A *gap* g at a node is the corner between slots g-1 and g, which lies in
+    the face of dart ``(node, g)``; the new end takes slot g there.  ``u``
+    and ``v`` must be distinct nodes of one component.
+    """
+    faces = d.faces()
+    dart_face: dict[Dart, int] = {}
+    for fi, face in enumerate(faces):
+        for dart in face:
+            dart_face[dart] = fi
+    # multi-source BFS over faces
+    start: dict[int, int] = {}  # face -> smallest gap at u
+    for g in range(d.degree_of(u)):
+        start.setdefault(dart_face[(u, g)], g)
+    target: dict[int, int] = {}
+    for g in range(d.degree_of(v)):
+        target.setdefault(dart_face[(v, g)], g)
+    parent: dict[int, tuple[int, Dart] | None] = {}
+    queue = deque()
+    for fi in sorted(start):
+        parent[fi] = None
+        queue.append(fi)
+        if fi in target:
+            return start[fi], [], target[fi]
+    while queue:
+        fi = queue.popleft()
+        for dart in faces[fi]:
+            nxt = dart_face[d.pair[dart]]
+            if nxt in parent:
                 continue
-            orbit = [start]
-            remaining.discard(start)
-            d = self._phi(start)
-            while d != start:
-                orbit.append(d)
-                remaining.discard(d)
-                d = self._phi(d)
-            out.append(orbit)
-        return out
-
-    # -- routing -----------------------------------------------------------------
-
-    def route(self, u: int, v: int):
-        """Find (gap at u, darts to cross, gap at v) for a new edge u -> v.
-
-        A *gap* g at a node is the corner between rotation positions g-1
-        and g; inserting at list index g lands the new end in that corner.
-        """
-        faces = self.faces()
-        dart_face: dict[tuple[int, int], int] = {}
-        for fi, face in enumerate(faces):
-            for dart in face:
-                dart_face[dart] = fi
-        deg_u, deg_v = len(self.rot[u]), len(self.rot[v])
-        # multi-source BFS over faces
-        start: dict[int, int] = {}  # face -> smallest gap at u
-        for g in range(deg_u):
-            fi = dart_face[(u, g)]
-            start.setdefault(fi, g)
-        target: dict[int, int] = {}
-        for g in range(deg_v):
-            fi = dart_face[(v, g)]
-            target.setdefault(fi, g)
-        parent: dict[int, tuple[int, tuple[int, int]] | None] = {}
-        queue = deque()
-        for fi in sorted(start):
-            parent[fi] = None
-            queue.append(fi)
-            if fi in target:
-                return start[fi], [], target[fi]
-        while queue:
-            fi = queue.popleft()
-            for dart in faces[fi]:
-                nxt = dart_face[self._mate(dart)]
-                if nxt in parent:
-                    continue
-                parent[nxt] = (fi, dart)
-                if nxt in target:
-                    crossed = []
-                    cur = nxt
-                    while parent[cur] is not None:
-                        cur, via = parent[cur]
-                        crossed.append(via)
-                    crossed.reverse()
-                    return start[cur], crossed, target[nxt]
-                queue.append(nxt)
-        raise FormatError("endpoints lie in different components")
-
-    def _mate(self, dart: tuple[int, int]) -> tuple[int, int]:
-        n, pos = dart
-        return self._dart_of_plug(self.partner[self.rot[n][pos]])
-
-    # -- edge insertion -------------------------------------------------------------
-
-    def insert_edge(self, u: int, v: int) -> None:
-        if u != v and not self.connected(u, v):
-            # separate spheres: bring them together through any face
-            pu = self.new_plug(u)
-            pv = self.new_plug(v)
-            self.rot[u].append(pu)
-            self.rot[v].append(pv)
-            self.join(pu, pv)
-            return
-        if u == v:
-            # a loop nests in one corner; never cross anything
-            pu = self.new_plug(u)
-            pv = self.new_plug(u)
-            self.rot[u].insert(0, pv)
-            self.rot[u].insert(0, pu)
-            self.join(pu, pv)
-            return
-        gap_u, crossed, gap_v = self.route(u, v)
-        crossed_plugs = [self.rot[n][pos] for n, pos in crossed]
-        pu = self.new_plug(u)
-        pv = self.new_plug(v)
-        self.rot[u].insert(gap_u, pu)
-        self.rot[v].insert(gap_v, pv)
-        prev = pu
-        for a_plug in crossed_plugs:
-            b_plug = self.partner[a_plug]
-            x = self.add_node(("x", 1))  # the old arc keeps the upper strand
-            onward = self.new_plug(x)
-            left = self.new_plug(x)
-            backward = self.new_plug(x)
-            right = self.new_plug(x)
-            self.rot[x] = [onward, left, backward, right]
-            self.join(a_plug, left)
-            self.join(b_plug, right)
-            self.join(prev, backward)
-            prev = onward
-        self.join(prev, pv)
-
-    # -- output -----------------------------------------------------------------------
-
-    def to_diagram(self, free_loops: int = 0) -> Diagram:
-        nodes = []
-        for n, kind in enumerate(self.kind):
-            if kind[0] == "v":
-                nodes.append(Vertex(kind[1], len(self.rot[n])))
-            else:
-                nodes.append(Crossing(kind[1]))
-        plug_dart = {}
-        for n in range(len(self.rot)):
-            for pos, p in enumerate(self.rot[n]):
-                plug_dart[p] = (n, pos)
-        arcs = []
-        for p, q in self.partner.items():
-            if p < q:
-                arcs.append((plug_dart[p], plug_dart[q]))
-        return Diagram(nodes, arcs, free_loops)
+            parent[nxt] = (fi, dart)
+            if nxt in target:
+                crossed = []
+                cur = nxt
+                while parent[cur] is not None:
+                    cur, via = parent[cur]
+                    crossed.append(via)
+                crossed.reverse()
+                return start[cur], crossed, target[nxt]
+            queue.append(nxt)
+    raise FormatError("endpoints lie in different components")
 
 
-def base_diagram(
-    g: Multigraph,
-    labels: list[str] | None = None,
-    edge_order: list[int] | None = None,
-) -> Diagram:
-    """A concrete diagram of ``g``: vertices in graph order, crossings after.
+def _insert_edge(d: Diagram, u: int, v: int) -> Diagram:
+    """``d`` with one more edge between its vertices ``u`` and ``v``."""
+    nodes = list(d.nodes)
+    if u == v:
+        # a loop nests in the corner before slot 0; never cross anything
+        nodes[u] = Vertex(nodes[u].label, nodes[u].degree + 2)
+        arcs = [
+            tuple((n, s + 2) if n == u else (n, s) for n, s in arc) for arc in d.arcs
+        ]
+        arcs.append(((u, 0), (u, 1)))
+        return Diagram(nodes, arcs, d.free_loops)
+    if any(u in comp and v not in comp for comp in d.components()):
+        # separate spheres: bring them together through any face
+        gap_u, crossed, gap_v = d.degree_of(u), [], d.degree_of(v)
+    else:
+        gap_u, crossed, gap_v = _route(d, u, v)
+
+    def moved(dart: Dart) -> Dart:
+        n, s = dart
+        if (n == u and s >= gap_u) or (n == v and s >= gap_v):
+            return (n, s + 1)
+        return dart
+
+    cut = set(crossed) | {d.pair[a] for a in crossed}
+    arcs = [(moved(a), moved(b)) for a, b in d.arcs if a not in cut]
+    prev = (u, gap_u)
+    for a in crossed:
+        # onward 0, left 1, backward 2, right 3: the old arc keeps the
+        # upper strand
+        x = len(nodes)
+        nodes.append(Crossing(1))
+        arcs += [(moved(a), (x, 1)), (moved(d.pair[a]), (x, 3)), (prev, (x, 2))]
+        prev = (x, 0)
+    arcs.append((prev, (v, gap_v)))
+    for n in (u, v):
+        nodes[n] = Vertex(nodes[n].label, nodes[n].degree + 1)
+    return Diagram(nodes, arcs, d.free_loops)
+
+
+def base_diagram(g: Multigraph, edge_order: list[int] | None = None) -> Diagram:
+    """A concrete diagram of ``g``: vertices ``"0".."n-1"`` in graph order,
+    crossings after.
 
     ``edge_order`` controls insertion order (edge indices; default is the
     graph's own edge order).  Later-inserted edges pass under earlier
     material wherever they cross it.
     """
-    if labels is None:
-        labels = [str(i) for i in range(g.vertex_count)]
-    if len(labels) != g.vertex_count:
-        raise FormatError("one label per vertex, please")
     order = list(range(g.edge_count)) if edge_order is None else list(edge_order)
     if sorted(order) != list(range(g.edge_count)):
         raise FormatError("edge_order must permute the edge indices")
-    b = _Builder()
-    for label in labels:
-        b.add_node(("v", label))
+    d = Diagram([Vertex(str(i), 0) for i in range(g.vertex_count)], [])
     for e in order:
-        u, v = g.endpoints(e)
-        b.insert_edge(u, v)
-    return b.to_diagram()
+        d = _insert_edge(d, *g.endpoints(e))
+    return d

@@ -254,29 +254,12 @@ class Permutation:
         if sorted(self.image) != list(range(len(self.image))):
             raise FormatError(f"{self.image!r} is not a permutation")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
     @property
     def degree(self) -> int:
         return len(self.image)
 
     def __call__(self, i: int) -> int:
         return self.image[i]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """``self`` after ``other``."""
-        return Permutation(tuple(self.image[j] for j in other.image))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.image))
 
 
 def _profiles(g: Multigraph) -> list[tuple]:

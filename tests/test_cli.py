@@ -263,18 +263,50 @@ def test_verify_rejects_a_witness_with_two_cycles(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [("bits", [2]), ("bits", [-1]), ("r", 3)],
-    ids=["bit-2", "bit-minus-1", "r-3"],
+    "where, value, verdict",
+    [
+        (("assignments", 0, "bits"), [2], "certificate REJECTED"),
+        (("assignments", 0, "bits"), [-1], "certificate REJECTED"),
+        (("assignments", 0, "r"), 3, "certificate REJECTED"),
+        # numbers that int() would truncate to a valid certificate
+        (("vertex",), 0.7, "error:"),
+        (("assignments", 0, "r"), -1.9, "error:"),
+        (("assignments", 1, "bits"), [True], "error:"),
+    ],
+    ids=["bit-2", "bit-minus-1", "r-3", "vertex-0.7", "r-minus-1.9", "bit-true"],
 )
-def test_verify_rejects_a_bad_bit_or_sign(capsys, tmp_path, field, value):
+def test_verify_rejects_a_bad_bit_or_sign(capsys, tmp_path, where, value, verdict):
     data = json.loads((DATA / "k5_certificate.json").read_text())
-    data["assignments"][0][field] = value
+    *steps, key = where
+    target = data
+    for step in steps:
+        target = target[step]
+    target[key] = value
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(data))
-    code, out = run(capsys, "verify", str(path))
+    code = main(["verify", str(path)])
+    out, err = capsys.readouterr()
     assert code == 1
-    assert out.startswith("certificate REJECTED")
+    assert (out if verdict.startswith("certificate") else err).startswith(verdict)
+
+
+def test_verify_rejects_a_kinked_diagram_without_enumerating(capsys, tmp_path):
+    import time
+
+    from graphknot import apply_move, enumerate_moves, parse_diagram
+
+    data = json.loads((DATA / "k5_certificate.json").read_text())
+    d = parse_diagram(data["diagram"])
+    for _ in range(40):
+        d = apply_move(d, enumerate_moves(d, ("R1_add",))[0])
+    data["diagram"] = diagram_to_text(d)
+    path = tmp_path / "kinked.json"
+    path.write_text(json.dumps(data))
+    start = time.monotonic()
+    code, out = run(capsys, "verify", str(path))
+    assert time.monotonic() - start < 1
+    assert code == 1
+    assert "assignments do not cover every reassignment" in out
 
 
 def test_verify_rejects_vertex_minus_one(capsys, tmp_path):

@@ -1,6 +1,8 @@
 """Diagrams as combinatorial maps: faces, canonical codes, serialization."""
 
+import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from graphknot import (
     extract_sublink,
     mirror_diagram,
     parse_diagram,
+    simple_cycles,
 )
 from graphknot.gallery import (
     figure_eight,
@@ -32,7 +35,11 @@ from graphknot.gallery import (
     unlink,
     wheel4,
 )
+from graphknot.invariants import cycle_vertices
 from graphknot.layout import base_diagram
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 SAMPLES = [
@@ -214,8 +221,34 @@ def test_extract_sublink_from_linked_triangles():
     assert sub.crossing_count == 2
 
 
+def test_extract_sublink_without_a_kept_crossing_is_one_circle_per_cycle():
+    # K6 drawn with three crossings: a crossing that the chosen cycles pass
+    # only once is not kept
+    projection = base_diagram(complete_graph(6)).underlying_graph()
+    g = projection.graph
+    cycles = simple_cycles(g)
+    choices = [[c] for c in cycles] + [
+        [a, b]
+        for a, b in itertools.combinations(cycles, 2)
+        if not cycle_vertices(g, a) & cycle_vertices(g, b)
+    ]
+    free = [cs for cs in choices if not extract_sublink(projection, cs).nodes]
+    passing = [
+        cs for cs in free if any(projection.strands[e].passages for c in cs for e in c)
+    ]
+    assert {len(cs) for cs in passing} == {1, 2}
+    for cs in free:
+        assert extract_sublink(projection, cs) == Diagram([], [], len(cs))
+
+
 def test_base_diagram_places_vertices_in_graph_order():
-    d = base_diagram(complete_graph(4), labels=list("wxyz"))
-    labels = [d.nodes[n].label for n in d.vertices()]
-    assert labels == list("wxyz")
+    d = base_diagram(complete_graph(4))
+    assert d.vertices() == [0, 1, 2, 3]
+    assert [d.nodes[n].label for n in d.vertices()] == ["0", "1", "2", "3"]
     assert d.crossing_count == 0
+
+
+def test_base_diagram_of_k5_is_the_stored_drawing():
+    text = diagram_to_text(base_diagram(complete_graph(5)))
+    assert text == (DATA / "k5.diagram").read_text()
+    assert text == json.loads((DATA / "k5_certificate.json").read_text())["diagram"]

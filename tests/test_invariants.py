@@ -219,12 +219,12 @@ def test_cr_at_least_two_answers():
     assert cr_at_least_two(trefoil()).holds is True
     assert cr_at_least_two(unknot()).holds is False
     assert cr_at_least_two(kinked_unknot(1)).holds is False
-    # without searching, an unobstructed diagram stays undecided
-    res = cr_at_least_two(kinked_unknot(2), search=False)
+    # with no obstruction, the answer stays undecided
+    res = cr_at_least_two(kinked_unknot(2))
     assert res.holds is None and res.certificate is None
 
 
 def test_certified_answers_carry_obstructions():
-    res = cr_at_least_two(linked_triangles(), search=False)
+    res = cr_at_least_two(linked_triangles())
     assert res.holds is True
     assert res.certificate is not None and res.certificate.kind == "linked-cycles"
