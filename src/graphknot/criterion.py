@@ -19,24 +19,26 @@ A certificate for a degree-4 vertex ``v`` packages two facts:
 Certificates embed the diagram in text form plus every cycle and linking
 number used, so ``verify_certificate`` can recheck them arithmetically,
 with no search.
+
+All ``2^c`` reassignments share one shadow, and the +1 and -1 tangles
+differ only in the parity of their crossing.  So condition (ii) and
+``verify_certificate`` substitute each tangle at most once per call and
+keep that map's projection, cycles, cycle pairs and sublinks in an
+``ObstructionScan``; a crossing assignment is a parity update of the map
+(``Diagram.with_parities``) that costs only its linking numbers and
+brackets, walked in the same order as a fresh scan would walk it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import (
-    Diagram,
-    crossing_assignments,
-    diagram_to_text,
-    extract_sublink,
-    parse_diagram,
-)
+from .diagram import Diagram, crossing_assignments, diagram_to_text, parse_diagram
 from .errors import FormatError, TopologyError, WrongDegreeError
 from .invariants import (
     Obstruction,
+    ObstructionScan,
     component_span_lower_bound,
-    cr_at_least_two,
     crossing_number,
     CrossingNumberReport,
     cycle_vertices,
@@ -141,12 +143,29 @@ class AssignmentRecord:
         }
 
 
-def _signed_linking(sub: Diagram, cert: Obstruction) -> tuple[int, ...]:
-    if cert.kind != "linked-cycles":
-        return ()
-    extracted = extract_sublink(sub.underlying_graph(), [list(c) for c in cert.cycles])
-    lk = linking_numbers(extracted)
-    return tuple(lk[key] for key in sorted(lk))
+class _Substitutions:
+    """The +1 and -1 tangle substituted at ``where``, each at most once.
+
+    Substitution keeps the diagram's nodes, in order, ahead of the tangle's,
+    so the first crossings of a substituted map are the diagram's own: a
+    crossing assignment reaches it as a parity update of one shared map,
+    and the map's ``ObstructionScan`` serves every assignment.
+    """
+
+    def __init__(self, d: Diagram, where: VertexOrientation):
+        self._d, self._where = d, where
+        self._scans: dict[int, ObstructionScan] = {}
+
+    def scan(self, r: int) -> ObstructionScan:
+        if r not in self._scans:
+            tangle = TANGLE_PLUS if r == 1 else TANGLE_MINUS
+            self._scans[r] = ObstructionScan(substitute(self._d, self._where, tangle))
+        return self._scans[r]
+
+    def assigned(self, r: int, bits: tuple[int, ...]) -> Diagram:
+        """The substitution of tangle ``r`` into the assignment ``bits``."""
+        base = self.scan(r).diagram
+        return base.with_parities(dict(zip(base.crossings(), bits)))
 
 
 def condition_ii(
@@ -162,20 +181,22 @@ def condition_ii(
     Only assignment-independent obstructions (linked cycles or a sublink
     span) are tried, never a move search, so every record can be replayed
     by ``verify_certificate`` and the outcome is sound unconditionally.
+    Each tangle's map is substituted and scanned once; an assignment costs
+    only its linking numbers and brackets.
     """
+    subs = _Substitutions(d, where)
     records: list[AssignmentRecord] = []
     for assigned in crossing_assignments(d):
         bits = tuple(assigned.nodes[n].over for n in assigned.crossings())
         hit = None
-        for r, tangle in ((1, TANGLE_PLUS), (-1, TANGLE_MINUS)):
-            sub = substitute(assigned, where, tangle)
-            res = cr_at_least_two(sub)
-            if not res.holds or res.certificate is None:
-                continue
-            hit = AssignmentRecord(
-                bits, r, res.certificate, _signed_linking(sub, res.certificate)
-            )
-            break
+        for r in (1, -1):
+            sub = subs.assigned(r, bits)
+            if sub.crossing_count <= 1:
+                continue  # as cr_at_least_two, which refutes these
+            found = subs.scan(r).at_least_two(sub)
+            if found is not None:
+                hit = AssignmentRecord(bits, r, *found)
+                break
         if hit is None:
             return None
         records.append(hit)
@@ -306,33 +327,51 @@ def _is_simple_cycle(g: Multigraph, cycle: tuple[int, ...]) -> bool:
     return sub.is_connected()
 
 
+_REPLAYABLE = ("linked-cycles", "sublink-span")
+
+
+def _map_problem(scan: ObstructionScan, kind, cycles) -> str | None:
+    """What is wrong with an obstruction's cycles on its substituted map
+    (none of it depends on over/under); None when nothing is."""
+    g = scan.projection.graph
+    for c in cycles:
+        if not _is_simple_cycle(g, c):
+            return f"certificate cycle {list(c)} is not a simple cycle"
+    if kind == "linked-cycles":
+        if len(cycles) != 2:
+            return "linked-cycles certificate needs exactly two cycles"
+        if cycle_vertices(g, list(cycles[0])) & cycle_vertices(g, list(cycles[1])):
+            return "linked cycles are not vertex-disjoint"
+    if kind in _REPLAYABLE:
+        try:
+            scan.sublink(cycles, scan.diagram)
+        except (FormatError, TopologyError) as exc:
+            return f"cycles do not extract to a sublink: {exc}"
+    return None
+
+
 def _replay_assignment(
-    assigned: Diagram, where: VertexOrientation, rec: AssignmentRecord
+    subs: _Substitutions, bits: tuple[int, ...], rec: AssignmentRecord, checked: dict
 ) -> str | None:
     """Recheck the record of one crossing assignment; a message on failure,
-    None when good."""
+    None when good.  ``checked`` keeps ``_map_problem`` per tangle, kind and
+    cycles across the records of one certificate."""
     if rec.r not in (1, -1):
         return f"r must be +1 or -1, got {rec.r}"
-    sub = substitute(assigned, where, TANGLE_PLUS if rec.r == 1 else TANGLE_MINUS)
     cert = rec.certificate
     if cert.bound < 2:
         return "certificate bound is below two"
-    projection = sub.underlying_graph()
-    g = projection.graph
-    for c in cert.cycles:
-        if not _is_simple_cycle(g, c):
-            return f"certificate cycle {list(c)} is not a simple cycle"
-    if cert.kind == "linked-cycles":
-        if len(cert.cycles) != 2:
-            return "linked-cycles certificate needs exactly two cycles"
-        v1 = cycle_vertices(g, list(cert.cycles[0]))
-        v2 = cycle_vertices(g, list(cert.cycles[1]))
-        if v1 & v2:
-            return "linked cycles are not vertex-disjoint"
-        try:
-            extracted = extract_sublink(projection, [list(c) for c in cert.cycles])
-        except (FormatError, TopologyError) as exc:
-            return f"cycles do not extract to a sublink: {exc}"
+    scan = subs.scan(rec.r)
+    kind = cert.kind if cert.kind in _REPLAYABLE else None
+    shape = (rec.r, kind, cert.cycles)
+    if shape not in checked:
+        checked[shape] = _map_problem(scan, kind, cert.cycles)
+    if checked[shape] is not None:
+        return checked[shape]
+    if kind is None:
+        return f"certificate kind {cert.kind!r} cannot be replayed without a search"
+    extracted = scan.sublink(cert.cycles, subs.assigned(rec.r, bits))
+    if kind == "linked-cycles":
         lk = linking_numbers(extracted)
         signed = tuple(lk[key] for key in sorted(lk))
         if signed != rec.linking:
@@ -344,16 +383,10 @@ def _replay_assignment(
         if total != cert.value or 2 * total != cert.bound:
             return "linking numbers do not support the stored bound"
         return None
-    if cert.kind == "sublink-span":
-        try:
-            extracted = extract_sublink(projection, [list(c) for c in cert.cycles])
-        except (FormatError, TopologyError) as exc:
-            return f"cycles do not extract to a sublink: {exc}"
-        bound = component_span_lower_bound(extracted)
-        if bound != cert.bound:
-            return f"recomputed span bound {bound} != stored {cert.bound}"
-        return None
-    return f"certificate kind {cert.kind!r} cannot be replayed without a search"
+    bound = component_span_lower_bound(extracted)
+    if bound != cert.bound:
+        return f"recomputed span bound {bound} != stored {cert.bound}"
+    return None
 
 
 def verify_certificate(cert: NonPlanarCertificate | dict) -> VerifyReport:
@@ -415,11 +448,14 @@ def verify_certificate(cert: NonPlanarCertificate | dict) -> VerifyReport:
     if len(cert.per_assignment) != 1 << d.crossing_count:
         return uncovered
     by_bits = {rec.bits: rec for rec in cert.per_assignment}
+    subs = _Substitutions(d, cert.orientation)
+    checked: dict = {}
     for assigned in crossing_assignments(d):
-        rec = by_bits.get(tuple(assigned.nodes[n].over for n in assigned.crossings()))
+        bits = tuple(assigned.nodes[n].over for n in assigned.crossings())
+        rec = by_bits.get(bits)
         if rec is None:
             return uncovered
-        problem = _replay_assignment(assigned, cert.orientation, rec)
+        problem = _replay_assignment(subs, bits, rec, checked)
         if problem is not None:
             return VerifyReport(
                 False, (f"assignment {list(rec.bits)} (r={rec.r:+d}): {problem}",)

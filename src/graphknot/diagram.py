@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .errors import (
     FormatError,
     InvalidVertexError,
-    NotALinkError,
     SizeLimitExceeded,
     TopologyError,
 )
@@ -167,22 +166,17 @@ class Diagram:
         raise InvalidVertexError(f"no vertex labelled {label!r}")
 
     def darts(self) -> list[Dart]:
-        return [
-            (n, s) for n in range(len(self.nodes)) for s in range(self.degree_of(n))
-        ]
+        return [(n, s) for n, node in enumerate(self.nodes) for s in range(node.degree)]
 
     @property
     def pair(self) -> dict[Dart, Dart]:
         """The arc partner of every dart (built once, by validation)."""
         return self._pair
 
-    def next_dart(self, d: Dart) -> Dart:
-        n, s = d
-        return (n, (s + 1) % self.degree_of(n))
-
     def phi(self, d: Dart) -> Dart:
         """Next dart along the face to the right of ``d``."""
-        return self.next_dart(self.pair[d])
+        n, s = self.pair[d]
+        return (n, (s + 1) % self.degree_of(n))
 
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
         """Face orbits, each starting at its least dart, in dart order."""
@@ -246,10 +240,8 @@ class Diagram:
         return hash((self.nodes, self.arcs, self.free_loops))
 
     def __repr__(self) -> str:
-        return (
-            f"Diagram({len(self.nodes)} nodes, {len(self.arcs)} arcs, "
-            f"{self.free_loops} free loops)"
-        )
+        n, a = len(self.nodes), len(self.arcs)
+        return f"Diagram({n} nodes, {a} arcs, {self.free_loops} free loops)"
 
     # -- canonical form -------------------------------------------------------
 
@@ -373,16 +365,10 @@ class Diagram:
 
     # -- strands ---------------------------------------------------------------
 
-    def strand_exit(self, entry: Dart) -> Dart:
-        """Where a strand entering a crossing at ``entry`` leaves it."""
-        n, s = entry
-        if not self.is_crossing(n):
-            raise NotALinkError("strands only pass through crossings")
-        return (n, (s + 2) % 4)
-
     def strands(self) -> tuple[list["StrandPath"], list[tuple[Dart, ...]]]:
         """All maximal strands: (open vertex-to-vertex paths, closed circles).
 
+        A strand entering a crossing at slot ``s`` leaves it at ``s + 2``.
         Each closed circle is reported as its tuple of crossing entry darts,
         starting from the smallest.
         """
@@ -399,7 +385,7 @@ class Diagram:
                 while self.is_crossing(cur[0]):
                     used.add(cur)
                     passages.append(cur)
-                    out = self.strand_exit(cur)
+                    out = (cur[0], (cur[1] + 2) % 4)
                     used.add(out)
                     cur = self.pair[out]
                 used.add(cur)
@@ -413,7 +399,7 @@ class Diagram:
             while cur not in used:
                 used.add(cur)
                 entries.append(cur)
-                out = self.strand_exit(cur)
+                out = (cur[0], (cur[1] + 2) % 4)
                 used.add(out)
                 cur = self.pair[out]
             start = entries.index(min(entries))
@@ -450,6 +436,8 @@ class Diagram:
     def split_components(self) -> list["Diagram"]:
         """One diagram per connected component (free loops come last,
         one circle each)."""
+        if len(self.components()) == 1 and not self.free_loops:
+            return [self]
         out = []
         for comp in self.components():
             order = sorted(comp)
@@ -466,11 +454,21 @@ class Diagram:
     # -- simple rewrites ----------------------------------------------------------
 
     def with_over(self, n: int, over: int) -> "Diagram":
-        if not self.is_crossing(n):
-            raise InvalidVertexError(f"node {n} is not a crossing")
+        return self.with_parities({n: over})
+
+    def with_parities(self, overs: dict[int, int]) -> "Diagram":
+        """This map with crossing ``n`` over at parity ``overs[n]``, sharing the
+        validated pair, faces and components (``__init__`` is not run)."""
         nodes = list(self.nodes)
-        nodes[n] = Crossing(over)
-        return Diagram(nodes, self.arcs, self.free_loops)
+        for n, over in overs.items():
+            if not isinstance(nodes[n], Crossing):
+                raise InvalidVertexError(f"node {n} is not a crossing")
+            nodes[n] = Crossing(over)
+        out = object.__new__(Diagram)
+        out.nodes, out.arcs, out.free_loops = tuple(nodes), self.arcs, self.free_loops
+        out._pair, out._faces = self._pair, self._faces
+        out._components, out._code = self._components, None
+        return out
 
 
 @dataclass(frozen=True)
@@ -512,11 +510,7 @@ class GraphProjection:
 
 def mirror_diagram(d: Diagram) -> Diagram:
     """Switch every crossing (the mirror image through the sphere)."""
-    nodes = [
-        Crossing(1 - node.over) if isinstance(node, Crossing) else node
-        for node in d.nodes
-    ]
-    return Diagram(nodes, d.arcs, d.free_loops)
+    return d.with_parities({n: 1 - d.nodes[n].over for n in d.crossings()})
 
 
 def splice_identify(d: Diagram, thru: dict[Dart, Dart]) -> Diagram:
@@ -641,10 +635,18 @@ def crossing_assignments(d: Diagram, max_crossings: int = 16):
             f"{len(xs)} crossings would give 2^{len(xs)} assignments"
         )
     for word in range(1 << len(xs)):
-        nodes = list(d.nodes)
-        for j, n in enumerate(xs):
-            nodes[n] = Crossing((word >> j) & 1)
-        yield Diagram(nodes, d.arcs, d.free_loops)
+        yield d.with_parities({n: (word >> j) & 1 for j, n in enumerate(xs)})
+
+
+def sublink_crossings(projection: GraphProjection, cycles) -> list[int]:
+    """The crossings where two strands of ``cycles`` meet, in node order:
+    the ones ``extract_sublink`` keeps."""
+    parities: dict[int, set[int]] = {}
+    for cycle in cycles:
+        for e in cycle:
+            for n, s in projection.strands[e].passages:
+                parities.setdefault(n, set()).add(s % 2)
+    return sorted(n for n, ps in parities.items() if len(ps) == 2)
 
 
 def extract_sublink(
@@ -657,7 +659,8 @@ def extract_sublink(
     parallel edges are the short cases).  Vertices are smoothed the way each
     cycle runs through them, crossings met by one surviving strand are passed
     straight through, and crossings where two surviving strands meet are kept
-    with their over/under intact.
+    with their over/under intact.  A cycle that meets no kept crossing runs
+    as one free loop.
     """
     d = projection.diagram
     g = projection.graph
@@ -668,10 +671,8 @@ def extract_sublink(
                 raise FormatError(f"edge {e} appears in two cycles")
             used_edges.add(e)
 
-    # matchings at vertices induced by how cycles run through them, and the
-    # set of kept passage parities at each crossing
+    # matchings at vertices induced by how cycles run through them
     vertex_join: dict[Dart, Dart] = {}
-    kept_parity: dict[int, set[int]] = {}
 
     def strand_oriented(e: int, from_vertex: int) -> StrandPath:
         s = projection.strands[e]
@@ -694,8 +695,6 @@ def extract_sublink(
             path = projection.strands[e]
             vertex_join[path.ends[0]] = path.ends[1]
             vertex_join[path.ends[1]] = path.ends[0]
-            for n, s in path.passages:
-                kept_parity.setdefault(n, set()).add(s % 2)
             continue
         u0, v0 = g.endpoints(cycle[0])
         second = g.endpoints(cycle[1])
@@ -718,8 +717,6 @@ def extract_sublink(
             if prev_end is not None:
                 vertex_join[prev_end] = path.ends[0]
                 vertex_join[path.ends[0]] = prev_end
-            for n, s in path.passages:
-                kept_parity.setdefault(n, set()).add(s % 2)
             nxt = g.other_end(e, visited[-1])
             visited.append(nxt)
             prev_end = path.ends[1]
@@ -731,11 +728,12 @@ def extract_sublink(
         vertex_join[prev_end] = first.ends[0]
         vertex_join[first.ends[0]] = prev_end
 
-    kept_crossings = sorted(n for n, ps in kept_parity.items() if len(ps) == 2)
-    if not kept_crossings:
-        # no crossing is met twice, so each cycle runs as one free circle
-        return Diagram([], [], len(cycles))
+    kept_crossings = sublink_crossings(projection, cycles)
     new_index = {n: i for i, n in enumerate(kept_crossings)}
+    free_loops = 0  # cycles that pass no kept crossing, which no walk below meets
+    for cycle in cycles:
+        passed = {n for e in cycle for n, _ in projection.strands[e].passages}
+        free_loops += passed.isdisjoint(new_index)
     new_nodes = [d.nodes[n] for n in kept_crossings]
 
     def advance(dart: Dart) -> Dart | None:
@@ -769,7 +767,7 @@ def extract_sublink(
             seen.add(end)
             new_arcs.append(((new_index[n], s), (new_index[end[0]], end[1])))
 
-    return Diagram(new_nodes, new_arcs, 0)
+    return Diagram(new_nodes, new_arcs, free_loops)
 
 
 # -- serialization -------------------------------------------------------------

@@ -17,8 +17,14 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .diagram import Diagram, GraphProjection, extract_sublink
-from .errors import DisconnectedError, NotALinkError, SizeLimitExceeded, TopologyError
+from .diagram import Diagram, GraphProjection, extract_sublink, sublink_crossings
+from .errors import (
+    DisconnectedError,
+    FormatError,
+    NotALinkError,
+    SizeLimitExceeded,
+    TopologyError,
+)
 from .moves import Budget, search_min_crossings
 from .multigraph import Multigraph
 
@@ -531,59 +537,114 @@ class Obstruction:
         }
 
 
-def _sublink_obstructions(projection: GraphProjection, stop_when: int | None = None):
-    """Obstructions from links carried by cycles of the underlying graph.
+class ObstructionScan:
+    """The lower-bound scan of one map, its over/under-free half kept.
 
-    Cheap evidence comes first: linking numbers of disjoint cycle pairs,
-    then bracket spans of single cycles, then spans of the unlinked pairs.
-    With ``stop_when`` the scan returns as soon as some obstruction reaches
-    that bound.
+    A diagram's projection, simple cycles and disjoint cycle pairs, and the
+    sublink each candidate extracts to (or the error extracting it raises),
+    depend on its map alone.  They are built on first use, in scan order,
+    and kept, so ``obstructions`` run on every diagram sharing the map
+    (``Diagram.with_parities``) computes only linking numbers and brackets.
     """
-    g = projection.graph
-    cycles = simple_cycles(g)
-    out: list[Obstruction] = []
 
-    def satisfied() -> bool:
-        return stop_when is not None and any(o.bound >= stop_when for o in out)
+    def __init__(self, d: Diagram):
+        self.diagram = d
+        self._projection: GraphProjection | None = None
+        self._cycles: list[list[int]] | None = None
+        self._pairs: list[tuple[list[int], list[int]]] = []
+        self._more_pairs = None
+        self._sublinks: dict = {}
 
-    unlinked: list[tuple[list[int], list[int], Diagram]] = []
-    for c1, c2 in disjoint_cycle_pairs(g, cycles):
-        try:
-            sub = extract_sublink(projection, [c1, c2])
-        except TopologyError:
-            continue
-        lk = linking_numbers(sub)
-        total = sum(abs(v) for v in lk.values())
-        if total >= 1:
-            out.append(
-                Obstruction("linked-cycles", 2 * total, (tuple(c1), tuple(c2)), total)
-            )
-            if satisfied():
-                return out
-        else:
-            unlinked.append((c1, c2, sub))
-    for cycle in cycles:
-        try:
-            sub = extract_sublink(projection, [cycle])
-        except TopologyError:
-            continue
-        bound = component_span_lower_bound(sub)
-        if bound > 0:
-            out.append(
-                Obstruction("sublink-span", bound, (tuple(cycle),),
-                            kauffman_bracket(sub).span)
-            )
-            if satisfied():
-                return out
-    for c1, c2, sub in unlinked:
-        bound = component_span_lower_bound(sub)
-        if bound >= 2:
-            out.append(
-                Obstruction("sublink-span", bound, (tuple(c1), tuple(c2)), -1)
-            )
-            if satisfied():
-                return out
-    return out
+    @property
+    def projection(self) -> GraphProjection:
+        if self._projection is None:
+            self._projection = self.diagram.underlying_graph()
+        return self._projection
+
+    def cycles(self) -> list[list[int]]:
+        if self._cycles is None:
+            self._cycles = simple_cycles(self.projection.graph)
+        return self._cycles
+
+    def disjoint_pairs(self):
+        """``disjoint_cycle_pairs`` of the map, enumerated once and only as
+        far as some scan has asked."""
+        if self._more_pairs is None:
+            self._more_pairs = disjoint_cycle_pairs(self.projection.graph, self.cycles())
+        yield from self._pairs
+        for pair in self._more_pairs:
+            self._pairs.append(pair)
+            yield pair
+
+    def sublink(self, cycles, d: Diagram) -> Diagram:
+        """``extract_sublink`` of ``cycles`` in ``d``, a diagram of this map.
+
+        The extraction, or the ``FormatError`` or ``TopologyError`` it
+        raises, is kept per cycle tuple; only ``d``'s parities are applied
+        afresh.
+        """
+        key = tuple(map(tuple, cycles))
+        hit = self._sublinks.get(key)
+        if hit is None:
+            projection = self.projection
+            try:
+                hit = (
+                    extract_sublink(projection, [list(c) for c in key]),
+                    sublink_crossings(projection, key),
+                )
+            except (FormatError, TopologyError) as exc:
+                hit = exc
+            self._sublinks[key] = hit
+        if isinstance(hit, Exception):
+            raise hit.with_traceback(None)
+        sub, kept = hit
+        return sub.with_parities({i: d.nodes[n].over for i, n in enumerate(kept)})
+
+    def obstructions(self, d: Diagram):
+        """Yield each obstruction of ``d``, a diagram of this map, with the
+        signed linking numbers behind it (empty unless linked-cycles).
+
+        Cheap evidence comes first: a link diagram's own span, then linking
+        numbers of disjoint cycle pairs, then bracket spans of single
+        cycles, then spans of the unlinked pairs.
+        """
+        if not d.vertices() and (d.components() or d.free_loops):
+            # a pure link diagram bounds itself through its own span
+            bound = component_span_lower_bound(d)
+            if bound > 0:
+                yield Obstruction("sublink-span", bound, (), -1), ()
+        unlinked: list[tuple[list[int], list[int], Diagram]] = []
+        for c1, c2 in self.disjoint_pairs():
+            try:
+                sub = self.sublink((c1, c2), d)
+            except TopologyError:
+                continue
+            lk = linking_numbers(sub)
+            total = sum(abs(v) for v in lk.values())
+            if total >= 1:
+                cycles = (tuple(c1), tuple(c2))
+                signed = tuple(lk[key] for key in sorted(lk))
+                yield Obstruction("linked-cycles", 2 * total, cycles, total), signed
+            else:
+                unlinked.append((c1, c2, sub))
+        for cycle in self.cycles():
+            try:
+                sub = self.sublink((cycle,), d)
+            except TopologyError:
+                continue
+            bound = component_span_lower_bound(sub)
+            if bound > 0:
+                span = kauffman_bracket(sub).span
+                yield Obstruction("sublink-span", bound, (tuple(cycle),), span), ()
+        for c1, c2, sub in unlinked:
+            bound = component_span_lower_bound(sub)
+            if bound >= 2:
+                yield Obstruction("sublink-span", bound, (tuple(c1), tuple(c2)), -1), ()
+
+    def at_least_two(self, d: Diagram) -> tuple[Obstruction, tuple[int, ...]] | None:
+        """The first obstruction of ``d`` with bound two or more, and its
+        signed linking numbers; None when none bites."""
+        return next(((o, lk) for o, lk in self.obstructions(d) if o.bound >= 2), None)
 
 
 @dataclass(frozen=True)
@@ -615,21 +676,21 @@ class CrossingNumberReport:
 def lower_bound_obstructions(
     d: Diagram, stop_when: int | None = None
 ) -> tuple[int, tuple[Obstruction, ...]]:
-    projection = d.underlying_graph()
+    """Every obstruction of ``d``: non-planarity of its graph, then the
+    ``ObstructionScan``, stopping at the first that reaches ``stop_when``."""
+    scan = ObstructionScan(d)
     obstructions: list[Obstruction] = []
 
     def best() -> int:
         return max((o.bound for o in obstructions), default=0)
 
-    if not projection.graph.is_planar():
+    if not scan.projection.graph.is_planar():
         obstructions.append(Obstruction("nonplanar-graph", 1))
-    if not d.vertices() and (d.components() or d.free_loops):
-        # a pure link diagram bounds itself through its own span
-        bound = component_span_lower_bound(d)
-        if bound > 0:
-            obstructions.append(Obstruction("sublink-span", bound, (), -1))
     if stop_when is None or best() < stop_when:
-        obstructions.extend(_sublink_obstructions(projection, stop_when))
+        for o, _signed in scan.obstructions(d):
+            obstructions.append(o)
+            if stop_when is not None and o.bound >= stop_when:
+                break
     return best(), tuple(obstructions)
 
 
@@ -727,8 +788,7 @@ def cr_at_least_two(d: Diagram) -> CrTwoResult:
     """
     if d.crossing_count <= 1:
         return CrTwoResult(False, None, notes=("diagram itself has few crossings",))
-    _lb, obstructions = lower_bound_obstructions(d, stop_when=2)
-    for o in obstructions:
-        if o.bound >= 2:
-            return CrTwoResult(True, o)
+    found = ObstructionScan(d).at_least_two(d)
+    if found is not None:
+        return CrTwoResult(True, found[0])
     return CrTwoResult(None, None, notes=("no obstruction applies",))

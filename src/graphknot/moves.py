@@ -75,8 +75,7 @@ class Budget:
 
 
 def normalize_shadow(d: Diagram) -> Diagram:
-    nodes = [Crossing(0) if isinstance(n, Crossing) else n for n in d.nodes]
-    return Diagram(nodes, d.arcs, d.free_loops)
+    return d.with_parities({n: 0 for n in d.crossings()})
 
 
 # -- applicability and application, one move kind at a time -------------------
@@ -632,12 +631,8 @@ def descending_diagram(
         raise ValueError("edge_order must permute the edge indices")
     schedule: list[tuple[Dart, ...]] = [projection.strands[e].passages for e in order]
     schedule.extend(projection.circles)
-    first_hit: dict[int, tuple[int, int, int]] = {}  # crossing -> (rank, pos, parity)
-    nodes = list(d.nodes)
-    for rank, passages in enumerate(schedule):
-        for pos, (n, s) in enumerate(passages):
-            if n not in first_hit:
-                first_hit[n] = (rank, pos, s % 2)
-    for n, (_rank, _pos, parity) in first_hit.items():
-        nodes[n] = Crossing(parity)
-    return Diagram(nodes, d.arcs, d.free_loops)
+    first_parity: dict[int, int] = {}  # crossing -> parity of its first passage
+    for passages in schedule:
+        for n, s in passages:
+            first_parity.setdefault(n, s % 2)
+    return d.with_parities(first_parity)

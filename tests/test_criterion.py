@@ -1,6 +1,8 @@
 """The non-planarity certificate machinery and the crossing-number driver."""
 
 import json
+import random
+import time
 
 import pytest
 
@@ -17,7 +19,18 @@ from graphknot import (
     section3_crossing_number,
     verify_certificate,
 )
-from graphknot.criterion import condition_i, condition_ii
+from graphknot import apply_move, enumerate_moves, extract_sublink, linking_numbers
+from graphknot import criterion
+from graphknot.criterion import (
+    TANGLE_MINUS,
+    TANGLE_PLUS,
+    AssignmentRecord,
+    condition_i,
+    condition_ii,
+)
+from graphknot.diagram import crossing_assignments
+from graphknot.invariants import cr_at_least_two
+from graphknot.tangle import substitute
 from graphknot.gallery import (
     bowtie,
     k5_diagram,
@@ -164,6 +177,109 @@ def test_verifier_rejects_search_only_evidence():
 
     report = verify_certificate(tampered(cert, fake_search_kind))
     assert not report.ok
+
+
+# -- condition (ii) against its per-assignment oracle -------------------------------
+
+
+def oracle_condition_ii(d, where):
+    """condition (ii) the slow way: every crossing assignment substituted and
+    scanned afresh by ``cr_at_least_two``, its linking numbers recomputed."""
+    records = []
+    for assigned in crossing_assignments(d):
+        bits = tuple(assigned.nodes[n].over for n in assigned.crossings())
+        for r, tangle in ((1, TANGLE_PLUS), (-1, TANGLE_MINUS)):
+            sub = substitute(assigned, where, tangle)
+            res = cr_at_least_two(sub)
+            if not res.holds or res.certificate is None:
+                continue
+            linking = ()
+            if res.certificate.kind == "linked-cycles":
+                cycles = [list(c) for c in res.certificate.cycles]
+                lk = linking_numbers(extract_sublink(sub.underlying_graph(), cycles))
+                linking = tuple(lk[key] for key in sorted(lk))
+            records.append(AssignmentRecord(bits, r, res.certificate, linking))
+            break
+        else:
+            return None
+    return tuple(records)
+
+
+def k5_routing(crossings, rng):
+    """A diagram of K5 with exactly ``crossings`` crossings, by seeded moves
+    from the one-crossing drawing."""
+    d = k5_diagram()
+    while d.crossing_count < crossings:
+        sites = enumerate_moves(d, (rng.choice(("R1_add", "R2_add", "R3", "R5_twist")),))
+        if sites:
+            grown = apply_move(d, sites[rng.randrange(len(sites))])
+            if grown.crossing_count <= crossings:
+                d = grown
+    return d
+
+
+def test_condition_ii_matches_its_per_assignment_oracle():
+    started = time.monotonic()
+    rng = random.Random(6)
+    drawings = [k5_routing(c, rng) for c in range(2, 7)]
+    drawings += [base_diagram(g) for g in (wheel4(), bowtie(), two_squares())]
+    certified = 0
+    for d in drawings:
+        for v in degree_four_vertices(d):
+            where = VertexOrientation(v, 0)
+            records = condition_ii(d, where)
+            assert records == oracle_condition_ii(d, where)
+            certified += records is not None
+    assert certified >= 5
+    assert time.monotonic() - started < 10
+
+
+def test_condition_ii_substitutes_each_tangle_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return substitute(*args)
+
+    monkeypatch.setattr(criterion, "substitute", counted)
+    d = k5_routing(4, random.Random(4))
+    where = VertexOrientation(degree_four_vertices(d)[0], 0)
+    cert = check_nonplanar(d, where)
+    assert cert is not None and len(cert.per_assignment) == 16
+    assert len(calls) <= 2 and len(set(calls)) == len(calls)
+    calls.clear()
+    assert verify_certificate(cert).ok
+    assert len(calls) <= 2 and len(set(calls)) == len(calls)
+
+
+def test_verifier_names_each_tampered_record():
+    d = k5_routing(4, random.Random(4))
+    cert = check_nonplanar(d, VertexOrientation(degree_four_vertices(d)[0], 0))
+    assert cert is not None and verify_certificate(cert).ok
+    data = cert.to_json()
+
+    def negate_linking(rec):
+        rec["linking"] = [-lk for lk in rec["linking"]]
+
+    def bound_one(rec):
+        rec["certificate"]["bound"] = 1
+
+    def flip_r(rec):
+        rec["r"] = -rec["r"]
+
+    linked = 0
+    for i, rec in enumerate(data["assignments"]):
+        tampers = [bound_one, flip_r]
+        if any(rec["linking"]):
+            tampers.append(negate_linking)
+            linked += 1
+        for tamper in tampers:
+            changed = json.loads(json.dumps(data))
+            tamper(changed["assignments"][i])
+            report = verify_certificate(changed)
+            assert not report.ok
+            assert report.notes[0].startswith(f"assignment {rec['bits']} ")
+    assert linked
 
 
 # -- the crossing-number driver -----------------------------------------------------

@@ -19,6 +19,7 @@ from graphknot import (
     diagram_from_json,
     diagram_to_json,
     diagram_to_text,
+    disjoint_union_diagrams,
     extract_sublink,
     mirror_diagram,
     parse_diagram,
@@ -219,6 +220,24 @@ def test_extract_sublink_from_linked_triangles():
     sub = extract_sublink(d.underlying_graph(), tuple(tuple(c) for c in cycles))
     assert not sub.vertices()
     assert sub.crossing_count == 2
+
+
+def test_extract_sublink_keeps_a_cycle_that_meets_no_kept_crossing():
+    # linked triangles beside a separate triangle: the third cycle passes no
+    # kept crossing, so it survives as one free loop
+    triangle = Diagram(
+        [Vertex(label, 2) for label in ("6", "7", "8")],
+        [((0, 1), (1, 0)), ((1, 1), (2, 0)), ((2, 1), (0, 0))],
+    )
+    projection = disjoint_union_diagrams(linked_triangles(), triangle).underlying_graph()
+    g = projection.graph
+    cycles = [
+        sorted(e for e in range(g.edge_count) if set(g.endpoints(e)) <= comp)
+        for comp in g.components()
+    ]
+    assert len(cycles) == 3
+    sub = extract_sublink(projection, cycles)
+    assert sub.crossing_count == 2 and sub.free_loops == 1
 
 
 def test_extract_sublink_without_a_kept_crossing_is_one_circle_per_cycle():

@@ -1,13 +1,18 @@
 """Property-based invariants: algebra laws, round trips, move reversibility."""
 
+import contextlib
 import copy
+import io
 import json
 from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from graphknot import (
     GraphKnotError,
+    InvalidVertexError,
     LaurentPoly,
     Multigraph,
     RationalTangle,
@@ -23,6 +28,7 @@ from graphknot import (
     parse_graph,
     verify_certificate,
 )
+from graphknot.cli import main
 from graphknot.criterion import VerifyReport
 from graphknot.diagram import Crossing, Diagram
 from graphknot.layout import base_diagram
@@ -302,6 +308,33 @@ def test_canonical_form_is_idempotent(d):
     assert c.canonical_form().canonical_code() == c.canonical_code()
 
 
+# -- parity updates share the map ---------------------------------------------------
+
+
+@given(st.one_of(link_diagrams(), graph_diagrams()), st.data())
+@settings(deadline=None)
+def test_parity_updates_match_a_full_construction(d, data):
+    overs = data.draw(
+        st.dictionaries(st.sampled_from(d.crossings()), st.integers(0, 1))
+        if d.crossings()
+        else st.just({})
+    )
+    fast = d.with_parities(overs)
+    slow = Diagram(
+        [Crossing(overs[n]) if n in overs else node for n, node in enumerate(d.nodes)],
+        d.arcs,
+        d.free_loops,
+    )
+    assert fast == slow
+    assert fast.pair == slow.pair
+    assert fast.faces() == slow.faces()
+    assert fast.components() == slow.components()
+    assert fast.canonical_code() == slow.canonical_code()
+    for v in d.vertices():
+        with pytest.raises(InvalidVertexError):
+            d.with_over(v, 0)
+
+
 # -- moves --------------------------------------------------------------------------
 
 
@@ -352,9 +385,8 @@ def test_bracket_contraction_matches_the_state_sum_after_moves(d, pick):
 # -- the certificate trust boundary ------------------------------------------------
 
 
-K5_CERTIFICATE = json.loads(
-    (Path(__file__).resolve().parent.parent / "data" / "k5_certificate.json").read_text()
-)
+DATA = Path(__file__).resolve().parent.parent / "data"
+K5_CERTIFICATE = json.loads((DATA / "k5_certificate.json").read_text())
 
 
 def leaf_paths(node, path=()):
@@ -398,3 +430,72 @@ def test_verify_survives_any_value_at_any_certificate_leaf(path, value):
     except GraphKnotError:
         return
     assert isinstance(report, VerifyReport)
+
+
+# -- hostile input through the command line ------------------------------------------
+
+
+K5_DIAGRAM_LINES = (DATA / "k5.diagram").read_text().splitlines()
+
+tokens = st.one_of(
+    st.sampled_from(
+        ["diagram", "vertex", "crossing", "arc", "loop", "02", "13", "0", "4", "5",
+         "-1", "99", "0.0", "5.3", "4.9", "6.0", "-1.2", "1.", ".", "#", "x"]
+    ),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def line_edits(draw, lines):
+    """``lines`` after one to three edits: a line deleted, duplicated,
+    swapped with another or replaced, or one of its tokens replaced."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("delete", "duplicate", "swap", "replace", "token")))
+        if not lines:
+            lines.append(draw(st.text(max_size=12)))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "replace":
+            lines[i] = " ".join(draw(st.lists(tokens, min_size=1, max_size=3)))
+        else:
+            fields = lines[i].split() or [""]
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(tokens)
+            lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def run_on_stdin(argv, text):
+    """Exit code and stderr of the command line run in process on ``text``."""
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@given(line_edits(K5_DIAGRAM_LINES))
+@settings(deadline=None, max_examples=150)
+def test_criterion_survives_line_edits_of_a_diagram(text):
+    code, err = run_on_stdin(["criterion", "-", "--json"], text)
+    assert code in (0, 1, 2) and "Traceback" not in err
+
+
+@given(line_edits(K5_CERTIFICATE["diagram"].splitlines()))
+@settings(deadline=None, max_examples=150)
+def test_verify_survives_line_edits_of_the_embedded_diagram(text):
+    data = dict(K5_CERTIFICATE, diagram=text)
+    code, err = run_on_stdin(["verify", "-", "--json"], json.dumps(data))
+    assert code in (0, 1, 2) and "Traceback" not in err
