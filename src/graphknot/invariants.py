@@ -593,10 +593,12 @@ class ObstructionScan:
                     sublink_crossings(projection, key),
                 )
             except (FormatError, TopologyError) as exc:
-                hit = exc
+                hit = exc.with_traceback(None)
             self._sublinks[key] = hit
         if isinstance(hit, Exception):
-            raise hit.with_traceback(None)
+            # a fresh error each time: a traceback on the kept one would hold
+            # this frame, and so the scan, in a reference cycle
+            raise type(hit)(*hit.args)
         sub, kept = hit
         return sub.with_parities({i: d.nodes[n].over for i, n in enumerate(kept)})
 

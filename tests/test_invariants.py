@@ -1,12 +1,15 @@
 """Bracket polynomial, linking numbers, span bounds, cycle obstructions."""
 
+import gc
 import time
+import weakref
 
 import pytest
 
 from graphknot import (
     Budget,
     DisconnectedError,
+    FormatError,
     LaurentPoly,
     Multigraph,
     NotALinkError,
@@ -43,7 +46,7 @@ from graphknot.gallery import (
     unknot,
     unlink,
 )
-from graphknot.invariants import cycle_vertices, disjoint_cycle_pairs
+from graphknot.invariants import ObstructionScan, cycle_vertices, disjoint_cycle_pairs
 
 
 # frozen polynomial values, cross-checked against the delta-recursion by hand
@@ -195,6 +198,22 @@ def test_obstructions_on_linked_triangles():
     linked = next(o for o in obs if o.kind == "linked-cycles")
     assert abs(linked.value) == 1
     assert linked.bound == 2
+
+
+def test_obstruction_scan_keeps_failed_extractions_without_cycles():
+    d = k5_diagram()
+    scan = ObstructionScan(d)
+    edges = tuple(scan.cycles()[0])
+    gc.disable()
+    try:
+        for _ in range(2):  # extracted once, then kept
+            with pytest.raises(FormatError, match="appears in two cycles"):
+                scan.sublink((edges, edges), d)
+        gone = weakref.ref(scan)
+        del scan
+        assert gone() is None  # freed by reference counting alone
+    finally:
+        gc.enable()
 
 
 def test_crossing_number_reports():
