@@ -62,8 +62,10 @@ class Vertex:
 Node = Crossing | Vertex
 
 # the head of a crossing's row in a trace, by its over parity relative to the
-# slot the trace enters it at
+# slot the trace enters it at; a shadow trace ignores over/under, so every
+# crossing gets the same head
 _CROSSING_HEADS = (("x", 0), ("x", 1))
+_SHADOW_HEADS = (("x", 0), ("x", 0))
 
 
 def _normalize_arc(arc) -> Arc:
@@ -76,7 +78,9 @@ def _normalize_arc(arc) -> Arc:
 class Diagram:
     """Immutable sphere diagram.  Construction validates the embedding."""
 
-    __slots__ = ("nodes", "arcs", "free_loops", "_pair", "_faces", "_components", "_code")
+    __slots__ = (
+        "nodes", "arcs", "free_loops", "_pair", "_faces", "_components", "_code", "_shadow"
+    )
 
     def __init__(self, nodes, arcs, free_loops: int = 0):
         self.nodes: tuple[Node, ...] = tuple(nodes)
@@ -86,6 +90,7 @@ class Diagram:
         self._faces = None
         self._components = None
         self._code = None
+        self._shadow = None
         self._validate()
 
     # -- construction checks ------------------------------------------------
@@ -245,13 +250,15 @@ class Diagram:
 
     # -- canonical form -------------------------------------------------------
 
-    def _trace(self, root: Dart, deg: list[int], best=None):
+    def _trace(self, root: Dart, deg: list[int], heads, best=None):
         """Breadth-first code of the component of ``root``, rooted at it.
 
         Node numbers and slot origins are both traversal-derived, so two
         diagrams get equal codes exactly when they are the same map up to
         renumbering nodes and rotating slot labels.  ``deg`` lists each
-        node's degree.
+        node's degree.  ``heads`` gives a crossing's head by its over parity
+        relative to its origin slot: ``_CROSSING_HEADS``, or
+        ``_SHADOW_HEADS`` for the code of the shadow.
 
         ``best`` is the least code found so far for the same component (same
         row count).  The trace compares itself with it row by row and
@@ -271,7 +278,7 @@ class Diagram:
             node = nodes[n]
             o = origin[n]
             if isinstance(node, Crossing):
-                head = _CROSSING_HEADS[(node.over - o) % 2]
+                head = heads[(node.over - o) % 2]
             else:
                 head = ("v", node.label, node.degree)
             k = deg[n]
@@ -293,7 +300,7 @@ class Diagram:
             code.append(entry)
         return tuple(code), order, origin
 
-    def _root_candidates(self, comp: list[int]) -> list[Dart]:
+    def _root_candidates(self, comp: list[int], shadow: bool) -> list[Dart]:
         """Darts that can start a minimal trace of a component, in order.
 
         The first entry of a trace is the head of the root node, so only
@@ -301,19 +308,23 @@ class Diagram:
         ``("v", label, degree)`` sort before crossing heads ``("x", 0|1)``
         and labels are distinct, so these are every slot of the vertex with
         the least label or, in a crossing-only component, the two over slots
-        of every crossing (head ``("x", 0)``).  ``comp`` lists the
-        component's nodes in increasing order.
+        of every crossing (head ``("x", 0)``), or all four slots in a shadow
+        trace.  ``comp`` lists the component's nodes in increasing order.
         """
         nodes = self.nodes
         vertices = [n for n in comp if isinstance(nodes[n], Vertex)]
         if vertices:
             v = min(vertices, key=lambda n: nodes[n].label)
             return [(v, s) for s in range(nodes[v].degree)]
+        if shadow:
+            return [(n, s) for n in comp for s in range(4)]
         return [(n, s) for n in comp for s in (nodes[n].over, nodes[n].over + 2)]
 
-    def _least_traces(self):
+    def _least_traces(self, shadow: bool = False):
         """(code, node order, slot origins) of each component's least trace,
-        in component order; the first root to reach the least code wins."""
+        in component order; the first root to reach the least code wins.
+        A shadow trace gives every crossing the head ``("x", 0)``."""
+        heads = _SHADOW_HEADS if shadow else _CROSSING_HEADS
         deg = [node.degree for node in self.nodes]
         pieces = []
         for comp in self.components():
@@ -326,8 +337,8 @@ class Diagram:
                 )
                 continue
             best = None
-            for d in self._root_candidates(comp):
-                traced = self._trace(d, deg, None if best is None else best[0])
+            for d in self._root_candidates(comp, shadow):
+                traced = self._trace(d, deg, heads, None if best is None else best[0])
                 if traced is not None and (best is None or traced[0] < best[0]):
                     best = traced
             pieces.append(best)
@@ -339,6 +350,27 @@ class Diagram:
             codes = sorted(code for code, _order, _origin in self._least_traces())
             self._code = (tuple(codes), self.free_loops)
         return self._code
+
+    def shadow_code(self):
+        """Hashable key equal for diagrams with the same shadow: the same map
+        up to crossing changes.  It is ``canonical_code`` with over/under
+        ignored, and ``with_parities`` shares it."""
+        if self._shadow is None:
+            codes = sorted(code for code, _order, _origin in self._least_traces(True))
+            self._shadow = (tuple(codes), self.free_loops)
+        return self._shadow
+
+    def shadow_parities(self) -> dict[int, int]:
+        """Each crossing over at the parity of the slot by which the least
+        shadow trace of its component enters it.  Every head of that trace
+        is then ``("x", 0)``, the least head, so with these parities it is
+        the least trace too, and ``canonical_code`` equals ``shadow_code``."""
+        return {
+            n: origin[n] % 2
+            for _code, order, origin in self._least_traces(True)
+            for n in order
+            if isinstance(self.nodes[n], Crossing)
+        }
 
     def canonical_form(self) -> "Diagram":
         """A representative with nodes renumbered into canonical order."""
@@ -458,7 +490,8 @@ class Diagram:
 
     def with_parities(self, overs: dict[int, int]) -> "Diagram":
         """This map with crossing ``n`` over at parity ``overs[n]``, sharing the
-        validated pair, faces and components (``__init__`` is not run)."""
+        validated pair, faces, components and shadow code (``__init__`` is
+        not run)."""
         nodes = list(self.nodes)
         for n, over in overs.items():
             if not isinstance(nodes[n], Crossing):
@@ -468,6 +501,7 @@ class Diagram:
         out.nodes, out.arcs, out.free_loops = tuple(nodes), self.arcs, self.free_loops
         out._pair, out._faces = self._pair, self._faces
         out._components, out._code = self._components, None
+        out._shadow = self._shadow
         return out
 
 

@@ -634,9 +634,10 @@ class ObstructionScan:
                 sub = self.sublink((cycle,), d)
             except TopologyError:
                 continue
-            bound = component_span_lower_bound(sub)
+            # one cycle extracts to one circle, so its bound is its own span's
+            span = kauffman_bracket(sub).span
+            bound = (span + 3) // 4
             if bound > 0:
-                span = kauffman_bracket(sub).span
                 yield Obstruction("sublink-span", bound, (tuple(cycle),), span), ()
         for c1, c2, sub in unlinked:
             bound = component_span_lower_bound(sub)

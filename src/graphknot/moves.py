@@ -7,10 +7,13 @@ system; the ``Diagram`` constructor re-checks the sphere condition after each
 one, so a bad site cannot silently corrupt a search.
 
 ``shadow=True`` runs the same machinery on shadows: over/under data is
-ignored (normalized to 0), conditions that only exist to protect over/under
-consistency are waived, and crossing changes are dropped.  Two diagrams are
-equivalent modulo crossing changes exactly when their shadows are move
-equivalent.
+ignored, conditions that only exist to protect over/under consistency are
+waived, and crossing changes are dropped.  Moves add crossings over at
+parity 0, and of each pair of ``R2_add`` sites that poke the same two darts
+in either order only the first is offered, since both make the same shadow.
+A shadow search keys its states by ``Diagram.shadow_code``, so each shadow
+is one state whatever its over/under data.  Two diagrams are equivalent
+modulo crossing changes exactly when their shadows are move equivalent.
 """
 
 from __future__ import annotations
@@ -75,7 +78,10 @@ class Budget:
 
 
 def normalize_shadow(d: Diagram) -> Diagram:
-    return d.with_parities({n: 0 for n in d.crossings()})
+    """The one diagram of ``d``'s shadow whose ``canonical_code`` is its
+    ``shadow_code``: each crossing is over at the parity of the slot by
+    which the least shadow trace enters it (``Diagram.shadow_parities``)."""
+    return d.with_parities(d.shadow_parities())
 
 
 # -- applicability and application, one move kind at a time -------------------
@@ -386,6 +392,10 @@ def enumerate_moves(
                     for u2 in face:
                         if u1 == u2 or d.pair[u1] == u2:
                             continue
+                        # on a shadow, (u2, u1) pokes the bigon (u1, u2) does;
+                        # keep the twin that sorts first
+                        if shadow and str(u2) < str(u1):
+                            continue
                         for over in overs:
                             found.append((u1, u2, over))
             comps = d.components()
@@ -455,7 +465,6 @@ def _neighbors(d: Diagram, budget: Budget, shadow: bool):
 def search_min_crossings(
     d: Diagram,
     budget: Budget | None = None,
-    shadow: bool = False,
     stop_at: int | None = None,
 ) -> SearchResult:
     """Breadth-first search of everything reachable without exceeding the
@@ -464,8 +473,6 @@ def search_min_crossings(
     ``stop_at`` the search returns as soon as a diagram with that few
     crossings turns up (then ``exhausted`` only reflects how far it got)."""
     budget = budget or Budget()
-    if shadow:
-        d = normalize_shadow(d)
     start = d
     seen = {start.canonical_code()}
     queue = deque([start])
@@ -483,7 +490,7 @@ def search_min_crossings(
         if len(seen) >= budget.max_states:
             exhausted = False
             break
-        for _site, nd in _neighbors(cur, budget, shadow):
+        for _site, nd in _neighbors(cur, budget, False):
             code = nd.canonical_code()
             if code in seen:
                 continue
@@ -509,9 +516,15 @@ class EquivalenceResult:
     exhausted: bool
 
 
+def _state_key(shadow: bool):
+    """What a search tells its states apart by: the shadow, or the map."""
+    return Diagram.shadow_code if shadow else Diagram.canonical_code
+
+
 def _recover_step(cur: Diagram, target_code, budget, shadow):
+    key = _state_key(shadow)
     for site, nd in _neighbors(cur, budget, shadow):
-        if nd.canonical_code() == target_code:
+        if key(nd) == target_code:
             return site, nd
     return None
 
@@ -527,12 +540,12 @@ def equivalent_within(
     ``equivalent=False`` means the full reachable sets within the crossing
     cap were separated, so the diagrams are genuinely inequivalent *through
     diagrams bounded by that cap*; ``None`` means the state budget ran out
-    first.
+    first.  With ``shadow`` the states are shadows, told apart by
+    ``Diagram.shadow_code``.
     """
     budget = budget or Budget()
-    if shadow:
-        d1, d2 = normalize_shadow(d1), normalize_shadow(d2)
-    c1, c2 = d1.canonical_code(), d2.canonical_code()
+    key = _state_key(shadow)
+    c1, c2 = key(d1), key(d2)
     # Diagrams are only kept while they still need expanding; the permanent
     # record per visited code is just (parent code, site), which is all the
     # path reconstruction needs.
@@ -550,7 +563,7 @@ def equivalent_within(
             code = frontier.popleft()
             cur = pending[side].pop(code)
             for site, nd in _neighbors(cur, budget, shadow):
-                ncode = nd.canonical_code()
+                ncode = key(nd)
                 if ncode in info[side]:
                     continue
                 info[side][ncode] = (code, site)
@@ -605,10 +618,12 @@ def cc_equivalent_within(
 
 
 def replay_path(d: Diagram, path, shadow: bool = False) -> Diagram:
-    cur = normalize_shadow(d) if shadow else d
+    """The end of ``path`` from ``d``; with ``shadow``, its
+    ``normalize_shadow``, so that its ``canonical_code`` is the shadow's."""
+    cur = d
     for site in path:
         cur = apply_move(cur, site, shadow=shadow)
-    return cur
+    return normalize_shadow(cur) if shadow else cur
 
 
 # -- descending reassignment ----------------------------------------------------

@@ -193,3 +193,21 @@ def test_equivalent_within_tests_max_states_after_each_expansion():
     assert run(1) == (None, 6, False)  # the first state is always expanded
     assert run(11) == (None, 11, False)
     assert run(12) == (False, 11, True)
+
+
+def test_a_shadow_path_replays_to_the_target_shadow():
+    # case 252 of the descending acceptance test, a loop at one of four
+    # vertices: keyed by parity-relative codes, its backward half found no
+    # over-0 R2_add whose code was the stored one
+    from test_acceptance import _perturbed
+
+    base = base_diagram(Multigraph(4, ((0, 0),)))
+    dd1, dd2 = (
+        descending_diagram(_perturbed(base, seed).underlying_graph()) for seed in (504, 505)
+    )
+    assert dd1.canonical_code() != dd2.canonical_code()
+    cap = max(dd1.crossing_count, dd2.crossing_count) + 2
+    res = cc_equivalent_within(dd1, dd2, Budget(max_crossings=cap, max_states=100_000))
+    assert res.equivalent is True
+    assert res.path is not None
+    assert replay_path(dd1, res.path, shadow=True).canonical_code() == dd2.shadow_code()

@@ -14,6 +14,7 @@ from graphknot import (
     GraphKnotError,
     InvalidVertexError,
     LaurentPoly,
+    MoveSite,
     Multigraph,
     RationalTangle,
     apply_move,
@@ -32,6 +33,7 @@ from graphknot.cli import main
 from graphknot.criterion import VerifyReport
 from graphknot.diagram import Crossing, Diagram
 from graphknot.layout import base_diagram
+from graphknot.moves import normalize_shadow
 from graphknot.tangle import normalize_fraction, tangle_from_fraction
 
 
@@ -333,6 +335,49 @@ def test_parity_updates_match_a_full_construction(d, data):
     for v in d.vertices():
         with pytest.raises(InvalidVertexError):
             d.with_over(v, 0)
+
+
+# -- shadow codes -------------------------------------------------------------------
+
+
+def reference_shadow_code(d):
+    """The least trace over every dart of each component with every crossing
+    head made ``("x", 0)``, each trace run to its end."""
+    pieces = []
+    for comp in reference_components(d):
+        darts = [(n, s) for n in sorted(comp) for s in range(d.degree_of(n))]
+        if not darts:
+            node = d.nodes[min(comp)]
+            pieces.append(((("isolated", node.label, node.degree), ()),))
+            continue
+        traces = []
+        for dart in darts:
+            code = reference_trace(d, dart)[0]
+            traces.append(tuple((("x", 0) if h[0] == "x" else h, row) for h, row in code))
+        pieces.append(min(traces))
+    return (tuple(sorted(pieces)), d.free_loops)
+
+
+@given(st.one_of(link_diagrams(), graph_diagrams()), st.data())
+@settings(deadline=None)
+def test_shadow_code_is_the_code_of_the_shadow(d, data):
+    overs = data.draw(st.fixed_dictionaries({n: st.integers(0, 1) for n in d.crossings()}))
+    switched = d.with_parities(overs)
+    fresh = Diagram(switched.nodes, switched.arcs, switched.free_loops)  # nothing cached
+    assert switched.shadow_code() == d.shadow_code() == fresh.shadow_code()
+    assert fresh.shadow_code() == reference_shadow_code(fresh)
+    assert normalize_shadow(fresh).canonical_code() == fresh.shadow_code()
+    # a shadow search is offered one R2_add of each twin pair (u1, u2, 0) and
+    # (u2, u1, 0); the one it skips makes the same shadow
+    kept = {site.params for site in enumerate_moves(fresh, ("R2_add",), shadow=True)}
+    for site in enumerate_moves(fresh, ("R2_add",)):
+        if site.params[2] != 0 or site.params in kept:
+            continue
+        u1, u2, _ = site.params
+        twin = MoveSite("R2_add", (u2, u1, 0))
+        assert twin.params in kept
+        skipped = apply_move(fresh, site, shadow=True).shadow_code()
+        assert skipped == apply_move(fresh, twin, shadow=True).shadow_code()
 
 
 # -- moves --------------------------------------------------------------------------
