@@ -546,9 +546,11 @@ def equivalent_within(
     budget = budget or Budget()
     key = _state_key(shadow)
     c1, c2 = key(d1), key(d2)
-    # Diagrams are only kept while they still need expanding; the permanent
-    # record per visited code is just (parent code, site), which is all the
-    # path reconstruction needs.
+    # The permanent record per visited code is just (parent code, site),
+    # which is all the path reconstruction needs.  A state waiting to be
+    # expanded keeps only the diagram it was reached from, and is rebuilt
+    # from it and its site when expanded: most states are never expanded,
+    # so this keeps few diagrams alive.
     info = [{c1: (None, None)}, {c2: (None, None)}]
     pending = [{c1: d1}, {c2: d2}]
     frontiers = [deque([c1]), deque([c2])]
@@ -562,12 +564,15 @@ def equivalent_within(
         for _ in range(len(frontier)):
             code = frontier.popleft()
             cur = pending[side].pop(code)
+            reached_by = info[side][code][1]
+            if reached_by is not None:
+                cur = apply_move(cur, reached_by, shadow=shadow)
             for site, nd in _neighbors(cur, budget, shadow):
                 ncode = key(nd)
                 if ncode in info[side]:
                     continue
                 info[side][ncode] = (code, site)
-                pending[side][ncode] = nd
+                pending[side][ncode] = cur
                 frontier.append(ncode)
                 if ncode in info[1 - side]:
                     meet = ncode
