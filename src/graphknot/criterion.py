@@ -25,8 +25,10 @@ differ only in the parity of their crossing.  So condition (ii) and
 ``verify_certificate`` substitute each tangle at most once per call and
 keep that map's projection, cycles, cycle pairs and sublinks in an
 ``ObstructionScan``; a crossing assignment is a parity update of the map
-(``Diagram.with_parities``) that costs only its linking numbers and
-brackets, walked in the same order as a fresh scan would walk it.
+(``Diagram.with_parities``) that costs only the linking numbers and
+brackets of parity vectors its sublinks have not met yet, walked in the
+same order as a fresh scan would walk it.  ``section3_crossing_number``
+likewise shares one scan across the assignments of its drawing.
 """
 
 from __future__ import annotations
@@ -38,16 +40,14 @@ from .errors import FormatError, TopologyError, WrongDegreeError
 from .invariants import (
     Obstruction,
     ObstructionScan,
-    component_span_lower_bound,
     crossing_number,
     CrossingNumberReport,
     cycle_vertices,
-    linking_numbers,
     simple_cycles,
 )
 from .layout import base_diagram
 from .moves import Budget, descending_diagram
-from .multigraph import Multigraph, Permutation, automorphisms, disjoint_union, one_point_union
+from .multigraph import Multigraph, automorphisms, disjoint_union, one_point_union
 from .tangle import RationalTangle, VertexOrientation, substitute
 
 TANGLE_PLUS = RationalTangle((1,))
@@ -370,10 +370,9 @@ def _replay_assignment(
         return checked[shape]
     if kind is None:
         return f"certificate kind {cert.kind!r} cannot be replayed without a search"
-    extracted = scan.sublink(cert.cycles, subs.assigned(rec.r, bits))
+    assigned = subs.assigned(rec.r, bits)
     if kind == "linked-cycles":
-        lk = linking_numbers(extracted)
-        signed = tuple(lk[key] for key in sorted(lk))
+        signed = scan.linking(cert.cycles, assigned)
         if signed != rec.linking:
             return (
                 f"stored linking numbers {list(rec.linking)} disagree with "
@@ -383,7 +382,7 @@ def _replay_assignment(
         if total != cert.value or 2 * total != cert.bound:
             return "linking numbers do not support the stored bound"
         return None
-    bound = component_span_lower_bound(extracted)
+    bound = scan.span_bound(cert.cycles, assigned)
     if bound != cert.bound:
         return f"recomputed span bound {bound} != stored {cert.bound}"
     return None
@@ -506,53 +505,48 @@ def section3_crossing_number(
     budget: Budget | None = None,
     edge_order: list[int] | None = None,
 ) -> Section3Report:
-    """Minimum crossing number over rewirings and crossing assignments.
+    """Minimum crossing number over the crossing assignments of one drawing.
 
-    A base drawing is laid out greedily and layered descendingly; each graph
-    automorphism rewires it by permuting the vertex labels before routing;
-    every crossing assignment of each distinct rewired base is then driven
-    through the bounded exact crossing-number search.  The reported value is
-    the minimum, and it is withheld (``None``) if any subproblem's bounds
-    fail to close.
+    A base drawing is laid out greedily and layered descendingly, and every
+    crossing assignment of it is driven through the bounded exact
+    crossing-number search; all of them share the drawing's map, and so one
+    ``ObstructionScan``.  The reported value is the minimum, and it is
+    withheld (``None``) if any subproblem's bounds fail to close.
+
+    The note on rewirings reports the automorphism group's order: ``g``'s
+    edges are kept sorted, so relabelling it by any automorphism gives ``g``
+    again, and the one distinct rewiring is the identity.
     """
-    auts = automorphisms(g)
-    rewired: dict[Multigraph, Permutation] = {}
-    for p in sorted(auts.elements, key=lambda p: p.image):
-        rewired.setdefault(g.relabel(p), p)
-    notes = [
-        f"{auts.order} automorphisms gave {len(rewired)} distinct rewirings"
-    ]
-    base_texts: list[str] = []
+    notes = [f"{automorphisms(g).order} automorphisms gave 1 distinct rewirings"]
+    identity = tuple(range(g.vertex_count))
+    layered = descending_diagram(
+        base_diagram(g, edge_order=edge_order).underlying_graph(), edge_order
+    )
+    scan = ObstructionScan(layered)
     subproblems: list[Section3Subproblem] = []
     best: int | None = None
     closed = True
-    for h, p in rewired.items():
-        layered = descending_diagram(
-            base_diagram(h, edge_order=edge_order).underlying_graph(),
-            edge_order,
+    for assigned in crossing_assignments(layered):
+        bits = tuple(assigned.nodes[n].over for n in assigned.crossings())
+        sub_budget = budget or Budget(
+            max_crossings=assigned.crossing_count + 1, max_states=200_000
         )
-        base_texts.append(diagram_to_text(layered))
-        for assigned in crossing_assignments(layered):
-            bits = tuple(assigned.nodes[n].over for n in assigned.crossings())
-            sub_budget = budget or Budget(
-                max_crossings=assigned.crossing_count + 1, max_states=200_000
-            )
-            report = crossing_number(assigned, sub_budget)
-            subproblems.append(Section3Subproblem(p.image, bits, report))
-            if not report.conclusive:
-                closed = False
-            else:
-                if report.cap_relative:
-                    notes.append(
-                        f"assignment {list(bits)} closed only relative to the "
-                        f"{report.crossing_cap}-crossing cap"
-                    )
-                if best is None or report.value < best:
-                    best = report.value
+        report = crossing_number(assigned, sub_budget, scan)
+        subproblems.append(Section3Subproblem(identity, bits, report))
+        if not report.conclusive:
+            closed = False
+        else:
+            if report.cap_relative:
+                notes.append(
+                    f"assignment {list(bits)} closed only relative to the "
+                    f"{report.crossing_cap}-crossing cap"
+                )
+            if best is None or report.value < best:
+                best = report.value
     return Section3Report(
         value=best if closed else None,
         closed=closed,
-        base_texts=tuple(base_texts),
+        base_texts=(diagram_to_text(layered),),
         subproblems=tuple(subproblems),
         notes=tuple(notes),
     )

@@ -519,6 +519,15 @@ def disjoint_cycle_pairs(g: Multigraph, cycles=None):
 # -- crossing-number estimation ---------------------------------------------------
 
 
+def _signed_linking(d: Diagram) -> tuple[int, ...]:
+    """``linking_numbers`` of ``d``, signed, in circle-pair order."""
+    return tuple(lk for _, lk in sorted(linking_numbers(d).items()))
+
+
+def _bracket_span(d: Diagram) -> int:
+    return kauffman_bracket(d).span
+
+
 @dataclass(frozen=True)
 class Obstruction:
     """Why the crossing number is at least ``bound``."""
@@ -540,26 +549,39 @@ class Obstruction:
 class ObstructionScan:
     """The lower-bound scan of one map, its over/under-free half kept.
 
-    A diagram's projection, simple cycles and disjoint cycle pairs, and the
-    sublink each candidate extracts to (or the error extracting it raises),
-    depend on its map alone.  They are built on first use, in scan order,
-    and kept, so ``obstructions`` run on every diagram sharing the map
-    (``Diagram.with_parities``) computes only linking numbers and brackets.
+    A diagram's projection, its planarity, simple cycles and disjoint cycle
+    pairs, and the sublink each candidate extracts to (or the error
+    extracting it raises), depend on its map alone.  They are built on first
+    use, in scan order, and kept, so ``obstructions`` run on every diagram
+    sharing the map (``Diagram.with_parities``) reads only parities.
+
+    A sublink's linking numbers and span bounds depend only on the over bits
+    of the crossings it keeps, so they are kept per (cycles, bits): ``hits``
+    counts the values served from there instead of computed again.
     """
 
     def __init__(self, d: Diagram):
         self.diagram = d
         self._projection: GraphProjection | None = None
+        self._planar: bool | None = None
         self._cycles: list[list[int]] | None = None
         self._pairs: list[tuple[list[int], list[int]]] = []
         self._more_pairs = None
         self._sublinks: dict = {}
+        self._values: dict = {}
+        self.hits = 0
 
     @property
     def projection(self) -> GraphProjection:
         if self._projection is None:
             self._projection = self.diagram.underlying_graph()
         return self._projection
+
+    @property
+    def planar(self) -> bool:
+        if self._planar is None:
+            self._planar = self.projection.graph.is_planar()
+        return self._planar
 
     def cycles(self) -> list[list[int]]:
         if self._cycles is None:
@@ -576,12 +598,12 @@ class ObstructionScan:
             self._pairs.append(pair)
             yield pair
 
-    def sublink(self, cycles, d: Diagram) -> Diagram:
-        """``extract_sublink`` of ``cycles`` in ``d``, a diagram of this map.
+    def _extraction(self, cycles) -> tuple[tuple, Diagram, list[int]]:
+        """The cycle tuple of ``cycles``, the sublink it extracts to and the
+        crossings that sublink keeps.
 
         The extraction, or the ``FormatError`` or ``TopologyError`` it
-        raises, is kept per cycle tuple; only ``d``'s parities are applied
-        afresh.
+        raises, is kept per cycle tuple.
         """
         key = tuple(map(tuple, cycles))
         hit = self._sublinks.get(key)
@@ -599,8 +621,35 @@ class ObstructionScan:
             # a fresh error each time: a traceback on the kept one would hold
             # this frame, and so the scan, in a reference cycle
             raise type(hit)(*hit.args)
-        sub, kept = hit
+        return (key, *hit)
+
+    def sublink(self, cycles, d: Diagram) -> Diagram:
+        """``extract_sublink`` of ``cycles`` in ``d``, a diagram of this map;
+        only ``d``'s parities are applied afresh."""
+        _, sub, kept = self._extraction(cycles)
         return sub.with_parities({i: d.nodes[n].over for i, n in enumerate(kept)})
+
+    def _per_parity(self, measure, extraction, d: Diagram):
+        """``measure`` of an ``_extraction`` with ``d``'s parities, kept per
+        cycle tuple and over bits of the crossings the sublink keeps."""
+        key, sub, kept = extraction
+        bits = tuple(d.nodes[n].over for n in kept)
+        slot = (measure, key, bits)
+        value = self._values.get(slot)
+        if value is None:
+            value = measure(sub.with_parities(dict(enumerate(bits))))
+            self._values[slot] = value
+        else:
+            self.hits += 1
+        return value
+
+    def linking(self, cycles, d: Diagram) -> tuple[int, ...]:
+        """The signed linking numbers of the sublink, by circle pair."""
+        return self._per_parity(_signed_linking, self._extraction(cycles), d)
+
+    def span_bound(self, cycles, d: Diagram) -> int:
+        """``component_span_lower_bound`` of the sublink."""
+        return self._per_parity(component_span_lower_bound, self._extraction(cycles), d)
 
     def obstructions(self, d: Diagram):
         """Yield each obstruction of ``d``, a diagram of this map, with the
@@ -615,34 +664,32 @@ class ObstructionScan:
             bound = component_span_lower_bound(d)
             if bound > 0:
                 yield Obstruction("sublink-span", bound, (), -1), ()
-        unlinked: list[tuple[list[int], list[int], Diagram]] = []
+        unlinked = []
         for c1, c2 in self.disjoint_pairs():
             try:
-                sub = self.sublink((c1, c2), d)
+                extraction = self._extraction((c1, c2))
             except TopologyError:
                 continue
-            lk = linking_numbers(sub)
-            total = sum(abs(v) for v in lk.values())
+            signed = self._per_parity(_signed_linking, extraction, d)
+            total = sum(abs(v) for v in signed)
             if total >= 1:
-                cycles = (tuple(c1), tuple(c2))
-                signed = tuple(lk[key] for key in sorted(lk))
-                yield Obstruction("linked-cycles", 2 * total, cycles, total), signed
+                yield Obstruction("linked-cycles", 2 * total, extraction[0], total), signed
             else:
-                unlinked.append((c1, c2, sub))
+                unlinked.append(extraction)
         for cycle in self.cycles():
             try:
-                sub = self.sublink((cycle,), d)
+                extraction = self._extraction((cycle,))
             except TopologyError:
                 continue
             # one cycle extracts to one circle, so its bound is its own span's
-            span = kauffman_bracket(sub).span
+            span = self._per_parity(_bracket_span, extraction, d)
             bound = (span + 3) // 4
             if bound > 0:
-                yield Obstruction("sublink-span", bound, (tuple(cycle),), span), ()
-        for c1, c2, sub in unlinked:
-            bound = component_span_lower_bound(sub)
+                yield Obstruction("sublink-span", bound, extraction[0], span), ()
+        for extraction in unlinked:
+            bound = self._per_parity(component_span_lower_bound, extraction, d)
             if bound >= 2:
-                yield Obstruction("sublink-span", bound, (tuple(c1), tuple(c2)), -1), ()
+                yield Obstruction("sublink-span", bound, extraction[0], -1), ()
 
     def at_least_two(self, d: Diagram) -> tuple[Obstruction, tuple[int, ...]] | None:
         """The first obstruction of ``d`` with bound two or more, and its
@@ -677,17 +724,20 @@ class CrossingNumberReport:
 
 
 def lower_bound_obstructions(
-    d: Diagram, stop_when: int | None = None
+    d: Diagram, stop_when: int | None = None, scan: ObstructionScan | None = None
 ) -> tuple[int, tuple[Obstruction, ...]]:
     """Every obstruction of ``d``: non-planarity of its graph, then the
-    ``ObstructionScan``, stopping at the first that reaches ``stop_when``."""
-    scan = ObstructionScan(d)
+    ``ObstructionScan``, stopping at the first that reaches ``stop_when``.
+
+    ``scan`` is the scan of ``d``'s map (a fresh one by default); diagrams
+    sharing the map share it."""
+    scan = scan or ObstructionScan(d)
     obstructions: list[Obstruction] = []
 
     def best() -> int:
         return max((o.bound for o in obstructions), default=0)
 
-    if not scan.projection.graph.is_planar():
+    if not scan.planar:
         obstructions.append(Obstruction("nonplanar-graph", 1))
     if stop_when is None or best() < stop_when:
         for o, _signed in scan.obstructions(d):
@@ -697,17 +747,20 @@ def lower_bound_obstructions(
     return best(), tuple(obstructions)
 
 
-def crossing_number(d: Diagram, budget: Budget | None = None) -> CrossingNumberReport:
+def crossing_number(
+    d: Diagram, budget: Budget | None = None, scan: ObstructionScan | None = None
+) -> CrossingNumberReport:
     """Minimal crossings over diagrams move-equivalent to ``d``.
 
     The answer is conclusive when the search's upper bound meets a lower
     bound, or (flagged ``cap_relative``) when the whole reachable set under
-    the crossing cap was exhausted without meeting it.
+    the crossing cap was exhausted without meeting it.  ``scan`` is the
+    scan of ``d``'s map, as in ``lower_bound_obstructions``.
     """
     budget = budget or Budget()
     notes: list[str] = []
     ub = d.crossing_count
-    lb, obstructions = lower_bound_obstructions(d, stop_when=ub)
+    lb, obstructions = lower_bound_obstructions(d, stop_when=ub, scan=scan)
     if ub <= lb:
         notes.append("diagram already meets its lower bound; no search needed")
         return CrossingNumberReport(

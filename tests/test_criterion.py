@@ -12,10 +12,15 @@ from graphknot import (
     VertexOrientation,
     WrongDegreeError,
     additivity_check,
+    automorphisms,
     certificate_from_json,
     check_nonplanar,
+    complete_bipartite,
     complete_graph,
+    crossing_number,
     cycle_graph,
+    one_point_union,
+    parse_diagram,
     section3_crossing_number,
     verify_certificate,
 )
@@ -29,7 +34,7 @@ from graphknot.criterion import (
     condition_ii,
 )
 from graphknot.diagram import crossing_assignments
-from graphknot.invariants import cr_at_least_two
+from graphknot.invariants import ObstructionScan, cr_at_least_two
 from graphknot.tangle import substitute
 from graphknot.gallery import (
     bowtie,
@@ -314,3 +319,52 @@ def test_additivity_of_triangles():
 def test_additivity_rejects_unknown_kind():
     with pytest.raises(Exception):
         additivity_check(cycle_graph(3), cycle_graph(3), "smashed")
+
+
+# -- one scan per drawing --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete_bipartite(3, 4),
+        complete_graph(6),
+        one_point_union(complete_graph(5), 0, complete_graph(5), 0),
+    ],
+    ids=["K3,4", "K6", "K5.K5"],
+)
+def test_driver_reports_what_a_fresh_crossing_number_reports(g):
+    """The driver's subproblems share one scan; each report still equals
+    ``crossing_number`` run on its assignment alone."""
+    report = section3_crossing_number(g)
+    (text,) = report.base_texts
+    layered = parse_diagram(text)
+    budget = Budget(max_crossings=layered.crossing_count + 1, max_states=200_000)
+    assert report.notes[0] == f"{automorphisms(g).order} automorphisms gave 1 distinct rewirings"
+    assert len(report.subproblems) == 1 << layered.crossing_count
+    for s in report.subproblems:
+        assert s.rewiring == tuple(range(g.vertex_count))
+        assigned = layered.with_parities(dict(zip(layered.crossings(), s.assignment)))
+        assert s.report.to_json() == crossing_number(assigned, budget).to_json()
+
+
+def test_a_shared_scan_finds_what_a_fresh_scan_finds():
+    """One scan serves every crossing assignment of its map: the obstructions
+    are a fresh scan's, in the same order, and the linking numbers and spans
+    of a sublink are computed once per parity vector of its crossings."""
+    rng = random.Random(8)
+    maps = [k5_routing(c, rng) for c in (3, 4, 5)]
+    where = VertexOrientation(degree_four_vertices(maps[-1])[0], 0)
+    maps += [substitute(maps[-1], where, t) for t in (TANGLE_PLUS, TANGLE_MINUS)]
+    hits, found = [], 0
+    for d in maps:
+        scan = ObstructionScan(d)
+        for assigned in crossing_assignments(d):
+            shared = list(scan.obstructions(assigned))
+            fresh = ObstructionScan(assigned)
+            assert shared == list(fresh.obstructions(assigned))
+            assert fresh.hits == 0
+            found += len(shared)
+        hits.append(scan.hits)
+    assert found == 64  # 32 from each tangle's 64 assignments
+    assert hits == [238, 523, 1072, 1229, 1229]
