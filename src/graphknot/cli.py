@@ -9,7 +9,6 @@ file, malformed text, rejected certificate), 2 for an exceeded size guard.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
@@ -256,10 +255,7 @@ def _add_common(sub, budget=False, vertex=False):
         )
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process: building it costs more than a small
-    subcommand, and ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="graphknot",
         description="Diagrams of knotted graphs: invariants, moves, and "

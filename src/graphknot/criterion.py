@@ -510,8 +510,10 @@ def section3_crossing_number(
     A base drawing is laid out greedily and layered descendingly, and every
     crossing assignment of it is driven through the bounded exact
     crossing-number search; all of them share the drawing's map, and so one
-    ``ObstructionScan``.  The reported value is the minimum, and it is
-    withheld (``None``) if any subproblem's bounds fail to close.
+    ``ObstructionScan``, and an assignment whose mirror image (every bit
+    switched) came first is given that one's report.  The reported value is
+    the minimum, and it is withheld (``None``) if any subproblem's bounds
+    fail to close.
 
     The note on rewirings reports the automorphism group's order: ``g``'s
     edges are kept sorted, so relabelling it by any automorphism gives ``g``
@@ -523,6 +525,7 @@ def section3_crossing_number(
         base_diagram(g, edge_order=edge_order).underlying_graph(), edge_order
     )
     scan = ObstructionScan(layered)
+    reports: dict[tuple[int, ...], CrossingNumberReport] = {}
     subproblems: list[Section3Subproblem] = []
     best: int | None = None
     closed = True
@@ -531,7 +534,8 @@ def section3_crossing_number(
         sub_budget = budget or Budget(
             max_crossings=assigned.crossing_count + 1, max_states=200_000
         )
-        report = crossing_number(assigned, sub_budget, scan)
+        mirror = reports.get(tuple(1 - b for b in bits))
+        report = reports[bits] = crossing_number(assigned, sub_budget, scan, mirror)
         subproblems.append(Section3Subproblem(identity, bits, report))
         if not report.conclusive:
             closed = False

@@ -13,7 +13,7 @@ circle is traversed starting from its smallest entry dart.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import networkx as nx
 
@@ -748,7 +748,10 @@ def lower_bound_obstructions(
 
 
 def crossing_number(
-    d: Diagram, budget: Budget | None = None, scan: ObstructionScan | None = None
+    d: Diagram,
+    budget: Budget | None = None,
+    scan: ObstructionScan | None = None,
+    mirror: CrossingNumberReport | None = None,
 ) -> CrossingNumberReport:
     """Minimal crossings over diagrams move-equivalent to ``d``.
 
@@ -756,11 +759,25 @@ def crossing_number(
     bound, or (flagged ``cap_relative``) when the whole reachable set under
     the crossing cap was exhausted without meeting it.  ``scan`` is the
     scan of ``d``'s map, as in ``lower_bound_obstructions``.
+
+    ``mirror`` is a report on ``d``'s mirror image.  The moves at a mirror
+    image are the mirror images of the moves, so the two reachable sets are
+    mirror images, of one size and one set of crossing counts: a search the
+    mirror exhausted under this crossing cap, within this state budget, is
+    not run again.
     """
     budget = budget or Budget()
     notes: list[str] = []
     ub = d.crossing_count
     lb, obstructions = lower_bound_obstructions(d, stop_when=ub, scan=scan)
+    if (
+        mirror is not None
+        and mirror.cap_relative
+        and mirror.lower_bound == lb
+        and mirror.crossing_cap == budget.max_crossings
+        and mirror.states < budget.max_states
+    ):
+        return replace(mirror, obstructions=obstructions)
     if ub <= lb:
         notes.append("diagram already meets its lower bound; no search needed")
         return CrossingNumberReport(

@@ -394,50 +394,3 @@ def test_criterion_assignment_guard_exits_two(capsys, tmp_path):
     path.write_text(diagram_to_text(d))
     assert main(["criterion", str(path)]) == 2
     assert capsys.readouterr().err.startswith("budget exceeded:")
-
-
-def run_alone(*argv):
-    """``main(argv)`` in a process of its own: exit code and stdout."""
-    import os
-    import subprocess
-    import sys
-
-    import graphknot
-
-    src = str(Path(graphknot.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "graphknot", *argv],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
-    )
-    return proc.returncode, proc.stdout
-
-
-def test_one_parser_serves_every_call(capsys, tmp_path, k5_diagram_file, k5_graph_file):
-    """The parser is built once per process; a call does not inherit the
-    options an earlier call set."""
-    hopf = tmp_path / "hopf.diagram"
-    hopf.write_text(diagram_to_text(hopf_link()))
-    target = tmp_path / "result.json"
-    cases = [
-        (
-            ["criterion", k5_diagram_file, "--vertex", "2", "--orientation", "2", "--json"],
-            ["criterion", k5_diagram_file, "--vertex", "2", "--json"],
-        ),
-        (
-            ["crossing-number", k5_graph_file, "--budget-crossings", "3", "--json"],
-            ["crossing-number", k5_graph_file, "--json"],
-        ),
-        (
-            ["invariant", str(hopf), "--json", "--out", str(target)],
-            ["invariant", str(hopf), "--json"],
-        ),
-    ]
-    for first, second in cases:
-        first_code, first_out = run(capsys, *first)
-        assert first_code == 0
-        target.unlink(missing_ok=True)
-        second_code, second_out = run(capsys, *second)
-        assert (second_code, second_out) == run_alone(*second)
-        assert not target.exists()
-        # the first call's flags did change its answer
-        assert first_out != second_out or "--out" in first

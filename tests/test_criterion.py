@@ -25,7 +25,7 @@ from graphknot import (
     verify_certificate,
 )
 from graphknot import apply_move, enumerate_moves, extract_sublink, linking_numbers
-from graphknot import criterion
+from graphknot import criterion, invariants
 from graphknot.criterion import (
     TANGLE_MINUS,
     TANGLE_PLUS,
@@ -35,6 +35,7 @@ from graphknot.criterion import (
 )
 from graphknot.diagram import crossing_assignments
 from graphknot.invariants import ObstructionScan, cr_at_least_two
+from graphknot.moves import search_min_crossings
 from graphknot.tangle import substitute
 from graphknot.gallery import (
     bowtie,
@@ -325,18 +326,29 @@ def test_additivity_rejects_unknown_kind():
 
 
 @pytest.mark.parametrize(
-    "g",
+    "g, searches",
     [
-        complete_bipartite(3, 4),
-        complete_graph(6),
-        one_point_union(complete_graph(5), 0, complete_graph(5), 0),
+        (complete_bipartite(3, 4), 2),
+        (complete_graph(6), 3),
+        (one_point_union(complete_graph(5), 0, complete_graph(5), 0), 2),
     ],
     ids=["K3,4", "K6", "K5.K5"],
 )
-def test_driver_reports_what_a_fresh_crossing_number_reports(g):
-    """The driver's subproblems share one scan; each report still equals
+def test_driver_reports_what_a_fresh_crossing_number_reports(g, searches, monkeypatch):
+    """The driver's subproblems share one scan, and an assignment's mirror
+    image shares its exhausted search; each report still equals
     ``crossing_number`` run on its assignment alone."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return search_min_crossings(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "search_min_crossings", counted)
     report = section3_crossing_number(g)
+    monkeypatch.undo()
+    # half of the assignments that need a search are mirrors of the other half
+    assert len(calls) == searches
     (text,) = report.base_texts
     layered = parse_diagram(text)
     budget = Budget(max_crossings=layered.crossing_count + 1, max_states=200_000)

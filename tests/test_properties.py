@@ -11,9 +11,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from graphknot import (
+    ISOTOPY_KINDS,
     GraphKnotError,
     InvalidVertexError,
     LaurentPoly,
+    MoveNotApplicable,
     MoveSite,
     Multigraph,
     RationalTangle,
@@ -25,6 +27,7 @@ from graphknot import (
     enumerate_moves,
     graph_to_text,
     kauffman_bracket,
+    mirror_diagram,
     parse_diagram,
     parse_graph,
     verify_certificate,
@@ -403,6 +406,33 @@ def test_growing_moves_can_be_undone(d, pick):
         for back in enumerate_moves(grown, (GROW_TO_SHRINK[site.kind],))
     }
     assert d.canonical_code() in shrunk
+
+
+def isotopy_neighbours(d, image=lambda nd: nd):
+    """The canonical codes of ``image`` of every diagram one isotopy move
+    from ``d``."""
+    codes = set()
+    for site in enumerate_moves(d, ISOTOPY_KINDS):
+        try:
+            codes.add(image(apply_move(d, site)).canonical_code())
+        except MoveNotApplicable:
+            pass
+    return codes
+
+
+@given(st.one_of(link_diagrams(), graph_diagrams()), st.integers(0, 10_000))
+@settings(deadline=None, max_examples=60)
+def test_the_mirror_image_has_the_mirrored_neighbours(d, pick):
+    """The moves offered at a diagram's mirror image are the mirror images of
+    the moves offered at the diagram, so move searches from the two explore
+    mirror-image sets, of the same size and crossing counts."""
+    sites = enumerate_moves(d, ISOTOPY_KINDS)
+    if sites:
+        with contextlib.suppress(MoveNotApplicable):
+            d = apply_move(d, sites[pick % len(sites)])
+    if d.crossing_count > 8:
+        return
+    assert isotopy_neighbours(mirror_diagram(d)) == isotopy_neighbours(d, mirror_diagram)
 
 
 @given(link_diagrams(), st.integers(0, 10_000))
