@@ -473,12 +473,7 @@ class Diagram:
         out = []
         for comp in self.components():
             order = sorted(comp)
-            new_index = {n: i for i, n in enumerate(order)}
-            arcs = [
-                ((new_index[a[0]], a[1]), (new_index[b[0]], b[1]))
-                for a, b in self.arcs
-                if a[0] in comp
-            ]
+            arcs, _passed = _rejoin(self, order, {})
             out.append(Diagram([self.nodes[n] for n in order], arcs, 0))
         out.extend(Diagram([], [], 1) for _ in range(self.free_loops))
         return out
@@ -547,6 +542,33 @@ def mirror_diagram(d: Diagram) -> Diagram:
     return d.with_parities({n: 1 - d.nodes[n].over for n in d.crossings()})
 
 
+def _rejoin(d: Diagram, keep, thru: dict[Dart, Dart]):
+    """The arcs among the nodes ``keep``, renumbered in that order, with each
+    strand run on through the other nodes along ``thru``; and the set of
+    removed darts those strands passed.  A strand that reaches a removed
+    dart ``thru`` does not map raises ``TopologyError``."""
+    new_index = {n: i for i, n in enumerate(keep)}
+    pair = d.pair
+    arcs = []
+    passed: set[Dart] = set()
+    seen: set[Dart] = set()
+    for n in keep:
+        for s in range(d.degree_of(n)):
+            if (n, s) in seen:
+                continue
+            end = pair[(n, s)]
+            while end[0] not in new_index:
+                out = thru.get(end)
+                if out is None:
+                    raise TopologyError("strand leaves the selected cycles")
+                passed.add(end)
+                passed.add(out)
+                end = pair[out]
+            seen.add(end)
+            arcs.append(((new_index[n], s), (new_index[end[0]], end[1])))
+    return arcs, passed
+
+
 def splice_identify(d: Diagram, thru: dict[Dart, Dart]) -> Diagram:
     """Delete the nodes named in ``thru``, rejoining strands through it.
 
@@ -562,64 +584,20 @@ def splice_identify(d: Diagram, thru: dict[Dart, Dart]) -> Diagram:
     for a, b in thru.items():
         if a == b or thru.get(b) != a:
             raise FormatError("identifications must form an involution")
-
     keep = [n for n in range(len(d.nodes)) if n not in removed]
-    new_index = {n: i for i, n in enumerate(keep)}
-
-    def follow(dart: Dart) -> Dart:
-        cur = d.pair[dart]
-        while cur[0] in removed:
-            cur = d.pair[thru[cur]]
-        return cur
-
-    new_arcs = []
-    seen: set[Dart] = set()
-    for n in keep:
-        for s in range(d.degree_of(n)):
-            start = (n, s)
-            if start in seen:
-                continue
-            end = follow(start)
-            seen.add(start)
-            seen.add(end)
-            new_arcs.append(
-                ((new_index[start[0]], start[1]), (new_index[end[0]], end[1]))
-            )
-    # circles trapped inside the removed nodes
+    arcs, passed = _rejoin(d, keep, thru)
+    # the darts no strand passed lie on circles trapped inside the removed
+    # nodes, each a cycle of alternate thru and pair steps
+    trapped = slots_needed - passed
     loops = 0
-    consumed: set[Dart] = set()
-    for n in sorted(removed):
-        for s in range(d.degree_of(n)):
-            dart = (n, s)
-            if dart in consumed:
-                continue
-            trail = d.pair[dart]
-            if trail[0] not in removed:
-                continue  # part of a rerouted strand, already handled
-            # check the whole cycle stays inside removed nodes
-            cycle = [dart]
-            cur = dart
-            internal = True
-            while True:
-                cur = thru[cur]
-                cycle.append(cur)
-                cur = d.pair[cur]
-                if cur[0] not in removed:
-                    internal = False
-                    break
-                cycle.append(cur)
-                if cur == dart:
-                    break
-            if internal:
-                consumed.update(cycle)
-                loops += 1
-            else:
-                consumed.update(cycle)
-    # the "not internal" walks above are re-routed strands; they were consumed
-    # only to avoid re-scanning, never counted.
-    return Diagram(
-        [d.nodes[n] for n in keep], new_arcs, d.free_loops + loops
-    )
+    while trapped:
+        loops += 1
+        cur = trapped.pop()
+        while thru[cur] in trapped:
+            trapped.remove(thru[cur])
+            cur = d.pair[thru[cur]]
+            trapped.discard(cur)
+    return Diagram([d.nodes[n] for n in keep], arcs, d.free_loops + loops)
 
 
 def splice_out(d: Diagram, matchings: dict[int, tuple[tuple[int, int], ...]]) -> Diagram:
@@ -660,14 +638,16 @@ def connected_sum_diagrams(
     return Diagram(d1.nodes + d2.nodes, arcs, d1.free_loops + d2.free_loops)
 
 
-def crossing_assignments(d: Diagram, max_crossings: int = 16):
+# crossing_assignments refuses diagrams with more crossings
+MAX_ASSIGNED_CROSSINGS = 16
+
+
+def crossing_assignments(d: Diagram):
     """Yield every reassignment of over/under at the crossings, in binary
     counter order over crossings listed by node index."""
     xs = d.crossings()
-    if len(xs) > max_crossings:
-        raise SizeLimitExceeded(
-            f"{len(xs)} crossings would give 2^{len(xs)} assignments"
-        )
+    if len(xs) > MAX_ASSIGNED_CROSSINGS:
+        raise SizeLimitExceeded(f"{len(xs)} crossings would give 2^{len(xs)} assignments")
     for word in range(1 << len(xs)):
         yield d.with_parities({n: (word >> j) & 1 for j, n in enumerate(xs)})
 
@@ -705,8 +685,9 @@ def extract_sublink(
                 raise FormatError(f"edge {e} appears in two cycles")
             used_edges.add(e)
 
-    # matchings at vertices induced by how cycles run through them
-    vertex_join: dict[Dart, Dart] = {}
+    # how strands run on through the nodes not kept: through vertices the
+    # way the cycles do, and straight through crossings (added below)
+    thru: dict[Dart, Dart] = {}
 
     def strand_oriented(e: int, from_vertex: int) -> StrandPath:
         s = projection.strands[e]
@@ -727,8 +708,8 @@ def extract_sublink(
             if u != v:
                 raise FormatError(f"cycle [{e}] is not a loop edge")
             path = projection.strands[e]
-            vertex_join[path.ends[0]] = path.ends[1]
-            vertex_join[path.ends[1]] = path.ends[0]
+            thru[path.ends[0]] = path.ends[1]
+            thru[path.ends[1]] = path.ends[0]
             continue
         u0, v0 = g.endpoints(cycle[0])
         second = g.endpoints(cycle[1])
@@ -749,8 +730,8 @@ def extract_sublink(
         for e in cycle:
             path = strand_oriented(e, visited[-1])
             if prev_end is not None:
-                vertex_join[prev_end] = path.ends[0]
-                vertex_join[path.ends[0]] = prev_end
+                thru[prev_end] = path.ends[0]
+                thru[path.ends[0]] = prev_end
             nxt = g.other_end(e, visited[-1])
             visited.append(nxt)
             prev_end = path.ends[1]
@@ -759,49 +740,19 @@ def extract_sublink(
         if len(set(visited[:-1])) != len(visited) - 1:
             raise FormatError("cycle repeats a vertex")
         first = strand_oriented(cycle[0], visited[0])
-        vertex_join[prev_end] = first.ends[0]
-        vertex_join[first.ends[0]] = prev_end
+        thru[prev_end] = first.ends[0]
+        thru[first.ends[0]] = prev_end
 
-    kept_crossings = sublink_crossings(projection, cycles)
-    new_index = {n: i for i, n in enumerate(kept_crossings)}
-    free_loops = 0  # cycles that pass no kept crossing, which no walk below meets
+    kept = sublink_crossings(projection, cycles)
+    free_loops = 0  # cycles that pass no kept crossing, which no strand meets
     for cycle in cycles:
         passed = {n for e in cycle for n, _ in projection.strands[e].passages}
-        free_loops += passed.isdisjoint(new_index)
-    new_nodes = [d.nodes[n] for n in kept_crossings]
-
-    def advance(dart: Dart) -> Dart | None:
-        """From an outgoing dart, next kept-crossing attachment (or None if
-        the walk closes without meeting one)."""
-        cur = d.pair[dart]
-        while True:
-            n, s = cur
-            if n in new_index:
-                return cur
-            if d.is_crossing(n):
-                cur = d.pair[(n, (s + 2) % 4)]
-            else:
-                if cur not in vertex_join:
-                    raise TopologyError("strand leaves the selected cycles")
-                cur = d.pair[vertex_join[cur]]
-            if cur == d.pair[dart]:
-                return None
-
-    new_arcs = []
-    seen: set[Dart] = set()
-    for n in kept_crossings:
+        free_loops += passed.isdisjoint(kept)
+    for n in set(d.crossings()).difference(kept):
         for s in range(4):
-            start = (n, s)
-            if start in seen:
-                continue
-            end = advance(start)
-            if end is None:
-                raise TopologyError("walk failed to terminate at a crossing")
-            seen.add(start)
-            seen.add(end)
-            new_arcs.append(((new_index[n], s), (new_index[end[0]], end[1])))
-
-    return Diagram(new_nodes, new_arcs, free_loops)
+            thru[(n, s)] = (n, (s + 2) % 4)
+    arcs, _passed = _rejoin(d, kept, thru)
+    return Diagram([d.nodes[n] for n in kept], arcs, free_loops)
 
 
 # -- serialization -------------------------------------------------------------

@@ -767,7 +767,6 @@ def crossing_number(
     not run again.
     """
     budget = budget or Budget()
-    notes: list[str] = []
     ub = d.crossing_count
     lb, obstructions = lower_bound_obstructions(d, stop_when=ub, scan=scan)
     if (
@@ -779,60 +778,31 @@ def crossing_number(
     ):
         return replace(mirror, obstructions=obstructions)
     if ub <= lb:
-        notes.append("diagram already meets its lower bound; no search needed")
-        return CrossingNumberReport(
-            value=ub,
-            lower_bound=lb,
-            upper_bound=ub,
-            conclusive=True,
-            cap_relative=False,
-            crossing_cap=budget.max_crossings,
-            states=0,
-            obstructions=obstructions,
-            notes=tuple(notes),
-        )
-    result = search_min_crossings(d, budget, stop_at=lb)
-    found = result.best.crossing_count
-    if found <= lb:
-        notes.append("search met the lower bound")
-        return CrossingNumberReport(
-            value=found,
-            lower_bound=lb,
-            upper_bound=found,
-            conclusive=True,
-            cap_relative=False,
-            crossing_cap=budget.max_crossings,
-            states=result.states,
-            obstructions=obstructions,
-            notes=tuple(notes),
-        )
-    if result.exhausted:
-        notes.append(
-            f"exhausted every diagram reachable with at most "
-            f"{budget.max_crossings} crossings"
-        )
-        return CrossingNumberReport(
-            value=found,
-            lower_bound=lb,
-            upper_bound=found,
-            conclusive=True,
-            cap_relative=True,
-            crossing_cap=budget.max_crossings,
-            states=result.states,
-            obstructions=obstructions,
-            notes=tuple(notes),
-        )
-    notes.append("state budget exhausted before the search finished")
+        found, states, exhausted = ub, 0, False
+        note = "diagram already meets its lower bound; no search needed"
+    else:
+        result = search_min_crossings(d, budget, stop_at=lb)
+        found, states, exhausted = result.best.crossing_count, result.states, result.exhausted
+        if found <= lb:
+            note = "search met the lower bound"
+        elif exhausted:
+            note = (
+                f"exhausted every diagram reachable with at most "
+                f"{budget.max_crossings} crossings"
+            )
+        else:
+            note = "state budget exhausted before the search finished"
+    conclusive = found <= lb or exhausted
     return CrossingNumberReport(
-        value=None,
+        value=found if conclusive else None,
         lower_bound=lb,
         upper_bound=found,
-        conclusive=False,
-        cap_relative=False,
+        conclusive=conclusive,
+        cap_relative=found > lb and exhausted,
         crossing_cap=budget.max_crossings,
-        states=result.states,
+        states=states,
         obstructions=obstructions,
-        notes=tuple(notes),
+        notes=(note,),
     )
 
 

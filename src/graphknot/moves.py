@@ -498,8 +498,6 @@ def search_min_crossings(
             if stop_at is not None and nd.crossing_count <= stop_at:
                 return SearchResult(best=nd, exhausted=False, states=len(seen))
             queue.append(nd)
-    if queue:
-        exhausted = False
     return SearchResult(best=best, exhausted=exhausted, states=len(seen))
 
 

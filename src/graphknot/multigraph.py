@@ -119,17 +119,6 @@ class Multigraph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    # -- transformations ---------------------------------------------------
-
-    def relabel(self, perm: "Permutation") -> "Multigraph":
-        """Apply a vertex permutation to every edge."""
-        if perm.degree != self.vertex_count:
-            raise InvalidVertexError("permutation degree does not match graph")
-        return Multigraph(
-            self.vertex_count,
-            tuple((perm(u), perm(v)) for u, v in self.edges),
-        )
-
     def is_planar(self) -> bool:
         simple = nx.Graph()
         simple.add_nodes_from(range(self.vertex_count))

@@ -47,25 +47,6 @@ def normalize_fraction(p: int, q: int) -> Fraction2:
     return (p // g, q // g)
 
 
-def twist_fraction(f: Fraction2, kind: str, sign: int) -> Fraction2:
-    """Apply one twist to a tangle fraction."""
-    if sign not in (1, -1):
-        raise FormatError("twist sign must be +1 or -1")
-    p, q = f
-    if kind == "h":
-        return normalize_fraction(p + sign * q, q)
-    if kind == "v":
-        return normalize_fraction(p, q + sign * p)
-    raise FormatError(f"unknown twist kind {kind!r}")
-
-
-def fraction_from_twists(twists, start: Fraction2 = ZERO) -> Fraction2:
-    f = start
-    for kind, sign in twists:
-        f = twist_fraction(f, kind, sign)
-    return f
-
-
 @dataclass(frozen=True)
 class RationalTangle:
     """A tangle given by a twist-count sequence (innermost block first).

@@ -21,6 +21,7 @@ from graphknot import (
     diagram_to_text,
     disjoint_union_diagrams,
     extract_sublink,
+    kauffman_bracket,
     mirror_diagram,
     parse_diagram,
     simple_cycles,
@@ -36,7 +37,8 @@ from graphknot.gallery import (
     unlink,
     wheel4,
 )
-from graphknot.invariants import cycle_vertices
+from graphknot.diagram import splice_identify
+from graphknot.invariants import CIRCLE_POLY, LaurentPoly, cycle_vertices
 from graphknot.layout import base_diagram
 
 
@@ -271,3 +273,66 @@ def test_base_diagram_of_k5_is_the_stored_drawing():
     text = diagram_to_text(base_diagram(complete_graph(5)))
     assert text == (DATA / "k5.diagram").read_text()
     assert text == json.loads((DATA / "k5_certificate.json").read_text())["diagram"]
+
+
+RATIONAL_CLOSURES = [
+    closure(RationalTangle(word))
+    for word in [(2,), (3,), (4,), (2, 2), (3, 2), (2, 1, 2), (-2, 3), (2, 2, 2)]
+    for closure in (RationalTangle.closure_n, RationalTangle.closure_d)
+]
+
+
+def smoothed(d, a_smoothing):
+    """``splice_identify`` of the crossings ``n`` in ``a_smoothing`` by the
+    A-smoothing where it maps ``n`` to True and the B-smoothing elsewhere:
+    over at parity ``o``, A joins slots (o+1, o+2) and (o+3, o), and B joins
+    (o, o+1) and (o+2, o+3)."""
+    thru = {}
+    for n, a in a_smoothing.items():
+        o = d.nodes[n].over
+        for s, t in ((o + 1, o + 2), (o + 3, o)) if a else ((o, o + 1), (o + 2, o + 3)):
+            thru[(n, s % 4)] = (n, t % 4)
+            thru[(n, t % 4)] = (n, s % 4)
+    return splice_identify(d, thru)
+
+
+def states(d):
+    """Every A/B state of ``d``'s crossings, as maps to True at A."""
+    xs = d.crossings()
+    for word in range(1 << len(xs)):
+        yield {n: bool(word >> j & 1) for j, n in enumerate(xs)}
+
+
+@pytest.mark.parametrize("d", RATIONAL_CLOSURES)
+def test_splicing_every_crossing_sums_to_the_bracket(d):
+    total = LaurentPoly.zero()
+    for state in states(d):
+        loops = smoothed(d, state)
+        assert not loops.nodes and not loops.arcs
+        a = sum(state.values())
+        exp = a - (len(state) - a)
+        total = total + CIRCLE_POLY ** (loops.free_loops - 1) * LaurentPoly.monomial(1, exp)
+    assert total == kauffman_bracket(d)
+
+
+@pytest.mark.parametrize("d", RATIONAL_CLOSURES)
+def test_splicing_in_two_steps_leaves_the_same_circles(d):
+    # the first step reroutes strands through some crossings and closes the
+    # circles that run only through them; the second finishes the state
+    xs = d.crossings()
+    for first in (xs[:1], xs[::2], xs[1:]):
+        kept = [n for n in xs if n not in first]
+        for state in states(d):
+            part = smoothed(d, {n: state[n] for n in first})
+            rest = smoothed(part, {i: state[n] for i, n in enumerate(kept)})
+            assert rest.free_loops == smoothed(d, state).free_loops
+
+
+def test_splice_identify_rejects_bad_identifications():
+    d = trefoil()
+    with pytest.raises(FormatError, match="cover each removed slot"):
+        splice_identify(d, {(0, 0): (0, 1), (0, 1): (0, 0)})
+    with pytest.raises(FormatError, match="involution"):
+        splice_identify(d, {(0, s): (0, (s + 1) % 4) for s in range(4)})
+    with pytest.raises(FormatError, match="involution"):
+        splice_identify(d, {(0, s): (0, s) for s in range(4)})

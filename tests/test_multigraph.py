@@ -62,8 +62,9 @@ def test_automorphism_guard_at_its_edge():
 
 def test_automorphisms_fix_the_graph():
     g = one_point_union(cycle_graph(3), 0, cycle_graph(3), 0)
+    edges = sorted(g.edges)
     for p in automorphisms(g).elements:
-        assert g.relabel(p) == g
+        assert sorted(tuple(sorted((p(u), p(v)))) for u, v in g.edges) == edges
 
 
 def test_orbits_of_the_bowtie():
@@ -156,5 +157,6 @@ def test_permutation_algebra():
 def test_isomorphism_examples():
     assert are_isomorphic(cycle_graph(3), complete_graph(3))
     assert not are_isomorphic(cycle_graph(4), path_graph(4))
-    relabeled = complete_bipartite(2, 3).relabel(Permutation((4, 2, 0, 3, 1)))
+    p = Permutation((4, 2, 0, 3, 1))
+    relabeled = Multigraph(5, [(p(u), p(v)) for u, v in complete_bipartite(2, 3).edges])
     assert are_isomorphic(relabeled, complete_bipartite(2, 3))

@@ -18,11 +18,9 @@ from graphknot.gallery import trefoil, wheel4
 from graphknot.invariants import LaurentPoly
 from graphknot.layout import base_diagram
 from graphknot.tangle import (
-    fraction_from_twists,
     infinity_tangle,
     normalize_fraction,
     tangle_from_fraction,
-    twist_fraction,
     zero_tangle,
 )
 
@@ -44,11 +42,15 @@ def test_small_fractions():
 
 
 def test_twist_rules():
-    # horizontal twists add to the numerator, vertical to the denominator
-    assert twist_fraction((3, 2), "h", 1) == (5, 2)
-    assert twist_fraction((3, 2), "v", 1) == (3, 5)
-    assert twist_fraction((1, 0), "v", 1) == (1, 1)
-    assert fraction_from_twists([("h", 1)] * 4, (0, 1)) == (4, 1)
+    # horizontal twists add to the numerator, vertical to the denominator:
+    # one more twist in the last (horizontal) block sends f to f + 1, and a
+    # block of one vertical twist closed by an empty horizontal block sends
+    # f to 1/(1/f + 1)
+    assert RationalTangle((2, 1)).fraction() == (3, 2)
+    assert RationalTangle((2, 2)).fraction() == (5, 2)
+    assert RationalTangle((2, 1, 1, 0)).fraction() == (3, 5)
+    assert RationalTangle((1, 0)).fraction() == (1, 1)  # from infinity
+    assert RationalTangle((4,)).fraction() == (4, 1)
 
 
 def test_normalize_fraction():
