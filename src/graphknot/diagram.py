@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     FormatError,
@@ -34,14 +35,11 @@ class Crossing:
     """4-valent node; slots whose parity equals ``over`` pass on top."""
 
     over: int
+    degree = 4  # a class attribute, not a field
 
     def __post_init__(self) -> None:
         if self.over not in (0, 1):
             raise FormatError("crossing 'over' parity must be 0 or 1")
-
-    @property
-    def degree(self) -> int:
-        return 4
 
     def is_over_slot(self, slot: int) -> bool:
         return slot % 2 == self.over
@@ -53,8 +51,12 @@ class Vertex:
     degree: int
 
     def __post_init__(self) -> None:
-        if not self.label or any(ch.isspace() for ch in self.label) or "." in self.label:
-            raise FormatError(f"bad vertex label {self.label!r}")
+        # the text format splits lines at whitespace and cuts comments at "#"
+        label = self.label
+        if not isinstance(label, str) or not label or any(
+            ch.isspace() or ch in ".#" for ch in label
+        ):
+            raise FormatError(f"bad vertex label {label!r}")
         if self.degree < 0:
             raise FormatError("vertex degree must be non-negative")
 
@@ -68,78 +70,92 @@ _CROSSING_HEADS = (("x", 0), ("x", 1))
 _SHADOW_HEADS = (("x", 0), ("x", 0))
 
 
-def _normalize_arc(arc) -> Arc:
-    (a, b) = arc
-    a = (int(a[0]), int(a[1]))
-    b = (int(b[0]), int(b[1]))
-    return (a, b) if a <= b else (b, a)
-
-
 class Diagram:
     """Immutable sphere diagram.  Construction validates the embedding."""
 
     __slots__ = (
-        "nodes", "arcs", "free_loops", "_pair", "_faces", "_components", "_code", "_shadow"
+        "nodes", "arcs", "free_loops", "crossing_count", "_darts", "_pair", "_faces",
+        "_components", "_code", "_shadow",
     )
 
     def __init__(self, nodes, arcs, free_loops: int = 0):
         self.nodes: tuple[Node, ...] = tuple(nodes)
-        self.arcs: tuple[Arc, ...] = tuple(sorted(_normalize_arc(a) for a in arcs))
         self.free_loops = int(free_loops)
         self._pair = None
         self._faces = None
         self._components = None
         self._code = None
         self._shadow = None
-        self._validate()
+        try:
+            self.arcs: tuple[Arc, ...] = tuple(
+                sorted((a, b) if a <= b else (b, a) for a, b in arcs)
+            )
+            self._validate()
+        except TypeError:
+            raise FormatError("arc ends must be pairs of integers") from None
 
     # -- construction checks ------------------------------------------------
 
     def _validate(self) -> None:
+        """Check the embedding and build the flat dart arrays ``_darts``:
+        each node's degree, the index of each node's slot 0 (dart ``(n, s)``
+        has index ``first[n] + s``, and ``first`` ends with the dart count),
+        and each dart's partner ``(node, slot)`` by index."""
         if self.free_loops < 0:
             raise FormatError("free loop count must be non-negative")
         labels = [n.label for n in self.nodes if isinstance(n, Vertex)]
         if len(labels) != len(set(labels)):
             raise FormatError("vertex labels must be distinct")
+        self.crossing_count = len(self.nodes) - len(labels)
         deg = [node.degree for node in self.nodes]
-        pair: dict[Dart, Dart] = {}
+        first = list(accumulate(deg, initial=0))
+        # keyed by dart index, so a huge declared degree allocates nothing
+        mate: dict[int, Dart] = {}
         for a, b in self.arcs:
             # both ends checked in line: a loop over (a, b) costs more than
             # the checks themselves
             n, s = a
             if not (0 <= n < len(deg)):
                 raise InvalidVertexError(f"arc endpoint {a} names no node")
-            if not (0 <= s < deg[n]):
-                raise FormatError(f"slot {s} out of range at node {n}")
-            if a in pair:
+            if type(s) is not int or not (0 <= s < deg[n]):
+                raise FormatError(f"slot {s!r} out of range at node {n}")
+            i = first[n] + s
+            if i in mate:
                 raise TopologyError(f"slot {a} used by two arc ends")
-            pair[a] = b
+            mate[i] = b
             n, s = b
             if not (0 <= n < len(deg)):
                 raise InvalidVertexError(f"arc endpoint {b} names no node")
-            if not (0 <= s < deg[n]):
-                raise FormatError(f"slot {s} out of range at node {n}")
-            if b in pair:
+            if type(s) is not int or not (0 <= s < deg[n]):
+                raise FormatError(f"slot {s!r} out of range at node {n}")
+            i = first[n] + s
+            if i in mate:
                 raise TopologyError(f"slot {b} used by two arc ends")
-            pair[b] = a
-        if len(pair) != sum(deg):
+            mate[i] = a
+        if len(mate) != first[-1]:
             raise TopologyError("every slot must be matched by exactly one arc end")
-        self._pair = pair
+        partner = [mate[i] for i in range(first[-1])]
+        self._darts = (deg, first, partner)
         # sphere check, one component at a time: V - E + F = 2
         comps = self.components()
         comp_of = [0] * len(deg)
         for ci, comp in enumerate(comps):
             for n in comp:
                 comp_of[n] = ci
-        edge_count = [0] * len(comps)
-        for a, _b in self.arcs:
-            edge_count[comp_of[a[0]]] += 1
         face_count = [0] * len(comps)
-        for face in self.faces():
-            face_count[comp_of[face[0][0]]] += 1
+        phi = [first[m] + (t + 1) % deg[m] for m, t in partner]
+        seen = bytearray(len(phi))
+        for start, (m, _t) in enumerate(partner):
+            if not seen[start]:
+                # the partner of a face's dart is in the face's component
+                face_count[comp_of[m]] += 1
+                i = start
+                while not seen[i]:
+                    seen[i] = 1
+                    i = phi[i]
         for ci, comp in enumerate(comps):
             f = face_count[ci] or 1  # isolated degree-0 vertex
-            chi = len(comp) - edge_count[ci] + f
+            chi = len(comp) - sum(deg[n] for n in comp) // 2 + f
             if chi != 2:
                 raise TopologyError(
                     f"component {sorted(comp)} has Euler characteristic {chi}, "
@@ -153,10 +169,6 @@ class Diagram:
 
     def is_crossing(self, n: int) -> bool:
         return isinstance(self.nodes[n], Crossing)
-
-    @property
-    def crossing_count(self) -> int:
-        return sum(1 for node in self.nodes if isinstance(node, Crossing))
 
     def crossings(self) -> list[int]:
         return [i for i, node in enumerate(self.nodes) if isinstance(node, Crossing)]
@@ -175,7 +187,14 @@ class Diagram:
 
     @property
     def pair(self) -> dict[Dart, Dart]:
-        """The arc partner of every dart (built once, by validation)."""
+        """The arc partner of every dart, built on first use.  Validation,
+        components and traces read the flat arrays ``_darts`` instead."""
+        if self._pair is None:
+            pair: dict[Dart, Dart] = {}
+            for a, b in self.arcs:
+                pair[a] = b
+                pair[b] = a
+            self._pair = pair
         return self._pair
 
     def phi(self, d: Dart) -> Dart:
@@ -186,25 +205,21 @@ class Diagram:
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
         """Face orbits, each starting at its least dart, in dart order."""
         if self._faces is None:
-            pair = self._pair
-            deg = [node.degree for node in self.nodes]
-            visited: set[Dart] = set()
+            deg, first, partner = self._darts
+            darts = self.darts()
+            seen = bytearray(len(darts))
             out = []
             # scanning darts in order, the first dart met of each orbit is
             # its least one
-            for n, k in enumerate(deg):
-                for s in range(k):
-                    start = (n, s)
-                    if start in visited:
-                        continue
-                    orbit = [start]
-                    m, t = pair[start]
-                    d = (m, (t + 1) % deg[m])
-                    while d != start:
-                        orbit.append(d)
-                        m, t = pair[d]
-                        d = (m, (t + 1) % deg[m])
-                    visited.update(orbit)
+            for start in range(len(darts)):
+                orbit = []
+                i = start
+                while not seen[i]:
+                    seen[i] = 1
+                    orbit.append(darts[i])
+                    m, t = partner[i]
+                    i = first[m] + (t + 1) % deg[m]
+                if orbit:
                     out.append(tuple(orbit))
             self._faces = tuple(out)
         return self._faces
@@ -212,18 +227,16 @@ class Diagram:
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components of the node set under arcs, by least node."""
         if self._components is None:
-            pair = self._pair
-            deg = [node.degree for node in self.nodes]
-            placed = [False] * len(deg)
+            _deg, first, partner = self._darts
+            placed = [False] * len(self.nodes)
             out = []
-            for start in range(len(deg)):
+            for start in range(len(self.nodes)):
                 if placed[start]:
                     continue
                 placed[start] = True
                 members = [start]
                 for n in members:  # grows as the search reaches new nodes
-                    for s in range(deg[n]):
-                        m = pair[(n, s)][0]
+                    for m, _t in partner[first[n]:first[n + 1]]:
                         if not placed[m]:
                             placed[m] = True
                             members.append(m)
@@ -250,56 +263,6 @@ class Diagram:
 
     # -- canonical form -------------------------------------------------------
 
-    def _trace(self, root: Dart, deg: list[int], heads, best=None):
-        """Breadth-first code of the component of ``root``, rooted at it.
-
-        Node numbers and slot origins are both traversal-derived, so two
-        diagrams get equal codes exactly when they are the same map up to
-        renumbering nodes and rotating slot labels.  ``deg`` lists each
-        node's degree.  ``heads`` gives a crossing's head by its over parity
-        relative to its origin slot: ``_CROSSING_HEADS``, or
-        ``_SHADOW_HEADS`` for the code of the shadow.
-
-        ``best`` is the least code found so far for the same component (same
-        row count).  The trace compares itself with it row by row and
-        returns None as soon as its rows so far are larger, since it can
-        then no longer be the minimum.
-        """
-        nodes = self.nodes
-        pair = self._pair
-        number = [-1] * len(nodes)
-        origin = [0] * len(nodes)
-        number[root[0]] = 0
-        origin[root[0]] = root[1]
-        order = [root[0]]
-        code = []
-        tied = best is not None
-        for i, n in enumerate(order):  # order grows as nodes get numbers
-            node = nodes[n]
-            o = origin[n]
-            if isinstance(node, Crossing):
-                head = heads[(node.over - o) % 2]
-            else:
-                head = ("v", node.label, node.degree)
-            k = deg[n]
-            row = []
-            for j in range(k):
-                m, t = pair[(n, (o + j) % k)]
-                if number[m] < 0:
-                    row.append((len(order), 0))
-                    number[m] = len(order)
-                    origin[m] = t
-                    order.append(m)
-                else:
-                    row.append((number[m], (t - origin[m]) % deg[m]))
-            entry = (head, tuple(row))
-            if tied and entry != best[i]:
-                if entry > best[i]:
-                    return None
-                tied = False
-            code.append(entry)
-        return tuple(code), order, origin
-
     def _root_candidates(self, comp: list[int], shadow: bool) -> list[Dart]:
         """Darts that can start a minimal trace of a component, in order.
 
@@ -323,25 +286,71 @@ class Diagram:
     def _least_traces(self, shadow: bool = False):
         """(code, node order, slot origins) of each component's least trace,
         in component order; the first root to reach the least code wins.
-        A shadow trace gives every crossing the head ``("x", 0)``."""
+
+        A trace is the breadth-first code of a component from a root dart.
+        Node numbers and slot origins are both traversal-derived, so two
+        diagrams get equal codes exactly when they are the same map up to
+        renumbering nodes and rotating slot labels.  Each row heads with its
+        node: a crossing by its over parity relative to its origin slot, or
+        always ``("x", 0)`` in a shadow trace.
+
+        The traces from every root candidate advance together, one row at a
+        time, and a trace drops out once its row is larger than the least
+        row of that round, so no root is traced twice.
+        """
         heads = _SHADOW_HEADS if shadow else _CROSSING_HEADS
-        deg = [node.degree for node in self.nodes]
+        nodes = self.nodes
+        deg, first, partner = self._darts
         pieces = []
         for comp in self.components():
             comp = sorted(comp)
             if len(comp) == 1 and not deg[comp[0]]:
                 n = comp[0]
-                node = self.nodes[n]
+                node = nodes[n]
                 pieces.append(
                     (((("isolated", node.label, node.degree), ()),), [n], {n: 0})
                 )
                 continue
-            best = None
-            for d in self._root_candidates(comp, shadow):
-                traced = self._trace(d, deg, heads, None if best is None else best[0])
-                if traced is not None and (best is None or traced[0] < best[0]):
-                    best = traced
-            pieces.append(best)
+            traces = []  # each candidate's node numbers, slot origins, order
+            for n, o in self._root_candidates(comp, shadow):
+                number = [-1] * len(nodes)
+                origin = [0] * len(nodes)
+                number[n] = 0
+                origin[n] = o
+                traces.append((number, origin, [n]))
+            code = []
+            for i in range(len(comp)):
+                least = None
+                for trace in traces:
+                    number, origin, order = trace
+                    n = order[i]  # order grows as nodes get numbers
+                    node = nodes[n]
+                    o = origin[n]
+                    if isinstance(node, Crossing):
+                        head = heads[(node.over - o) % 2]
+                    else:
+                        head = ("v", node.label, node.degree)
+                    row = []
+                    # the partners of the slots from o on, counter-clockwise
+                    cut = first[n] + o
+                    for m, t in partner[cut:first[n + 1]] + partner[first[n]:cut]:
+                        q = number[m]
+                        if q < 0:
+                            number[m] = q = len(order)
+                            origin[m] = t
+                            order.append(m)
+                            row.append((q, 0))
+                        else:
+                            row.append((q, (t - origin[m]) % deg[m]))
+                    row = (head, tuple(row))
+                    if row == least:
+                        kept.append(trace)
+                    elif least is None or row < least:
+                        least, kept = row, [trace]
+                code.append(least)
+                traces = kept
+            _number, origin, order = traces[0]
+            pieces.append((tuple(code), order, origin))
         return pieces
 
     def canonical_code(self):
@@ -485,8 +494,8 @@ class Diagram:
 
     def with_parities(self, overs: dict[int, int]) -> "Diagram":
         """This map with crossing ``n`` over at parity ``overs[n]``, sharing the
-        validated pair, faces, components and shadow code (``__init__`` is
-        not run)."""
+        validated dart arrays, pair, faces, components and shadow code
+        (``__init__`` is not run)."""
         nodes = list(self.nodes)
         for n, over in overs.items():
             if not isinstance(nodes[n], Crossing):
@@ -494,6 +503,7 @@ class Diagram:
             nodes[n] = Crossing(over)
         out = object.__new__(Diagram)
         out.nodes, out.arcs, out.free_loops = tuple(nodes), self.arcs, self.free_loops
+        out.crossing_count, out._darts = self.crossing_count, self._darts
         out._pair, out._faces = self._pair, self._faces
         out._components, out._code = self._components, None
         out._shadow = self._shadow
@@ -854,6 +864,13 @@ def diagram_to_json(d: Diagram) -> str:
     )
 
 
+def _json_int(value) -> int:
+    """``value`` if it is a JSON integer; ``true``, ``1.0`` and ``"1"`` are not."""
+    if type(value) is not int:
+        raise FormatError(f"expected an integer, not {value!r}")
+    return value
+
+
 def diagram_from_json(text: str) -> Diagram:
     try:
         data = json.loads(text)
@@ -863,14 +880,15 @@ def diagram_from_json(text: str) -> Diagram:
         nodes: list[Node] = []
         for entry in data["nodes"]:
             if entry["type"] == "crossing":
-                nodes.append(Crossing(entry["over"]))
+                nodes.append(Crossing(_json_int(entry["over"])))
             elif entry["type"] == "vertex":
-                nodes.append(Vertex(entry["label"], entry["degree"]))
+                nodes.append(Vertex(entry["label"], _json_int(entry["degree"])))
             else:
                 raise FormatError(f"unknown node type {entry['type']!r}")
         arcs = [
-            ((a[0], a[1]), (b[0], b[1])) for a, b in data["arcs"]
+            ((_json_int(a[0]), _json_int(a[1])), (_json_int(b[0]), _json_int(b[1])))
+            for a, b in data["arcs"]
         ]
-        return Diagram(nodes, arcs, data.get("free_loops", 0))
+        return Diagram(nodes, arcs, _json_int(data.get("free_loops", 0)))
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed diagram JSON: {exc!r}") from None

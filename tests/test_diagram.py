@@ -164,6 +164,55 @@ def test_json_rejects_non_integer_fields(field, value):
         diagram_from_json(json.dumps(data))
 
 
+def edited_json(d, path, value):
+    """``d``'s JSON with the value at key/index ``path`` replaced."""
+    data = json.loads(diagram_to_json(d))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("value", [1.7, 1.0, True, "2", None])
+def test_json_free_loops_must_be_an_integer(value):
+    with pytest.raises(FormatError):
+        diagram_from_json(edited_json(unlink(2), ("free_loops",), value))
+
+
+@pytest.mark.parametrize("value", ["0", 3.9, 1.0, True, None])
+@pytest.mark.parametrize("end", [0, 1])
+def test_json_arc_ends_must_be_integers(end, value):
+    for i in (0, 1):
+        with pytest.raises(FormatError):
+            diagram_from_json(edited_json(hopf_link(), ("arcs", 0, end, i), value))
+
+
+@pytest.mark.parametrize("value", [1.0, 0.0, True, False, "1"])
+def test_json_over_must_be_an_integer(value):
+    with pytest.raises(FormatError):
+        diagram_from_json(edited_json(hopf_link(), ("nodes", 0, "over"), value))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("degree", 4.0), ("degree", True), ("degree", "4"), ("label", 7), ("label", ["a"]),
+     ("label", "a#b")],
+)
+def test_json_vertex_fields_must_be_what_the_text_format_writes(key, value):
+    with pytest.raises(FormatError):
+        diagram_from_json(edited_json(k5_diagram(), ("nodes", 0, key), value))
+
+
+@pytest.mark.parametrize("slot", ["1", 1.5, 1.0, None, (1,)])
+def test_diagram_rejects_a_non_integer_dart(slot):
+    arcs = [((0, 0), (0, slot)), ((0, 2), (0, 3))]
+    with pytest.raises(FormatError):
+        Diagram([Crossing(0)], arcs)
+    with pytest.raises(FormatError):
+        Diagram([Crossing(0)], [(b, a) for a, b in arcs])
+
+
 def test_parse_errors():
     with pytest.raises(FormatError):
         parse_diagram("crossing 02")  # no header

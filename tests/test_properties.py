@@ -35,6 +35,7 @@ from graphknot import (
 from graphknot.cli import main
 from graphknot.criterion import VerifyReport
 from graphknot.diagram import Crossing, Diagram
+from graphknot.gallery import figure_eight, hopf_link, k4_diagram, k5_diagram, linked_triangles
 from graphknot.layout import base_diagram
 from graphknot.moves import normalize_shadow
 from graphknot.tangle import normalize_fraction, tangle_from_fraction
@@ -334,7 +335,9 @@ def test_parity_updates_match_a_full_construction(d, data):
     assert fast.pair == slow.pair
     assert fast.faces() == slow.faces()
     assert fast.components() == slow.components()
+    assert fast.crossing_count == slow.crossing_count
     assert fast.canonical_code() == slow.canonical_code()
+    assert fast.shadow_code() == slow.shadow_code()
     for v in d.vertices():
         with pytest.raises(InvalidVertexError):
             d.with_over(v, 0)
@@ -381,6 +384,61 @@ def test_shadow_code_is_the_code_of_the_shadow(d, data):
         assert twin.params in kept
         skipped = apply_move(fresh, site, shadow=True).shadow_code()
         assert skipped == apply_move(fresh, twin, shadow=True).shadow_code()
+
+
+def sequential_shadow_traces(d):
+    """Per component: the least shadow trace, its node order and slot
+    origins, and how many roots tie for it.  Every dart is a root, traced to
+    its end in dart order, and the first to reach the least code wins."""
+    pieces = []
+    for comp in reference_components(d):
+        best, ties = None, 0
+        for dart in [(n, s) for n in sorted(comp) for s in range(d.degree_of(n))]:
+            code, order, origin = reference_trace(d, dart)
+            code = tuple((("x", 0) if h[0] == "x" else h, row) for h, row in code)
+            if best is None or code < best[0]:
+                best, ties = (code, order, origin), 1
+            elif code == best[0]:
+                ties += 1
+        if best is None:  # an isolated vertex
+            node = d.nodes[min(comp)]
+            best, ties = (((("isolated", node.label, node.degree), ()),), [min(comp)], {}), 1
+        pieces.append((best, ties))
+    return pieces
+
+
+# T(2,n) closures have maps with symmetries, so several roots of a trace tie
+# for the least code
+tied_diagrams = st.one_of(
+    st.integers(2, 7).map(lambda n: RationalTangle((n,)).closure_n()),
+    st.integers(2, 7).map(lambda n: RationalTangle((n,)).closure_d()),
+    st.just(k5_diagram()),
+    link_diagrams(),
+    graph_diagrams(),
+)
+
+
+@given(tied_diagrams, st.data())
+@settings(deadline=None)
+def test_lock_step_traces_match_a_sequential_reference(d, data):
+    overs = data.draw(st.fixed_dictionaries({n: st.integers(0, 1) for n in d.crossings()}))
+    d = Diagram(d.with_parities(overs).nodes, d.arcs, d.free_loops)
+    pieces = sequential_shadow_traces(d)
+    codes = sorted(code for (code, _order, _origin), _ties in pieces)
+    assert d.shadow_code() == (tuple(codes), d.free_loops)
+    assert d.shadow_parities() == {
+        n: origin[n] % 2
+        for (_code, order, origin), _ties in pieces
+        for n in order
+        if isinstance(d.nodes[n], Crossing)
+    }
+    assert d.canonical_code() == reference_canonical_code(d)
+    assert d.canonical_form() == reference_canonical_form(d)
+
+
+def test_the_lock_step_corpus_has_tied_roots():
+    for d in (RationalTangle((5,)).closure_n(), RationalTangle((5,)).closure_d()):
+        assert any(ties > 1 for _trace, ties in sequential_shadow_traces(d))
 
 
 # -- moves --------------------------------------------------------------------------
@@ -574,3 +632,79 @@ def test_verify_survives_line_edits_of_the_embedded_diagram(text):
     data = dict(K5_CERTIFICATE, diagram=text)
     code, err = run_on_stdin(["verify", "-", "--json"], json.dumps(data))
     assert code in (0, 1, 2) and "Traceback" not in err
+
+
+# -- hostile diagram files ---------------------------------------------------------
+
+
+BOUNDARY_CORPUS = [
+    hopf_link(),
+    figure_eight(),
+    k4_diagram(),
+    k5_diagram(),
+    linked_triangles(),
+    RationalTangle((2, -1)).closure_d(),
+]
+BOUNDARY_JSON = [json.loads(diagram_to_json(d)) for d in BOUNDARY_CORPUS]
+
+# integers stay small: a JSON free-loop count of 2**63 is accepted, and its
+# text, one line per loop, cannot be written
+diagram_json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 40),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=6),
+        st.sampled_from(["crossing", "vertex", "a", "a#", "a.b", "a b", "0", "1.0"]),
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def assert_text_round_trips(d):
+    text = diagram_to_text(d)
+    back = parse_diagram(text)
+    assert back == d and diagram_to_text(back) == text
+
+
+@st.composite
+def json_value_edits(draw):
+    """A corpus diagram's JSON with one to three values replaced, at a
+    leaf or at any object or list above one."""
+    data = copy.deepcopy(draw(st.sampled_from(BOUNDARY_JSON)))
+    for _ in range(draw(st.integers(1, 3))):
+        leaf = draw(st.sampled_from(leaf_paths(data) or [()]))
+        path = leaf[: draw(st.integers(0, len(leaf)))]
+        if not path:
+            data = draw(diagram_json_values)
+            continue
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(diagram_json_values)
+    return json.dumps(data)
+
+
+@given(json_value_edits())
+@settings(deadline=None, max_examples=300)
+def test_diagram_json_is_read_or_rejected(text):
+    try:
+        d = diagram_from_json(text)
+    except GraphKnotError:
+        return
+    assert_text_round_trips(d)
+
+
+@given(st.sampled_from(BOUNDARY_CORPUS).flatmap(
+    lambda d: line_edits(diagram_to_text(d).splitlines())
+))
+@settings(deadline=None, max_examples=300)
+def test_diagram_text_is_read_or_rejected(text):
+    try:
+        d = parse_diagram(text)
+    except GraphKnotError:
+        return
+    assert_text_round_trips(d)
