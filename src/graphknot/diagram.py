@@ -330,7 +330,7 @@ class Diagram:
                         head = heads[(node.over - o) % 2]
                     else:
                         head = ("v", node.label, node.degree)
-                    row = []
+                    cells = []
                     # the partners of the slots from o on, counter-clockwise
                     cut = first[n] + o
                     for m, t in partner[cut:first[n + 1]] + partner[first[n]:cut]:
@@ -339,10 +339,10 @@ class Diagram:
                             number[m] = q = len(order)
                             origin[m] = t
                             order.append(m)
-                            row.append((q, 0))
+                            cells.append((q, 0))
                         else:
-                            row.append((q, (t - origin[m]) % deg[m]))
-                    row = (head, tuple(row))
+                            cells.append((q, (t - origin[m]) % deg[m]))
+                    row = (head, tuple(cells))
                     if row == least:
                         kept.append(trace)
                     elif least is None or row < least:

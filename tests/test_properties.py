@@ -161,8 +161,8 @@ def test_diagram_json_round_trip(d):
 
 # Reference implementations: the map structure computed the slow, obvious way,
 # and the canonical code as the least full trace over every dart of each
-# component.  ``Diagram`` prunes roots by their head and stops a trace once it
-# loses to the best so far; its answers must be exactly these.
+# component.  ``Diagram`` prunes roots by their head and drops a trace once a
+# row of it loses to another root's; its answers must be exactly these.
 
 
 def reference_pair(d):
