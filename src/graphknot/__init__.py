@@ -19,12 +19,9 @@ from .diagram import (
     Vertex,
     connected_sum_diagrams,
     crossing_assignments,
-    diagram_from_json,
-    diagram_to_json,
     diagram_to_text,
     disjoint_union_diagrams,
     extract_sublink,
-    mirror_diagram,
     parse_diagram,
 )
 from .errors import (
@@ -40,11 +37,8 @@ from .errors import (
 )
 from .invariants import (
     LaurentPoly,
-    bracket_state_sum,
     crossing_number,
-    cr_at_least_two,
     kauffman_bracket,
-    linking_number,
     span_lower_bound,
     writhe,
 )
@@ -78,7 +72,6 @@ from .multigraph import (
     Minimalizability,
     Permutation,
     automorphisms,
-    brute_force_automorphisms,
     complete_bipartite,
     complete_graph,
     cycle_graph,

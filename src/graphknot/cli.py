@@ -22,7 +22,7 @@ from .criterion import (
 )
 from .diagram import Diagram, Vertex, diagram_to_text, parse_diagram
 from .errors import FormatError, GraphKnotError, SizeLimitExceeded
-from .invariants import kauffman_bracket, linking_numbers, writhe
+from .invariants import MAX_BRACKET_CROSSINGS, kauffman_bracket, linking_numbers, writhe
 from .moves import Budget, simplify
 from .multigraph import Minimalizability, minimalizability, parse_graph
 from .tangle import VertexOrientation, parse_conway
@@ -91,6 +91,10 @@ def _cmd_invariant(args) -> int:
 
 def _cmd_tangle(args) -> int:
     t = parse_conway(args.word)
+    # each closure has one crossing per twist, so refuse before building one
+    crossings = sum(abs(a) for a in t.conway)
+    if crossings > MAX_BRACKET_CROSSINGS:
+        raise SizeLimitExceeded(f"{crossings} crossings exceeds the bracket guard")
     p, q = t.fraction()
     nf = t.normal_form()
     bracket_n = kauffman_bracket(t.closure_n())
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_criterion)
 
     s = subs.add_parser(
-        "crossing-number", help="minimum crossings over rewirings and assignments"
+        "crossing-number", help="minimum crossings over the assignments of one drawing"
     )
     s.add_argument("input", help="graph file, or - for stdin")
     _add_common(s, budget=True)

@@ -47,7 +47,7 @@ from .invariants import (
 )
 from .layout import base_diagram
 from .moves import Budget, descending_diagram
-from .multigraph import Multigraph, automorphisms, disjoint_union, one_point_union
+from .multigraph import Multigraph, disjoint_union, one_point_union
 from .tangle import RationalTangle, VertexOrientation, substitute
 
 TANGLE_PLUS = RationalTangle((1,))
@@ -192,7 +192,7 @@ def condition_ii(
         for r in (1, -1):
             sub = subs.assigned(r, bits)
             if sub.crossing_count <= 1:
-                continue  # as cr_at_least_two, which refutes these
+                continue  # it needs at most one crossing, so nothing bounds it by two
             found = subs.scan(r).at_least_two(sub)
             if found is not None:
                 hit = AssignmentRecord(bits, r, *found)
@@ -470,13 +470,11 @@ def verify_certificate(cert: NonPlanarCertificate | dict) -> VerifyReport:
 
 @dataclass(frozen=True)
 class Section3Subproblem:
-    rewiring: tuple[int, ...]
     assignment: tuple[int, ...]
     report: CrossingNumberReport
 
     def to_json(self):
         return {
-            "rewiring": list(self.rewiring),
             "assignment": list(self.assignment),
             "report": self.report.to_json(),
         }
@@ -514,13 +512,8 @@ def section3_crossing_number(
     switched) came first is given that one's report.  The reported value is
     the minimum, and it is withheld (``None``) if any subproblem's bounds
     fail to close.
-
-    The note on rewirings reports the automorphism group's order: ``g``'s
-    edges are kept sorted, so relabelling it by any automorphism gives ``g``
-    again, and the one distinct rewiring is the identity.
     """
-    notes = [f"{automorphisms(g).order} automorphisms gave 1 distinct rewirings"]
-    identity = tuple(range(g.vertex_count))
+    notes = []
     layered = descending_diagram(
         base_diagram(g, edge_order=edge_order).underlying_graph(), edge_order
     )
@@ -536,7 +529,7 @@ def section3_crossing_number(
         )
         mirror = reports.get(tuple(1 - b for b in bits))
         report = reports[bits] = crossing_number(assigned, sub_budget, scan, mirror)
-        subproblems.append(Section3Subproblem(identity, bits, report))
+        subproblems.append(Section3Subproblem(bits, report))
         if not report.conclusive:
             closed = False
         else:

@@ -14,7 +14,6 @@ Distinct components live on separate spheres.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -24,7 +23,7 @@ from .errors import (
     SizeLimitExceeded,
     TopologyError,
 )
-from .multigraph import Multigraph
+from .multigraph import Multigraph, parse_int
 
 Dart = tuple[int, int]
 Arc = tuple[Dart, Dart]
@@ -547,11 +546,6 @@ class GraphProjection:
         raise InvalidVertexError(f"{dart} is not a vertex slot on any strand")
 
 
-def mirror_diagram(d: Diagram) -> Diagram:
-    """Switch every crossing (the mirror image through the sphere)."""
-    return d.with_parities({n: 1 - d.nodes[n].over for n in d.crossings()})
-
-
 def _rejoin(d: Diagram, keep, thru: dict[Dart, Dart]):
     """The arcs among the nodes ``keep``, renumbered in that order, with each
     strand run on through the other nodes along ``thru``; and the set of
@@ -805,7 +799,7 @@ def parse_diagram(text: str) -> Diagram:
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'vertex <label> <degree>'")
             try:
-                degree = int(fields[2])
+                degree = parse_int(fields[2])
             except ValueError:
                 raise FormatError(f"line {lineno}: bad degree") from None
             nodes.append(Vertex(fields[1], degree))
@@ -822,7 +816,7 @@ def parse_diagram(text: str) -> Diagram:
                 if len(part) != 2:
                     raise FormatError(f"line {lineno}: bad arc end {token!r}")
                 try:
-                    ends.append((int(part[0]), int(part[1])))
+                    ends.append((parse_int(part[0]), parse_int(part[1])))
                 except ValueError:
                     raise FormatError(f"line {lineno}: bad arc end {token!r}") from None
             arcs.append(tuple(ends))
@@ -845,50 +839,3 @@ def diagram_to_text(d: Diagram) -> str:
         lines.append(f"arc {a[0]}.{a[1]} {b[0]}.{b[1]}")
     return "\n".join(lines) + "\n"
 
-
-def diagram_to_json(d: Diagram) -> str:
-    nodes = []
-    for node in d.nodes:
-        if isinstance(node, Crossing):
-            nodes.append({"type": "crossing", "over": node.over})
-        else:
-            nodes.append({"type": "vertex", "label": node.label, "degree": node.degree})
-    return json.dumps(
-        {
-            "nodes": nodes,
-            "arcs": [[list(a), list(b)] for a, b in d.arcs],
-            "free_loops": d.free_loops,
-        },
-        indent=2,
-        sort_keys=True,
-    )
-
-
-def _json_int(value) -> int:
-    """``value`` if it is a JSON integer; ``true``, ``1.0`` and ``"1"`` are not."""
-    if type(value) is not int:
-        raise FormatError(f"expected an integer, not {value!r}")
-    return value
-
-
-def diagram_from_json(text: str) -> Diagram:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad JSON: {exc}") from None
-    try:
-        nodes: list[Node] = []
-        for entry in data["nodes"]:
-            if entry["type"] == "crossing":
-                nodes.append(Crossing(_json_int(entry["over"])))
-            elif entry["type"] == "vertex":
-                nodes.append(Vertex(entry["label"], _json_int(entry["degree"])))
-            else:
-                raise FormatError(f"unknown node type {entry['type']!r}")
-        arcs = [
-            ((_json_int(a[0]), _json_int(a[1])), (_json_int(b[0]), _json_int(b[1])))
-            for a, b in data["arcs"]
-        ]
-        return Diagram(nodes, arcs, _json_int(data.get("free_loops", 0)))
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
-        raise FormatError(f"malformed diagram JSON: {exc!r}") from None

@@ -4,8 +4,7 @@ The bracket polynomial is computed by planar tangle contraction: crossings
 are added one at a time, and each non-crossing matching of the open
 boundary darts carries the states seen so far, collected by (state
 exponent, closed loops), before powers of the circle polynomial are
-expanded.  The exact 2^n state sum over smoothings, ``bracket_state_sum``,
-survives as the independent oracle that tests compare it with.
+expanded.
 Orientations for writhe and linking numbers are chosen canonically: every
 circle is traversed starting from its smallest entry dart.
 """
@@ -151,7 +150,7 @@ _LOOP_BITS = 16
 _LOOP_MASK = (1 << _LOOP_BITS) - 1
 _A_STEP = 1 << _LOOP_BITS
 
-# The bracket and its state-sum oracle refuse diagrams with more crossings.
+# The bracket refuses diagrams with more crossings.
 MAX_BRACKET_CROSSINGS = 20
 
 
@@ -160,8 +159,7 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
 
     The A-smoothing at a crossing whose over slots are ``(o, o+2)`` joins
     slot pairs ``(o+1, o+2)`` and ``(o+3, o)``; the B-smoothing joins
-    ``(o, o+1)`` and ``(o+2, o+3)``.  The result is identical to
-    ``bracket_state_sum``.
+    ``(o, o+1)`` and ``(o+2, o+3)``.
     """
     if d.vertices():
         raise NotALinkError("bracket is defined for link diagrams")
@@ -287,62 +285,6 @@ def _contract(d: Diagram) -> dict[int, int]:
     return states[()]
 
 
-def bracket_state_sum(d: Diagram) -> LaurentPoly:
-    """Bracket polynomial by the 2^n state sum; independent slow oracle for
-    tests.
-
-    The A-smoothing at a crossing whose over slots are ``(o, o+2)`` joins
-    slot pairs ``(o+1, o+2)`` and ``(o+3, o)``; the B-smoothing joins
-    ``(o, o+1)`` and ``(o+2, o+3)``.
-    """
-    if d.vertices():
-        raise NotALinkError("bracket is defined for link diagrams")
-    xs = d.crossings()
-    n = len(xs)
-    if n > MAX_BRACKET_CROSSINGS:
-        raise SizeLimitExceeded(f"{n} crossings exceeds the bracket guard")
-    if n == 0 and d.free_loops == 0:
-        raise NotALinkError("empty diagram has no bracket")
-    smooth_a = {}
-    smooth_b = {}
-    for c in xs:
-        o = d.nodes[c].over
-        smooth_a[c] = (((o + 1) % 4, (o + 2) % 4), ((o + 3) % 4, o))
-        smooth_b[c] = ((o, (o + 1) % 4), ((o + 2) % 4, (o + 3) % 4))
-    pair = d.pair
-    counts: dict[tuple[int, int], int] = {}
-    for word in range(1 << n):
-        match: dict[tuple[int, int], tuple[int, int]] = {}
-        a_count = 0
-        for j, c in enumerate(xs):
-            if (word >> j) & 1:
-                chosen = smooth_b[c]
-            else:
-                chosen = smooth_a[c]
-                a_count += 1
-            for s, t in chosen:
-                match[(c, s)] = (c, t)
-                match[(c, t)] = (c, s)
-        circles = d.free_loops
-        visited: set[tuple[int, int]] = set()
-        for dart in match:
-            if dart in visited:
-                continue
-            circles += 1
-            cur = dart
-            while cur not in visited:
-                visited.add(cur)
-                step = match[cur]
-                visited.add(step)
-                cur = pair[step]
-        key = (2 * a_count - n, circles)
-        counts[key] = counts.get(key, 0) + 1
-    total = LaurentPoly.zero()
-    for (exp, circles), mult in counts.items():
-        total = total + (_circle_power(circles - 1) * mult).shifted(exp)
-    return total
-
-
 # -- orientations, writhe, linking ----------------------------------------------
 
 
@@ -396,16 +338,6 @@ def linking_numbers(d: Diagram) -> dict[tuple[int, int], int]:
             raise TopologyError("odd crossing count between two circles")
         sums[key] = v // 2
     return sums
-
-
-def linking_number(d: Diagram) -> int:
-    """Linking number of a two-component link diagram."""
-    circles, _ = _passages(d)
-    if len(circles) + d.free_loops != 2:
-        raise NotALinkError("linking number needs exactly two components")
-    if d.free_loops:
-        return 0
-    return linking_numbers(d).get((0, 1), 0)
 
 
 # -- diagram shape predicates ------------------------------------------------------
@@ -805,33 +737,3 @@ def crossing_number(
         notes=(note,),
     )
 
-
-@dataclass(frozen=True)
-class CrTwoResult:
-    holds: bool | None  # None: no obstruction applies
-    certificate: Obstruction | None
-    states: int = 0
-    notes: tuple[str, ...] = ()
-
-    def to_json(self):
-        return {
-            "holds": self.holds,
-            "certificate": self.certificate.to_json() if self.certificate else None,
-            "states": self.states,
-            "notes": list(self.notes),
-        }
-
-
-def cr_at_least_two(d: Diagram) -> CrTwoResult:
-    """Certify that every diagram equivalent to ``d`` has at least two
-    crossings, or refute it for a diagram that has fewer.
-
-    Only obstructions (linked cycles, sublink spans) are tried; they hold
-    unconditionally, and the answer is ``None`` whenever none bites.
-    """
-    if d.crossing_count <= 1:
-        return CrTwoResult(False, None, notes=("diagram itself has few crossings",))
-    found = ObstructionScan(d).at_least_two(d)
-    if found is not None:
-        return CrTwoResult(True, found[0])
-    return CrTwoResult(None, None, notes=("no obstruction applies",))

@@ -10,6 +10,7 @@ edges.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -183,6 +184,15 @@ def cycle_graph(n: int) -> Multigraph:
 # -- text format -------------------------------------------------------------
 
 
+def parse_int(token: str) -> int:
+    """``token`` as an integer if it is ASCII digits with an optional leading
+    ``-``; otherwise ``ValueError``.  Every text reader reads its numbers
+    here, since ``int`` also takes other scripts' digits, ``1_0`` and ``+1``."""
+    if not re.fullmatch("-?[0-9]+", token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def parse_graph(text: str) -> Multigraph:
     """Parse the line-based graph format.
 
@@ -207,7 +217,7 @@ def parse_graph(text: str) -> Multigraph:
             if len(fields) != 2:
                 raise FormatError(f"line {lineno}: expected 'graph <n>'")
             try:
-                vertex_count = int(fields[1])
+                vertex_count = parse_int(fields[1])
             except ValueError:
                 raise FormatError(f"line {lineno}: bad vertex count") from None
         elif fields[0] == "edge":
@@ -216,7 +226,7 @@ def parse_graph(text: str) -> Multigraph:
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'edge <u> <v>'")
             try:
-                edges.append((int(fields[1]), int(fields[2])))
+                edges.append((parse_int(fields[1]), parse_int(fields[2])))
             except ValueError:
                 raise FormatError(f"line {lineno}: bad vertex label") from None
         else:
@@ -252,7 +262,7 @@ class Permutation:
 
 
 def _profiles(g: Multigraph) -> list[tuple]:
-    """Cheap per-vertex invariants used to prune the isomorphism search."""
+    """Cheap per-vertex invariants used to prune the automorphism search."""
     degs = g.degrees()
     out = []
     for v in range(g.vertex_count):
@@ -272,15 +282,11 @@ def _adjacency(g: Multigraph) -> list[list[int]]:
     return m
 
 
-def _mappings(g: Multigraph, h: Multigraph):
-    """Yield vertex bijections g -> h preserving edge multiplicities."""
+def _mappings(g: Multigraph):
+    """Yield the vertex permutations of ``g`` preserving edge multiplicities."""
     n = g.vertex_count
-    if n != h.vertex_count or g.edge_count != h.edge_count:
-        return
-    pg, ph = _profiles(g), _profiles(h)
-    if sorted(pg) != sorted(ph):
-        return
-    ag, ah = _adjacency(g), _adjacency(h)
+    profile = _profiles(g)
+    adj = _adjacency(g)
     image = [-1] * n
     used = [False] * n
 
@@ -289,11 +295,11 @@ def _mappings(g: Multigraph, h: Multigraph):
             yield Permutation(tuple(image))
             return
         for w in range(n):
-            if used[w] or pg[k] != ph[w]:
+            if used[w] or profile[k] != profile[w]:
                 continue
-            if ag[k][k] != ah[w][w]:
+            if adj[k][k] != adj[w][w]:
                 continue
-            if any(ag[k][j] != ah[w][image[j]] for j in range(k)):
+            if any(adj[k][j] != adj[w][image[j]] for j in range(k)):
                 continue
             image[k] = w
             used[w] = True
@@ -347,28 +353,8 @@ def automorphisms(g: Multigraph) -> AutGroup:
             f"{g.vertex_count} vertices exceeds the guard of "
             f"{DEFAULT_MAX_AUT_VERTICES}"
         )
-    elems = tuple(_mappings(g, g))
+    elems = tuple(_mappings(g))
     return AutGroup(g.vertex_count, elems)
-
-
-def brute_force_automorphisms(g: Multigraph) -> AutGroup:
-    """Filter all n! permutations; independent slow oracle for tests."""
-    edge_multiset = sorted(g.edges)
-    elems = []
-    for image in itertools.permutations(range(g.vertex_count)):
-        mapped = sorted(
-            (image[u], image[v]) if image[u] <= image[v] else (image[v], image[u])
-            for u, v in g.edges
-        )
-        if mapped == edge_multiset:
-            elems.append(Permutation(image))
-    return AutGroup(g.vertex_count, tuple(elems))
-
-
-def are_isomorphic(g: Multigraph, h: Multigraph) -> bool:
-    for _ in _mappings(g, h):
-        return True
-    return False
 
 
 # -- minimalizability -----------------------------------------------------

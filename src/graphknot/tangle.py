@@ -26,6 +26,7 @@ from .diagram import (
     splice_identify,
 )
 from .errors import FormatError, WrongDegreeError
+from .multigraph import parse_int
 
 END_LABELS = ("__end_a", "__end_b", "__end_c", "__end_d")
 _A, _B, _C, _D = END_LABELS
@@ -122,7 +123,7 @@ def parse_conway(text: str) -> RationalTangle:
     if not text:
         raise FormatError("empty tangle description")
     try:
-        entries = tuple(int(tok) for tok in text.split())
+        entries = tuple(parse_int(tok) for tok in text.split())
     except ValueError:
         raise FormatError(f"bad twist sequence {text!r}") from None
     return RationalTangle(entries)

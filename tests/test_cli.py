@@ -1,11 +1,12 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from graphknot import diagram_to_text, graph_to_text, complete_graph
+from graphknot import Multigraph, diagram_to_text, graph_to_text, complete_graph
 from graphknot.cli import main
 from graphknot.diagram import Diagram
 from graphknot.gallery import hopf_link, k5_diagram, kinked_unknot
@@ -107,6 +108,25 @@ def test_crossing_number_driver(capsys, k5_graph_file):
     code, out = run(capsys, "crossing-number", k5_graph_file)
     assert code == 0
     assert out.splitlines()[0] == "crossing number: 1"
+
+
+def test_crossing_number_of_a_long_path(capsys, tmp_path):
+    from graphknot import path_graph
+
+    path = tmp_path / "p11.graph"
+    path.write_text(graph_to_text(path_graph(11)))
+    code, out = run(capsys, "crossing-number", str(path), "--json")
+    data = json.loads(out)
+    assert code == 0 and data["value"] == 0 and data["closed"] is True
+
+
+def test_crossing_number_of_a_large_grid_exits_two(capsys, tmp_path):
+    edges = [(8 * r + c, 8 * r + c + 1) for r in range(8) for c in range(7)]
+    edges += [(8 * r + c, 8 * r + c + 8) for r in range(7) for c in range(8)]
+    path = tmp_path / "grid8.graph"
+    path.write_text(graph_to_text(Multigraph(64, tuple(edges))))
+    assert main(["crossing-number", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("budget exceeded:")
 
 
 def test_simplify_removes_kinks(capsys, tmp_path):
@@ -344,6 +364,20 @@ def test_bracket_guard_exits_two_without_a_traceback(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("budget exceeded:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("word", ["21", "100000"])
+def test_tangle_guard_exits_two_before_building_a_closure(capsys, word):
+    start = time.monotonic()
+    assert main(["tangle", word]) == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"budget exceeded: {word} crossings exceeds the bracket guard\n"
+
+
+def test_tangle_at_the_guard_answers(capsys):
+    code, out = run(capsys, "tangle", "20")
+    assert code == 0 and out.startswith("fraction 20/1, |r| = 20\n")
 
 
 def verify_error(capsys, tmp_path, raw):

@@ -15,11 +15,9 @@ from graphknot import (
     NotALinkError,
     RationalTangle,
     SizeLimitExceeded,
-    bracket_state_sum,
     complete_graph,
     component_span_lower_bound,
     connected_sum_diagrams,
-    cr_at_least_two,
     crossing_number,
     cycle_graph,
     disjoint_union,
@@ -27,10 +25,8 @@ from graphknot import (
     is_alternating,
     is_reduced,
     kauffman_bracket,
-    linking_number,
     linking_numbers,
     lower_bound_obstructions,
-    mirror_diagram,
     simple_cycles,
     span_lower_bound,
     writhe,
@@ -47,6 +43,7 @@ from graphknot.gallery import (
     unlink,
 )
 from graphknot.invariants import ObstructionScan, cycle_vertices, disjoint_cycle_pairs
+from oracles import bracket_state_sum, mirror_diagram
 
 
 # frozen polynomial values, cross-checked against the delta-recursion by hand
@@ -128,17 +125,10 @@ def test_laurent_poly_display():
 def test_writhe_and_linking():
     assert abs(writhe(trefoil())) == 3
     assert writhe(figure_eight()) == 0
-    assert abs(linking_number(hopf_link())) == 1
+    assert [abs(lk) for lk in linking_numbers(hopf_link()).values()] == [1]
     # pairs that never share a crossing are omitted (zero by convention)
     lks = linking_numbers(disjoint_union_diagrams(hopf_link(), unlink(1)))
     assert list(lks) == [(0, 1)] and abs(lks[0, 1]) == 1
-
-
-def test_linking_number_requires_two_components():
-    with pytest.raises(NotALinkError):
-        linking_number(trefoil())
-    with pytest.raises(NotALinkError):
-        linking_number(k5_diagram())
 
 
 def test_span_bounds():
@@ -233,17 +223,12 @@ def test_crossing_number_reports():
     assert r.value == 1 and r.conclusive
 
 
-def test_cr_at_least_two_answers():
-    assert cr_at_least_two(hopf_link()).holds is True
-    assert cr_at_least_two(trefoil()).holds is True
-    assert cr_at_least_two(unknot()).holds is False
-    assert cr_at_least_two(kinked_unknot(1)).holds is False
-    # with no obstruction, the answer stays undecided
-    res = cr_at_least_two(kinked_unknot(2))
-    assert res.holds is None and res.certificate is None
-
-
 def test_certified_answers_carry_obstructions():
-    res = cr_at_least_two(linked_triangles())
-    assert res.holds is True
-    assert res.certificate is not None and res.certificate.kind == "linked-cycles"
+    for d in (hopf_link(), trefoil()):
+        assert ObstructionScan(d).at_least_two(d) is not None
+    d = linked_triangles()
+    found = ObstructionScan(d).at_least_two(d)
+    assert found is not None and found[0].kind == "linked-cycles"
+    # with no obstruction, the answer stays undecided
+    d = kinked_unknot(2)
+    assert ObstructionScan(d).at_least_two(d) is None

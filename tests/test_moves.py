@@ -30,8 +30,8 @@ from graphknot.gallery import (
     unknot,
     wheel4,
 )
-from graphknot.diagram import mirror_diagram
 from graphknot.layout import base_diagram
+from oracles import mirror_diagram
 
 
 INVERSE = {

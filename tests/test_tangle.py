@@ -9,7 +9,7 @@ from graphknot import (
     VertexOrientation,
     WrongDegreeError,
     kauffman_bracket,
-    linking_number,
+    linking_numbers,
     parse_conway,
     substitute,
 )
@@ -89,6 +89,12 @@ def test_parse_conway_errors():
     assert parse_conway("inf") == RationalTangle(())
 
 
+@pytest.mark.parametrize("token", ["٣", "１", "1_0", "+1"])
+def test_parse_conway_reads_only_ascii_integers(token):
+    with pytest.raises(FormatError, match="bad twist sequence"):
+        parse_conway(f"2 {token}")
+
+
 def test_zero_and_infinity_closures():
     zero = RationalTangle((0,))
     inf = RationalTangle(())
@@ -125,7 +131,7 @@ def test_integer_closures_are_torus_links():
 
 def test_hopf_linking_number_from_closure():
     d = RationalTangle((2,)).closure_n()
-    assert abs(linking_number(d)) == 1
+    assert [abs(lk) for lk in linking_numbers(d).values()] == [1]
 
 
 def test_display_round_trip():
