@@ -56,8 +56,8 @@ class Vertex:
             ch.isspace() or ch in ".#" for ch in label
         ):
             raise FormatError(f"bad vertex label {label!r}")
-        if self.degree < 0:
-            raise FormatError("vertex degree must be non-negative")
+        if type(self.degree) is not int or self.degree < 0:
+            raise FormatError("vertex degree must be a non-negative integer")
 
 
 Node = Crossing | Vertex

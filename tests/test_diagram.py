@@ -137,10 +137,17 @@ def test_text_round_trip():
         assert parse_diagram(diagram_to_text(d)).canonical_code() == d.canonical_code()
 
 
-@pytest.mark.parametrize("label", [7, "a#b", ["a"], "a.b", "a b", ""])
-def test_vertex_labels_must_be_what_the_text_format_writes(label):
+# values a JSON document can carry where the text format writes a bare
+# token or an integer
+@pytest.mark.parametrize(
+    "key, value",
+    [("degree", 4.0), ("degree", True), ("degree", "4"), ("label", 7), ("label", ["a"]),
+     ("label", "a#b"), ("label", "a.b"), ("label", "a b"), ("label", "")],
+)
+def test_json_vertex_fields_must_be_what_the_text_format_writes(key, value):
+    fields = {"label": "a", "degree": 2, key: value}
     with pytest.raises(FormatError):
-        Vertex(label, 2)
+        Vertex(**fields)
 
 
 @pytest.mark.parametrize("slot", ["1", 1.5, 1.0, None, (1,)])

@@ -131,6 +131,13 @@ def test_writhe_and_linking():
     assert list(lks) == [(0, 1)] and abs(lks[0, 1]) == 1
 
 
+def test_linking_number_requires_two_components():
+    # a one-circle diagram has no pair to link; a graph diagram has no circles
+    assert linking_numbers(trefoil()) == {}
+    with pytest.raises(NotALinkError):
+        linking_numbers(k5_diagram())
+
+
 def test_span_bounds():
     assert span_lower_bound(trefoil()) == 3
     assert span_lower_bound(hopf_link()) == 2
@@ -223,12 +230,15 @@ def test_crossing_number_reports():
     assert r.value == 1 and r.conclusive
 
 
-def test_certified_answers_carry_obstructions():
+def test_cr_at_least_two_answers():
     for d in (hopf_link(), trefoil()):
         assert ObstructionScan(d).at_least_two(d) is not None
+    # with no obstruction, the answer stays undecided
+    for d in (unknot(), kinked_unknot(1), kinked_unknot(2)):
+        assert ObstructionScan(d).at_least_two(d) is None
+
+
+def test_certified_answers_carry_obstructions():
     d = linked_triangles()
     found = ObstructionScan(d).at_least_two(d)
     assert found is not None and found[0].kind == "linked-cycles"
-    # with no obstruction, the answer stays undecided
-    d = kinked_unknot(2)
-    assert ObstructionScan(d).at_least_two(d) is None

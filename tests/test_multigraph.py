@@ -159,3 +159,18 @@ def test_permutation_algebra():
     assert [p(i) for i in range(p.degree)] == [1, 2, 0]
     with pytest.raises(FormatError):
         Permutation((0, 2, 2))
+
+
+def _isomorphic(g: Multigraph, h: Multigraph) -> bool:
+    # connected g and h are isomorphic iff some automorphism of their disjoint
+    # union carries vertex 0 of g into h
+    return max(automorphisms(disjoint_union(g, h)).orbits()[0]) >= g.vertex_count
+
+
+def test_isomorphism_examples():
+    assert _isomorphic(cycle_graph(3), complete_graph(3))
+    assert not _isomorphic(cycle_graph(4), path_graph(4))
+    p = Permutation((4, 2, 0, 3, 1))
+    relabeled = Multigraph(5, [(p(u), p(v)) for u, v in complete_bipartite(2, 3).edges])
+    assert _isomorphic(relabeled, complete_bipartite(2, 3))
+    assert not _isomorphic(complete_bipartite(2, 3), cycle_graph(5))
