@@ -2,8 +2,9 @@
 
 Every subcommand is deterministic: identical invocations produce
 byte-identical output.  Exit codes: 0 for a completed computation
-(including an inconclusive one), 1 for an input problem (unreadable
-file, malformed text, rejected certificate), 2 for an exceeded size guard.
+(including an inconclusive one), 1 for an input problem (malformed
+argument, unreadable file, malformed text, rejected certificate), 2 for an
+exceeded size guard.
 """
 
 from __future__ import annotations
@@ -259,8 +260,16 @@ def _add_common(sub, budget=False, vertex=False):
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed argument as an input problem (exit 1), not by
+    argparse's own exit 2, which the exit codes keep for a size guard."""
+
+    def error(self, message: str):
+        raise FormatError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphknot",
         description="Diagrams of knotted graphs: invariants, moves, and "
         "a one-sided non-planarity criterion.",
@@ -308,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SizeLimitExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")

@@ -70,10 +70,20 @@ _SHADOW_HEADS = (("x", 0), ("x", 0))
 
 
 class Diagram:
-    """Immutable sphere diagram.  Construction validates the embedding."""
+    """Immutable sphere diagram.
+
+    ``Diagram(nodes, arcs, free_loops)`` is the trust boundary: it validates
+    the embedding (``_validate``, the one definition of a valid map) and
+    builds the flat dart arrays ``_darts``.  Every other diagram is derived
+    from a validated one through the private ``_trusted``, which stores dart
+    arrays as given: ``with_parities`` shares its map, and the growing and
+    sliding moves of ``moves`` edit a copy of its arrays locally.  ``arcs``
+    lists each arc once, at its lesser end, in dart order; a trusted diagram
+    derives it from the arrays on first use.
+    """
 
     __slots__ = (
-        "nodes", "arcs", "free_loops", "crossing_count", "_darts", "_pair", "_faces",
+        "nodes", "_arcs", "free_loops", "crossing_count", "_darts", "_pair", "_faces",
         "_components", "_code", "_shadow",
     )
 
@@ -86,12 +96,26 @@ class Diagram:
         self._code = None
         self._shadow = None
         try:
-            self.arcs: tuple[Arc, ...] = tuple(
+            self._arcs: tuple[Arc, ...] | None = tuple(
                 sorted((a, b) if a <= b else (b, a) for a, b in arcs)
             )
             self._validate()
         except TypeError:
             raise FormatError("arc ends must be pairs of integers") from None
+
+    @classmethod
+    def _trusted(
+        cls, nodes: tuple[Node, ...], darts, free_loops: int, crossing_count: int
+    ) -> "Diagram":
+        """A diagram from dart arrays ``(deg, first, partner)`` as
+        ``_validate`` builds them, taken on trust: the caller derived them
+        from a validated diagram by a rewrite that keeps the sphere
+        condition, with every dart a pair of plain ints."""
+        out = object.__new__(cls)
+        out.nodes, out._arcs, out.free_loops = nodes, None, free_loops
+        out.crossing_count, out._darts = crossing_count, darts
+        out._pair = out._faces = out._components = out._code = out._shadow = None
+        return out
 
     # -- construction checks ------------------------------------------------
 
@@ -183,6 +207,19 @@ class Diagram:
 
     def darts(self) -> list[Dart]:
         return [(n, s) for n, node in enumerate(self.nodes) for s in range(node.degree)]
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """Every arc once, as (lesser end, greater end), in dart order."""
+        if self._arcs is None:
+            _deg, first, partner = self._darts
+            # the partner of an arc's greater end is its lesser end
+            self._arcs = tuple(
+                (partner[j], end)
+                for i, end in enumerate(partner)
+                if i < (j := first[end[0]] + end[1])
+            )
+        return self._arcs
 
     @property
     def pair(self) -> dict[Dart, Dart]:
@@ -493,19 +530,17 @@ class Diagram:
 
     def with_parities(self, overs: dict[int, int]) -> "Diagram":
         """This map with crossing ``n`` over at parity ``overs[n]``, sharing the
-        validated dart arrays, pair, faces, components and shadow code
-        (``__init__`` is not run)."""
+        dart arrays, arcs, pair, faces, components and shadow code."""
         nodes = list(self.nodes)
         for n, over in overs.items():
             if not isinstance(nodes[n], Crossing):
                 raise InvalidVertexError(f"node {n} is not a crossing")
             nodes[n] = Crossing(over)
-        out = object.__new__(Diagram)
-        out.nodes, out.arcs, out.free_loops = tuple(nodes), self.arcs, self.free_loops
-        out.crossing_count, out._darts = self.crossing_count, self._darts
-        out._pair, out._faces = self._pair, self._faces
-        out._components, out._code = self._components, None
-        out._shadow = self._shadow
+        out = Diagram._trusted(
+            tuple(nodes), self._darts, self.free_loops, self.crossing_count
+        )
+        out._arcs, out._pair, out._faces = self._arcs, self._pair, self._faces
+        out._components, out._shadow = self._components, self._shadow
         return out
 
 

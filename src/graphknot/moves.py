@@ -3,8 +3,15 @@
 The move set: kink insertion/removal (R1), pokes (R2), triangle slides (R3),
 twisting a pair of rotation-adjacent edges at a graph vertex into a crossing
 and back (R5), and crossing changes.  Every move is a rewrite of the rotation
-system; the ``Diagram`` constructor re-checks the sphere condition after each
-one, so a bad site cannot silently corrupt a search.
+system, guarded where a site enters: darts must be pairs of plain ints, an
+over or flip parameter must be 0 or 1, and the ``_require`` checks must
+hold, or ``apply_move`` raises ``MoveNotApplicable``.  Past that guard the
+growing and sliding moves (``R1_add``, ``R2_add``, ``R3``, ``R5_twist``)
+and crossing changes edit a copy of the parent's dart arrays locally and
+build the child with ``Diagram._trusted``, with no global re-check.  The
+removing moves splice nodes out through the validating ``Diagram``
+constructor.  ``Diagram._validate`` stays the one definition of a valid
+map; the tests hold every move result to it.
 
 ``shadow=True`` runs the same machinery on shadows: over/under data is
 ignored, conditions that only exist to protect over/under consistency are
@@ -92,37 +99,79 @@ def _require(cond: bool, why: str) -> None:
         raise MoveNotApplicable(why)
 
 
+def _dart(d: Diagram, x) -> Dart:
+    """``x`` as a dart of ``d``: a pair of plain ints naming one of its
+    slots.  A float or bool would pass a dict lookup, since it hashes equal
+    to its int, and then ride into the child's dart arrays."""
+    x = tuple(x)
+    _require(len(x) == 2 and type(x[0]) is int and type(x[1]) is int, "not a dart")
+    n, s = x
+    _require(0 <= n < len(d.nodes) and 0 <= s < d.nodes[n].degree, "no such dart")
+    return x
+
+
+def _bit(x) -> int:
+    _require(type(x) is int and x in (0, 1), "over and flip must be 0 or 1")
+    return x
+
+
+_CROSSINGS = (Crossing(0), Crossing(1))
+
+
+def _grown(d: Diagram, overs):
+    """The nodes and a copy of the dart arrays of ``d`` with one more
+    crossing per entry of ``overs``, over at that parity.  Their darts come
+    last and are joined by the caller."""
+    deg, first, partner = d._darts
+    added = len(overs)
+    nodes = d.nodes + tuple(_CROSSINGS[o] for o in overs)
+    darts = (
+        deg + [4] * added,
+        first + [first[-1] + 4 * k for k in range(1, added + 1)],
+        partner + [None] * (4 * added),
+    )
+    return nodes, darts
+
+
+def _join(darts, a: Dart, b: Dart) -> None:
+    """Make ``a`` and ``b`` the two ends of one arc in ``darts``."""
+    _deg, first, partner = darts
+    partner[first[a[0]] + a[1]] = b
+    partner[first[b[0]] + b[1]] = a
+
+
 def _r1_remove(d: Diagram, params, shadow: bool) -> Diagram:
-    (c, s) = params
-    _require(0 <= c < len(d.nodes) and d.is_crossing(c), "not a crossing")
-    _require(d.pair.get((c, s)) == (c, (s + 1) % 4), "no kink loop at that slot")
+    c, s = _dart(d, params)
+    _require(d.is_crossing(c), "not a crossing")
+    _require(d.pair[(c, s)] == (c, (s + 1) % 4), "no kink loop at that slot")
     return splice_out(d, {c: _THROUGH})
 
 
 def _r1_add(d: Diagram, params, shadow: bool) -> Diagram:
+    c = len(d.nodes)
     if params[0] == "loop":
         (_, over) = params
         _require(d.free_loops >= 1, "no free loop to curl")
-        c = len(d.nodes)
-        arcs = list(d.arcs) + [((c, 0), (c, 1)), ((c, 2), (c, 3))]
-        return Diagram(
-            list(d.nodes) + [Crossing(over)], arcs, d.free_loops - 1
-        )
+        nodes, darts = _grown(d, (_bit(over),))
+        _join(darts, (c, 0), (c, 1))
+        _join(darts, (c, 2), (c, 3))
+        return Diagram._trusted(nodes, darts, d.free_loops - 1, d.crossing_count + 1)
     (arc_index, over, flip) = params
-    _require(0 <= arc_index < len(d.arcs), "no such arc")
+    _require(type(arc_index) is int and 0 <= arc_index < len(d.arcs), "no such arc")
     x, y = d.arcs[arc_index]
-    if flip:
+    if _bit(flip):
         x, y = y, x
-    c = len(d.nodes)
-    arcs = [a for i, a in enumerate(d.arcs) if i != arc_index]
-    arcs += [(x, (c, 0)), (y, (c, 1)), ((c, 2), (c, 3))]
-    return Diagram(list(d.nodes) + [Crossing(over)], arcs, d.free_loops)
+    nodes, darts = _grown(d, (_bit(over),))
+    _join(darts, x, (c, 0))
+    _join(darts, y, (c, 1))
+    _join(darts, (c, 2), (c, 3))
+    return Diagram._trusted(nodes, darts, d.free_loops, d.crossing_count + 1)
 
 
 def _r2_remove(d: Diagram, params, shadow: bool) -> Diagram:
     (s, t) = params
-    s, t = tuple(s), tuple(t)
-    _require(s in d.pair and d.phi(s) == t and d.phi(t) == s, "not a bigon face")
+    s, t = _dart(d, s), _dart(d, t)
+    _require(d.phi(s) == t and d.phi(t) == s, "not a bigon face")
     q, p = s[0], t[0]
     _require(q != p, "bigon closes on a single node")
     _require(d.is_crossing(q) and d.is_crossing(p), "bigon touches a vertex")
@@ -136,78 +185,55 @@ def _r2_remove(d: Diagram, params, shadow: bool) -> Diagram:
 
 
 def _r2_add(d: Diagram, params, shadow: bool) -> Diagram:
+    """Poke the strand at dart ``d1`` across the one at ``d2``, making a
+    bigon of two new crossings ``c1`` and ``c2``; ``"loop"`` in place of a
+    dart pokes a free loop."""
     (d1, d2, over) = params
+    over = _bit(over)
+    u1 = None if d1 == "loop" else _dart(d, d1)
+    u2 = None if d2 == "loop" else _dart(d, d2)
+    loops = (u1 is None) + (u2 is None)
+    _require(d.free_loops >= loops, "not enough free loops to poke")
+    deg, first, partner = d._darts
+    w1 = None if u1 is None else partner[first[u1[0]] + u1[1]]
+    w2 = None if u2 is None else partner[first[u2[0]] + u2[1]]
+    if loops == 0:
+        _require(len({u1, w1, u2, w2}) == 4, "darts must sit on two distinct arcs")
+        # within one component both darts must border a common face;
+        # separate components can always be arranged to present any two
+        # faces to each other, since the map does not record their relative
+        # nesting
+        if any(u1[0] in comp and u2[0] in comp for comp in d.components()):
+            start = i = first[u1[0]] + u1[1]
+            target = first[u2[0]] + u2[1]
+            while i != target:
+                m, t = partner[i]
+                i = first[m] + (t + 1) % deg[m]
+                _require(i != start, "darts do not border a common face")
     c1 = len(d.nodes)
     c2 = c1 + 1
-    nodes = list(d.nodes) + [Crossing(over), Crossing(over)]
-    if d1 == "loop" and d2 == "loop":
-        _require(d.free_loops >= 2, "needs two free loops")
-        arcs = list(d.arcs) + [
-            ((c1, 1), (c2, 1)),
-            ((c1, 3), (c2, 3)),
-            ((c1, 0), (c2, 2)),
-            ((c1, 2), (c2, 0)),
-        ]
-        return Diagram(nodes, arcs, d.free_loops - 2)
-    if d1 == "loop":
-        u2 = tuple(d2)
-        _require(u2 in d.pair, "no such dart")
-        w2 = d.pair[u2]
-        arcs = [a for a in d.arcs if u2 not in a]
-        arcs += [
-            ((c1, 1), (c2, 1)),
-            ((c1, 3), (c2, 3)),
-            (u2, (c2, 2)),
-            ((c2, 0), (c1, 2)),
-            ((c1, 0), w2),
-        ]
-        _require(d.free_loops >= 1, "no free loop to poke")
-        return Diagram(nodes, arcs, d.free_loops - 1)
-    if d2 == "loop":
-        u1 = tuple(d1)
-        _require(u1 in d.pair, "no such dart")
-        _require(d.free_loops >= 1, "no free loop to poke across")
-        w1 = d.pair[u1]
-        arcs = [a for a in d.arcs if u1 not in a]
-        arcs += [
-            (u1, (c1, 3)),
-            ((c1, 1), (c2, 1)),
-            ((c2, 3), w1),
-            ((c2, 0), (c1, 2)),
-            ((c1, 0), (c2, 2)),
-        ]
-        return Diagram(nodes, arcs, d.free_loops - 1)
-    u1, u2 = tuple(d1), tuple(d2)
-    _require(u1 in d.pair and u2 in d.pair, "no such dart")
-    w1, w2 = d.pair[u1], d.pair[u2]
-    _require(len({u1, w1, u2, w2}) == 4, "darts must sit on two distinct arcs")
-    # within one component both darts must border a common face; separate
-    # components can always be arranged to present any two faces to each
-    # other, since the map does not record their relative nesting
-    same_component = any(u1[0] in comp and u2[0] in comp for comp in d.components())
-    if same_component:
-        face = [u1]
-        cur = d.phi(u1)
-        while cur != u1:
-            face.append(cur)
-            cur = d.phi(cur)
-        _require(u2 in face, "darts do not border a common face")
-    arcs = [a for a in d.arcs if u1 not in a and u2 not in a]
-    arcs += [
-        (u1, (c1, 3)),
-        ((c1, 1), (c2, 1)),
-        ((c2, 3), w1),
-        (u2, (c2, 2)),
-        ((c2, 0), (c1, 2)),
-        ((c1, 0), w2),
-    ]
-    return Diagram(nodes, arcs, d.free_loops)
+    nodes, darts = _grown(d, (over, over))
+    # the bigon: slots 1 and 2 of c1 meet slots 1 and 0 of c2
+    _join(darts, (c1, 1), (c2, 1))
+    _join(darts, (c2, 0), (c1, 2))
+    # each poked strand runs on across the bigon; a poked free loop closes
+    # up there instead
+    if u1 is None:
+        _join(darts, (c1, 3), (c2, 3))
+    else:
+        _join(darts, u1, (c1, 3))
+        _join(darts, (c2, 3), w1)
+    if u2 is None:
+        _join(darts, (c1, 0), (c2, 2))
+    else:
+        _join(darts, u2, (c2, 2))
+        _join(darts, (c1, 0), w2)
+    return Diagram._trusted(nodes, darts, d.free_loops - loops, d.crossing_count + 2)
 
 
 def _r3(d: Diagram, params, shadow: bool) -> Diagram:
     (anchor,) = params
-    s1 = tuple(anchor)
-    _require(s1 in d.pair, "no such dart")
+    s1 = _dart(d, anchor)
     s2 = d.phi(s1)
     s3 = d.phi(s2)
     _require(d.phi(s3) == s1 and len({s1, s2, s3}) == 3, "not a triangular face")
@@ -230,6 +256,9 @@ def _r3(d: Diagram, params, shadow: bool) -> Diagram:
     def rs(k):
         return (r, (s3[1] + k) % 4)
 
+    # counted from each corner's face dart, slots 0 and 3 hold the
+    # triangle's sides; each outer slot (1 or 2) hands its strand over to a
+    # side slot, and the outer slots are joined anew across the triangle
     sigma = {
         qs(2): ps(3),
         rs(1): ps(0),
@@ -238,53 +267,56 @@ def _r3(d: Diagram, params, shadow: bool) -> Diagram:
         ps(2): rs(3),
         qs(1): rs(0),
     }
-    sides = {frozenset((s1, d.pair[s1])), frozenset((s2, d.pair[s2])),
-             frozenset((s3, d.pair[s3]))}
-    arcs = []
-    for a, b in d.arcs:
-        if frozenset((a, b)) in sides:
-            continue
-        arcs.append((sigma.get(a, a), sigma.get(b, b)))
-    arcs += [(ps(1), qs(2)), (ps(2), rs(1)), (qs(1), rs(2))]
-    return Diagram(d.nodes, arcs, d.free_loops)
+    deg, first, partner = d._darts
+    darts = (deg, first, partner.copy())
+    for a, b in sigma.items():
+        far = partner[first[a[0]] + a[1]]
+        _join(darts, b, sigma.get(far, far))
+    _join(darts, ps(1), qs(2))
+    _join(darts, ps(2), rs(1))
+    _join(darts, qs(1), rs(2))
+    return Diagram._trusted(d.nodes, darts, d.free_loops, d.crossing_count)
 
 
 def _crossing_change(d: Diagram, params, shadow: bool) -> Diagram:
     (c,) = params
     _require(not shadow, "crossing changes are invisible on shadows")
-    _require(0 <= c < len(d.nodes) and d.is_crossing(c), "not a crossing")
+    _require(
+        type(c) is int and 0 <= c < len(d.nodes) and d.is_crossing(c), "not a crossing"
+    )
     return d.with_over(c, 1 - d.nodes[c].over)
 
 
 def _r5_twist(d: Diagram, params, shadow: bool) -> Diagram:
     (v, i, over) = params
-    _require(0 <= v < len(d.nodes) and not d.is_crossing(v), "not a vertex")
+    a = _dart(d, (v, i))
+    v, i = a
+    _require(not d.is_crossing(v), "not a vertex")
     deg = d.degree_of(v)
     _require(deg >= 2, "twisting needs two adjacent slots")
-    j = (i + 1) % deg
-    _require(0 <= i < deg, "no such slot")
-    a, b = (v, i), (v, j)
-    pa, pb = d.pair[a], d.pair[b]
+    b = (v, (i + 1) % deg)
+    _deg, first, partner = d._darts
+    pa, pb = partner[first[v] + i], partner[first[v] + b[1]]
     c = len(d.nodes)
-    arcs = [arc for arc in d.arcs if a not in arc and b not in arc]
+    nodes, darts = _grown(d, (_bit(over),))
     if pa == b:
         # the two slots are joined by a little loop arc; it rides along
-        arcs.append(((c, 3), (c, 0)))
+        _join(darts, (c, 3), (c, 0))
     else:
-        arcs.append((pa, (c, 3)))
-        arcs.append((pb, (c, 0)))
-    arcs.append((a, (c, 2)))
-    arcs.append((b, (c, 1)))
-    return Diagram(list(d.nodes) + [Crossing(over)], arcs, d.free_loops)
+        _join(darts, pa, (c, 3))
+        _join(darts, pb, (c, 0))
+    _join(darts, a, (c, 2))
+    _join(darts, b, (c, 1))
+    return Diagram._trusted(nodes, darts, d.free_loops, d.crossing_count + 1)
 
 
 def _r5_untwist(d: Diagram, params, shadow: bool) -> Diagram:
-    (v, i) = params
-    _require(0 <= v < len(d.nodes) and not d.is_crossing(v), "not a vertex")
+    a = _dart(d, params)
+    v, i = a
+    _require(not d.is_crossing(v), "not a vertex")
     deg = d.degree_of(v)
     _require(deg >= 2, "untwisting needs two adjacent slots")
-    j = (i + 1) % deg
-    a, b = (v, i), (v, j)
+    b = (v, (i + 1) % deg)
     ca = d.pair[a]
     cb = d.pair[b]
     _require(
@@ -313,7 +345,7 @@ def apply_move(d: Diagram, site: MoveSite, shadow: bool = False) -> Diagram:
         raise MoveNotApplicable(f"unknown move kind {site.kind!r}")
     try:
         return _APPLY[site.kind](d, site.params, shadow)
-    except (TypeError, KeyError, IndexError):
+    except (TypeError, ValueError, KeyError, IndexError):
         raise MoveNotApplicable(
             f"malformed parameters {site.params!r} for {site.kind}"
         ) from None
@@ -450,9 +482,21 @@ _KIND_DELTA = {
 
 
 def _neighbors(d: Diagram, budget: Budget, shadow: bool):
+    """Each site of ``d`` within the budget, with the diagram it makes.
+
+    ``enumerate_moves`` offers an R3 triangle at each of its three darts,
+    and all three slides make the same map, so only the first of them in
+    list order is applied."""
     room = budget.max_crossings - d.crossing_count
     use = tuple(k for k in ISOTOPY_KINDS if _KIND_DELTA[k] <= room)
+    slid: set[Dart] = set()  # the darts of the triangles already slid
     for site in enumerate_moves(d, use, shadow=shadow):
+        if site.kind == "R3":
+            (anchor,) = site.params
+            if anchor in slid:
+                continue
+            second = d.phi(anchor)
+            slid.update((anchor, second, d.phi(second)))
         try:
             nd = apply_move(d, site, shadow=shadow)
         except MoveNotApplicable:

@@ -165,6 +165,23 @@ def test_budget_errors_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["tangle"], ["crossing-number", str(DATA / "k5.graph"), "--budget-states", "abc"]],
+)
+def test_argument_errors_exit_one(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tangle", "--help"])
+    assert exc.value.code == 0
+    assert "twist counts" in capsys.readouterr().out
+
+
 def test_byte_identical_reruns(capsys, k5_diagram_file, k5_graph_file):
     outputs = set()
     for _ in range(2):

@@ -1,6 +1,7 @@
 """Local moves: enumeration, application, inverses, and equivalence search."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphknot import (
     Budget,
@@ -14,6 +15,7 @@ from graphknot import (
     complete_graph,
     cycle_graph,
     descending_diagram,
+    disjoint_union_diagrams,
     enumerate_moves,
     equivalent_within,
     kauffman_bracket,
@@ -21,13 +23,17 @@ from graphknot import (
     search_min_crossings,
     simplify,
 )
+from graphknot.diagram import Crossing, Diagram
 from graphknot.gallery import (
     figure_eight,
     hopf_link,
+    k4_diagram,
     k5_diagram,
     kinked_unknot,
+    linked_triangles,
     trefoil,
     unknot,
+    unlink,
     wheel4,
 )
 from graphknot.layout import base_diagram
@@ -47,11 +53,37 @@ def test_isotopy_kinds_exclude_crossing_changes():
     assert set(ISOTOPY_KINDS) < set(MOVE_KINDS)
 
 
-@pytest.mark.parametrize("d", [trefoil(), figure_eight(), k5_diagram(), wheel4_d := base_diagram(Multigraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)]))])
+# Small diagrams that between them offer sites of every kind, with and
+# without shadow: free loops to curl and poke, separate components, kinks,
+# bigons, triangles a strand passes across, vertices with a loop edge and a
+# twist to undo.
+MOVE_CORPUS = [
+    unlink(2),
+    disjoint_union_diagrams(trefoil(), unknot()),
+    disjoint_union_diagrams(hopf_link(), trefoil()),
+    figure_eight(),
+    kinked_unknot(2),
+    apply_move(trefoil(), MoveSite("R2_add", ((0, 1), (1, 1), 1))),
+    k4_diagram(),
+    apply_move(k4_diagram(), MoveSite("R5_twist", (0, 0, 1))),
+    base_diagram(Multigraph(2, ((0, 0), (0, 1), (1, 1)))),
+    linked_triangles(),
+]
+
+
+@pytest.mark.parametrize("d", [trefoil(), figure_eight(), k5_diagram(), wheel4_d := base_diagram(Multigraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])), *MOVE_CORPUS])
 def test_every_enumerated_move_applies(d):
-    for site in enumerate_moves(d):
-        nd = apply_move(d, site)
-        assert nd.crossing_count >= 0  # construction validated internally
+    """Every site applies, with and without shadow.  Growing and sliding
+    moves edit their parent's dart arrays and skip validation; the
+    validating constructor is their oracle."""
+    for shadow in (False, True):
+        for site in enumerate_moves(d, shadow=shadow):
+            r = apply_move(d, site, shadow=shadow)
+            full = Diagram(r.nodes, r.arcs, r.free_loops)
+            assert full.arcs == r.arcs and full._darts == r._darts, site
+            assert full.crossing_count == r.crossing_count, site
+            assert full.canonical_code() == r.canonical_code(), site
+            assert full.shadow_code() == r.shadow_code(), site
 
 
 @pytest.mark.parametrize("kind", ["R1_add", "R2_add", "R5_twist"])
@@ -72,6 +104,87 @@ def test_crossing_change_is_an_involution():
     d = trefoil()
     site = MoveSite("CrossingChange", (0,))
     assert apply_move(apply_move(d, site), site).canonical_code() == d.canonical_code()
+
+
+def test_the_move_corpus_offers_every_kind():
+    for shadow in (False, True):
+        kinds = {s.kind for d in MOVE_CORPUS for s in enumerate_moves(d, shadow=shadow)}
+        assert kinds == set(MOVE_KINDS) - ({"CrossingChange"} if shadow else set())
+
+
+@pytest.mark.parametrize("shadow", [False, True])
+@pytest.mark.parametrize("d", MOVE_CORPUS)
+def test_the_three_anchors_of_a_triangle_slide_it_alike(d, shadow):
+    """A search applies only the first R3 site of each triangle."""
+    anchors = {s.params[0] for s in enumerate_moves(d, ("R3",), shadow=shadow)}
+    triangles = {face for face in d.faces() if face[0] in anchors}
+    for face in triangles:
+        assert set(face) <= anchors
+        slid = [apply_move(d, MoveSite("R3", (a,)), shadow=shadow) for a in face]
+        assert len({r.canonical_code() for r in slid}) == 1
+        assert len({r.shadow_code() for r in slid}) == 1
+
+
+def test_move_parameters_of_the_wrong_type_are_rejected():
+    d = trefoil()
+    for site in (
+        MoveSite("R1_add", (0, 0.5, 0)),  # an over parity that is no parity
+        MoveSite("R1_add", (0, True, 0)),  # a bool would ride into the node
+        MoveSite("R1_add", (0, 0, 2)),
+        MoveSite("R2_add", ((0, 1.0), (1, 1), 0)),  # hashes equal to (0, 1)
+        MoveSite("R3", ((0.0, 0),)),
+        MoveSite("CrossingChange", (True,)),
+        MoveSite("R1_add", (0, 0)),  # too few parameters
+    ):
+        with pytest.raises(MoveNotApplicable):
+            apply_move(d, site)
+
+
+_JUNK = st.sampled_from([None, "loop", 0.5, -1, (), "x"])
+
+
+def _near(x):
+    """Parameters like ``x``: each entry kept, made a float or bool, moved
+    to a nearby integer or replaced by junk; a tuple also loses an entry or
+    becomes a list."""
+    if isinstance(x, tuple):
+        return st.one_of(
+            st.tuples(*map(_near, x)), st.just(x[:-1]), st.just(list(x))
+        )
+    if isinstance(x, int):
+        return st.one_of(
+            st.just(x), st.just(float(x)), st.just(x == 1), st.integers(-1, x + 2), _JUNK
+        )
+    return st.one_of(st.just(x), _JUNK)
+
+
+# a shape of each kind's parameters, for a diagram that offers no such site
+_SHAPES = {
+    "R1_remove": (0, 0),
+    "R2_remove": ((0, 0), (1, 0)),
+    "R5_untwist": (0, 0),
+    "R3": ((0, 0),),
+    "CrossingChange": (0,),
+    "R1_add": (0, 0, 0),
+    "R2_add": ((0, 0), (1, 1), 0),
+    "R5_twist": (0, 0, 0),
+}
+
+
+@given(st.sampled_from(MOVE_CORPUS), st.sampled_from(MOVE_KINDS), st.booleans(), st.data())
+@settings(deadline=None, max_examples=400)
+def test_malformed_move_parameters_are_rejected_or_make_a_valid_map(d, kind, shadow, data):
+    sites = enumerate_moves(d, (kind,), shadow=shadow)
+    shape = data.draw(st.sampled_from(sites)).params if sites else _SHAPES[kind]
+    site = MoveSite(kind, data.draw(_near(shape)))
+    try:
+        r = apply_move(d, site, shadow=shadow)
+    except MoveNotApplicable:
+        return
+    assert Diagram(r.nodes, r.arcs, r.free_loops)._darts == r._darts
+    # equal is not enough: 1.0 and True compare equal to 1
+    assert all(type(x) is int for arc in r.arcs for dart in arc for x in dart)
+    assert all(type(n.over) is int for n in r.nodes if isinstance(n, Crossing))
 
 
 def test_move_rejects_bad_site():
