@@ -37,8 +37,9 @@ class Crossing:
     degree = 4  # a class attribute, not a field
 
     def __post_init__(self) -> None:
-        if self.over not in (0, 1):
-            raise FormatError("crossing 'over' parity must be 0 or 1")
+        # a bool or float would pass ``in (0, 1)``, since it equals its int
+        if type(self.over) is not int or self.over not in (0, 1):
+            raise FormatError("crossing 'over' parity must be the int 0 or 1")
 
     def is_over_slot(self, slot: int) -> bool:
         return slot % 2 == self.over
@@ -62,9 +63,9 @@ class Vertex:
 
 Node = Crossing | Vertex
 
-# the head of a crossing's row in a trace, by its over parity relative to the
-# slot the trace enters it at; a shadow trace ignores over/under, so every
-# crossing gets the same head
+# the head fields of a crossing's row in a trace, by its over parity relative
+# to the slot the trace enters it at; a shadow trace ignores over/under, so
+# every crossing gets the same head
 _CROSSING_HEADS = (("x", 0), ("x", 1))
 _SHADOW_HEADS = (("x", 0), ("x", 0))
 
@@ -76,10 +77,13 @@ class Diagram:
     the embedding (``_validate``, the one definition of a valid map) and
     builds the flat dart arrays ``_darts``.  Every other diagram is derived
     from a validated one through the private ``_trusted``, which stores dart
-    arrays as given: ``with_parities`` shares its map, and the growing and
-    sliding moves of ``moves`` edit a copy of its arrays locally.  ``arcs``
-    lists each arc once, at its lesser end, in dart order; a trusted diagram
-    derives it from the arrays on first use.
+    arrays as given: ``with_parities`` shares its map, the growing and
+    sliding moves of ``moves`` edit a copy of its arrays locally, and
+    ``splice_out`` rebuilds them without the crossings that the removing
+    moves delete.  ``arcs`` lists each arc once, at its lesser end, in dart
+    order; a trusted diagram derives it from the arrays on first use.
+    ``canonical_code`` and ``shadow_code`` hold one flat tuple per
+    component (see ``_least_traces``).
     """
 
     __slots__ = (
@@ -212,13 +216,7 @@ class Diagram:
     def arcs(self) -> tuple[Arc, ...]:
         """Every arc once, as (lesser end, greater end), in dart order."""
         if self._arcs is None:
-            _deg, first, partner = self._darts
-            # the partner of an arc's greater end is its lesser end
-            self._arcs = tuple(
-                (partner[j], end)
-                for i, end in enumerate(partner)
-                if i < (j := first[end[0]] + end[1])
-            )
+            self._arcs = _arcs_of(self._darts)
         return self._arcs
 
     @property
@@ -326,13 +324,20 @@ class Diagram:
         A trace is the breadth-first code of a component from a root dart.
         Node numbers and slot origins are both traversal-derived, so two
         diagrams get equal codes exactly when they are the same map up to
-        renumbering nodes and rotating slot labels.  Each row heads with its
-        node: a crossing by its over parity relative to its origin slot, or
-        always ``("x", 0)`` in a shadow trace.
+        renumbering nodes and rotating slot labels.  Each node gives a row:
+        its head, then the number ``q`` and relative slot ``r`` of the
+        partner of each of its slots from the origin on.  A crossing heads
+        ``"x", bit``, its over parity relative to its origin slot, or always
+        ``"x", 0`` in a shadow trace; a vertex heads ``"v", label, degree``.
+        The code is one flat tuple of the rows' fields, row after row.  It
+        sorts as the tuple of rows would: two codes first differ inside a
+        head, at fields of one type, or inside cells, since equal heads mean
+        rows of equal length.
 
         The traces from every root candidate advance together, one row at a
         time, and a trace drops out once its row is larger than the least
-        row of that round, so no root is traced twice.
+        row of that round, so no root is traced twice.  Once one trace is
+        left, it runs to its end, straight into the code.
         """
         heads = _SHADOW_HEADS if shadow else _CROSSING_HEADS
         nodes = self.nodes
@@ -343,9 +348,7 @@ class Diagram:
             if len(comp) == 1 and not deg[comp[0]]:
                 n = comp[0]
                 node = nodes[n]
-                pieces.append(
-                    (((("isolated", node.label, node.degree), ()),), [n], {n: 0})
-                )
+                pieces.append((("isolated", node.label, node.degree), [n], {n: 0}))
                 continue
             traces = []  # each candidate's node numbers, slot origins, order
             for n, o in self._root_candidates(comp, shadow):
@@ -356,17 +359,18 @@ class Diagram:
                 traces.append((number, origin, [n]))
             code = []
             for i in range(len(comp)):
+                alone = len(traces) == 1
                 least = None
                 for trace in traces:
                     number, origin, order = trace
+                    row = code if alone else []
                     n = order[i]  # order grows as nodes get numbers
                     node = nodes[n]
                     o = origin[n]
-                    if isinstance(node, Crossing):
-                        head = heads[(node.over - o) % 2]
+                    if type(node) is Crossing:
+                        row += heads[(node.over - o) % 2]
                     else:
-                        head = ("v", node.label, node.degree)
-                    cells = []
+                        row += ("v", node.label, node.degree)
                     # the partners of the slots from o on, counter-clockwise
                     cut = first[n] + o
                     for m, t in partner[cut:first[n + 1]] + partner[first[n]:cut]:
@@ -375,16 +379,17 @@ class Diagram:
                             number[m] = q = len(order)
                             origin[m] = t
                             order.append(m)
-                            cells.append((q, 0))
-                        else:
-                            cells.append((q, (t - origin[m]) % deg[m]))
-                    row = (head, tuple(cells))
+                        row.append(q)
+                        row.append((t - origin[m]) % deg[m])
+                    if alone:
+                        break
                     if row == least:
                         kept.append(trace)
                     elif least is None or row < least:
                         least, kept = row, [trace]
-                code.append(least)
-                traces = kept
+                if not alone:
+                    code += least
+                    traces = kept
             _number, origin, order = traces[0]
             pieces.append((tuple(code), order, origin))
         return pieces
@@ -518,8 +523,8 @@ class Diagram:
         out = []
         for comp in self.components():
             order = sorted(comp)
-            arcs, _passed = _rejoin(self, order, {})
-            out.append(Diagram([self.nodes[n] for n in order], arcs, 0))
+            darts, _passed = _rejoin(self, order, {})
+            out.append(Diagram([self.nodes[n] for n in order], _arcs_of(darts), 0))
         out.extend(Diagram([], [], 1) for _ in range(self.free_loops))
         return out
 
@@ -581,31 +586,40 @@ class GraphProjection:
         raise InvalidVertexError(f"{dart} is not a vertex slot on any strand")
 
 
+def _arcs_of(darts) -> tuple[Arc, ...]:
+    """Every arc of the dart arrays once, as (lesser end, greater end), in
+    dart order."""
+    _deg, first, partner = darts
+    # the partner of an arc's greater end is its lesser end
+    return tuple(
+        (partner[j], end) for i, end in enumerate(partner) if i < (j := first[end[0]] + end[1])
+    )
+
+
 def _rejoin(d: Diagram, keep, thru: dict[Dart, Dart]):
-    """The arcs among the nodes ``keep``, renumbered in that order, with each
-    strand run on through the other nodes along ``thru``; and the set of
-    removed darts those strands passed.  A strand that reaches a removed
+    """The dart arrays of the nodes ``keep``, renumbered in that order, with
+    each strand run on through the other nodes along ``thru``; and the set
+    of removed darts those strands passed.  A strand that reaches a removed
     dart ``thru`` does not map raises ``TopologyError``."""
-    new_index = {n: i for i, n in enumerate(keep)}
-    pair = d.pair
-    arcs = []
+    deg, first, partner = d._darts
+    new_index = [-1] * len(deg)
+    for i, n in enumerate(keep):
+        new_index[n] = i
+    new_deg = [deg[n] for n in keep]
+    new_partner = []
     passed: set[Dart] = set()
-    seen: set[Dart] = set()
     for n in keep:
-        for s in range(d.degree_of(n)):
-            if (n, s) in seen:
-                continue
-            end = pair[(n, s)]
-            while end[0] not in new_index:
+        for end in partner[first[n]:first[n + 1]]:
+            while new_index[end[0]] < 0:
                 out = thru.get(end)
                 if out is None:
                     raise TopologyError("strand leaves the selected cycles")
                 passed.add(end)
                 passed.add(out)
-                end = pair[out]
-            seen.add(end)
-            arcs.append(((new_index[n], s), (new_index[end[0]], end[1])))
-    return arcs, passed
+                end = partner[first[out[0]] + out[1]]
+            m = new_index[end[0]]
+            new_partner.append(end if m == end[0] else (m, end[1]))
+    return (new_deg, list(accumulate(new_deg, initial=0)), new_partner), passed
 
 
 def splice_identify(d: Diagram, thru: dict[Dart, Dart]) -> Diagram:
@@ -624,10 +638,19 @@ def splice_identify(d: Diagram, thru: dict[Dart, Dart]) -> Diagram:
         if a == b or thru.get(b) != a:
             raise FormatError("identifications must form an involution")
     keep = [n for n in range(len(d.nodes)) if n not in removed]
-    arcs, passed = _rejoin(d, keep, thru)
-    # the darts no strand passed lie on circles trapped inside the removed
-    # nodes, each a cycle of alternate thru and pair steps
-    trapped = slots_needed - passed
+    darts, passed = _rejoin(d, keep, thru)
+    return Diagram(
+        [d.nodes[n] for n in keep],
+        _arcs_of(darts),
+        d.free_loops + _trapped_loops(d, thru, passed),
+    )
+
+
+def _trapped_loops(d: Diagram, thru: dict[Dart, Dart], passed: set[Dart]) -> int:
+    """How many circles close up inside the removed nodes: the removed darts
+    (the keys of ``thru``) that no rejoined strand ``passed`` lie on them,
+    each a cycle of alternate ``thru`` and ``pair`` steps."""
+    trapped = set(thru).difference(passed)
     loops = 0
     while trapped:
         loops += 1
@@ -636,17 +659,32 @@ def splice_identify(d: Diagram, thru: dict[Dart, Dart]) -> Diagram:
             trapped.remove(thru[cur])
             cur = d.pair[thru[cur]]
             trapped.discard(cur)
-    return Diagram([d.nodes[n] for n in keep], arcs, d.free_loops + loops)
+    return loops
 
 
 def splice_out(d: Diagram, matchings: dict[int, tuple[tuple[int, int], ...]]) -> Diagram:
-    """Delete nodes, rejoining each node's slots internally as prescribed."""
+    """Delete crossings, rejoining each one's slots internally as prescribed.
+
+    ``matchings[n]`` pairs up the four slots of crossing ``n``.  This is a
+    local edit of ``d``'s dart arrays, taken on trust: the caller checked
+    that strands rejoined this way keep every component on its sphere, as
+    the removing moves of ``moves`` do.  The kept nodes keep their order,
+    and each circle that closes up inside the deleted crossings becomes a
+    free loop, as in ``splice_identify``.
+    """
     thru: dict[Dart, Dart] = {}
     for n, pairs in matchings.items():
         for s, t in pairs:
             thru[(n, s)] = (n, t)
             thru[(n, t)] = (n, s)
-    return splice_identify(d, thru)
+    keep = [n for n in range(len(d.nodes)) if n not in matchings]
+    darts, passed = _rejoin(d, keep, thru)
+    return Diagram._trusted(
+        tuple(d.nodes[n] for n in keep),
+        darts,
+        d.free_loops + _trapped_loops(d, thru, passed),
+        d.crossing_count - len(matchings),
+    )
 
 
 def disjoint_union_diagrams(d1: Diagram, d2: Diagram) -> Diagram:
@@ -790,8 +828,8 @@ def extract_sublink(
     for n in set(d.crossings()).difference(kept):
         for s in range(4):
             thru[(n, s)] = (n, (s + 2) % 4)
-    arcs, _passed = _rejoin(d, kept, thru)
-    return Diagram([d.nodes[n] for n in kept], arcs, free_loops)
+    darts, _passed = _rejoin(d, kept, thru)
+    return Diagram([d.nodes[n] for n in kept], _arcs_of(darts), free_loops)
 
 
 # -- serialization -------------------------------------------------------------

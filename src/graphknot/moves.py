@@ -5,12 +5,13 @@ twisting a pair of rotation-adjacent edges at a graph vertex into a crossing
 and back (R5), and crossing changes.  Every move is a rewrite of the rotation
 system, guarded where a site enters: darts must be pairs of plain ints, an
 over or flip parameter must be 0 or 1, and the ``_require`` checks must
-hold, or ``apply_move`` raises ``MoveNotApplicable``.  Past that guard the
-growing and sliding moves (``R1_add``, ``R2_add``, ``R3``, ``R5_twist``)
-and crossing changes edit a copy of the parent's dart arrays locally and
-build the child with ``Diagram._trusted``, with no global re-check.  The
-removing moves splice nodes out through the validating ``Diagram``
-constructor.  ``Diagram._validate`` stays the one definition of a valid
+hold, or ``apply_move`` raises ``MoveNotApplicable``.  Past that guard
+every move builds its child from the parent's dart arrays by a local edit
+and ``Diagram._trusted``, with no global re-check: the growing and sliding
+moves (``R1_add``, ``R2_add``, ``R3``, ``R5_twist``) and crossing changes
+edit a copy where the move acts, and the removing moves (``R1_remove``,
+``R2_remove``, ``R5_untwist``) splice their crossings out with
+``splice_out``.  ``Diagram._validate`` stays the one definition of a valid
 map; the tests hold every move result to it.
 
 ``shadow=True`` runs the same machinery on shadows: over/under data is
@@ -481,14 +482,20 @@ _KIND_DELTA = {
 }
 
 
-def _neighbors(d: Diagram, budget: Budget, shadow: bool):
-    """Each site of ``d`` within the budget, with the diagram it makes.
+def _neighbors(d: Diagram, budget: Budget, shadow: bool, delta: int | None = None):
+    """Each site of ``d`` within the budget, with the diagram it makes;
+    with ``delta``, only the sites of the kinds that change the crossing
+    count by that much.
 
     ``enumerate_moves`` offers an R3 triangle at each of its three darts,
     and all three slides make the same map, so only the first of them in
     list order is applied."""
     room = budget.max_crossings - d.crossing_count
-    use = tuple(k for k in ISOTOPY_KINDS if _KIND_DELTA[k] <= room)
+    use = tuple(
+        k
+        for k in ISOTOPY_KINDS
+        if _KIND_DELTA[k] <= room and delta in (None, _KIND_DELTA[k])
+    )
     slid: set[Dart] = set()  # the darts of the triangles already slid
     for site in enumerate_moves(d, use, shadow=shadow):
         if site.kind == "R3":
@@ -563,9 +570,13 @@ def _state_key(shadow: bool):
     return Diagram.shadow_code if shadow else Diagram.canonical_code
 
 
-def _recover_step(cur: Diagram, target_code, budget, shadow):
+def _recover_step(cur: Diagram, target_code, back: MoveSite, budget, shadow):
+    """The first site of ``cur`` that leads to the state ``target_code``,
+    which ``back`` leads from to ``cur``, with the diagram it makes.  Such
+    a step changes the crossing count by minus what ``back`` does, so only
+    the kinds that do are tried."""
     key = _state_key(shadow)
-    for site, nd in _neighbors(cur, budget, shadow):
+    for site, nd in _neighbors(cur, budget, shadow, -_KIND_DELTA[back.kind]):
         if key(nd) == target_code:
             return site, nd
     return None
@@ -645,8 +656,8 @@ def equivalent_within(
     code = meet
     ok = True
     while info[1][code][0] is not None:
-        parent = info[1][code][0]
-        step = _recover_step(cur, parent, budget, shadow)
+        parent, reached_by = info[1][code]
+        step = _recover_step(cur, parent, reached_by, budget, shadow)
         if step is None:
             ok = False
             break

@@ -150,6 +150,15 @@ def test_json_vertex_fields_must_be_what_the_text_format_writes(key, value):
         Vertex(**fields)
 
 
+@pytest.mark.parametrize("over", [True, False, 1.0, 0.0, 2, -1, "1", None])
+def test_a_crossing_parity_is_the_int_0_or_1(over):
+    # a bool or float equals its int, and would otherwise be held as given
+    with pytest.raises(FormatError):
+        Crossing(over)
+    with pytest.raises(FormatError):
+        trefoil().with_over(0, over)
+
+
 @pytest.mark.parametrize("slot", ["1", 1.5, 1.0, None, (1,)])
 def test_diagram_rejects_a_non_integer_dart(slot):
     arcs = [((0, 0), (0, slot)), ((0, 2), (0, 3))]

@@ -23,7 +23,7 @@ from graphknot import (
     search_min_crossings,
     simplify,
 )
-from graphknot.diagram import Crossing, Diagram
+from graphknot.diagram import Crossing, Diagram, splice_identify
 from graphknot.gallery import (
     figure_eight,
     hopf_link,
@@ -84,6 +84,59 @@ def test_every_enumerated_move_applies(d):
             assert full.crossing_count == r.crossing_count, site
             assert full.canonical_code() == r.canonical_code(), site
             assert full.shadow_code() == r.shadow_code(), site
+
+
+def removal_thru(d, site):
+    """How a removal site's crossings are spliced out, read off the site:
+    straight through for R1 and R2, and for R5 the twist crossing's slots
+    joined in the two adjacent pairs that untwist it."""
+    if site.kind == "R1_remove":
+        matchings = {site.params[0]: ((0, 2), (1, 3))}
+    elif site.kind == "R2_remove":
+        matchings = {end[0]: ((0, 2), (1, 3)) for end in site.params}
+    else:
+        c, k = d.pair[site.params]
+        matchings = {c: ((k, (k + 1) % 4), ((k + 2) % 4, (k + 3) % 4))}
+    thru = {}
+    for n, pairs in matchings.items():
+        for s, t in pairs:
+            thru[(n, s)] = (n, t)
+            thru[(n, t)] = (n, s)
+    return thru
+
+
+REMOVALS = ("R1_remove", "R2_remove", "R5_untwist")
+
+
+@pytest.mark.parametrize("d", MOVE_CORPUS)
+def test_removal_moves_match_the_validating_splice(d):
+    """Removal moves edit their parent's dart arrays and count trapped
+    circles themselves; ``splice_identify`` validates its result and is
+    their oracle."""
+    for shadow in (False, True):
+        for site in enumerate_moves(d, REMOVALS, shadow=shadow):
+            r = apply_move(d, site, shadow=shadow)
+            full = splice_identify(d, removal_thru(d, site))
+            assert r.nodes == full.nodes and r.arcs == full.arcs, site
+            assert r._darts == full._darts, site
+            assert r.free_loops == full.free_loops, site
+            assert r.crossing_count == full.crossing_count, site
+
+
+@pytest.mark.parametrize(
+    "d, kind, shadow, free_loops",
+    [
+        (hopf_link(), "R2_remove", True, 2),  # both circles close up
+        (kinked_unknot(1), "R1_remove", False, 1),  # the figure-eight curl
+    ],
+)
+def test_removal_moves_count_trapped_circles(d, kind, shadow, free_loops):
+    sites = enumerate_moves(d, (kind,), shadow=shadow)
+    assert sites
+    for site in sites:
+        r = apply_move(d, site, shadow=shadow)
+        assert (r.nodes, r.free_loops) == ((), free_loops)
+        assert r == splice_identify(d, removal_thru(d, site))
 
 
 @pytest.mark.parametrize("kind", ["R1_add", "R2_add", "R5_twist"])

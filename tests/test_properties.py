@@ -252,6 +252,21 @@ def reference_canonical_code(d):
     return (tuple(p[0] for p in reference_least_traces(d)), d.free_loops)
 
 
+def flat(key):
+    """A reference key ``(component codes, free loops)`` in the form
+    ``canonical_code`` gives it: each code, a tuple of rows ``(head,
+    cells)``, written out as one flat tuple of each row's head fields and
+    then its cells' ``q, r`` values."""
+    codes, loops = key
+    return (
+        tuple(
+            tuple(x for head, cells in code for x in (*head, *(v for c in cells for v in c)))
+            for code in codes
+        ),
+        loops,
+    )
+
+
 def reference_canonical_form(d):
     new_index, origins, nodes = {}, {}, []
     for _code, order, origin in reference_least_traces(d):
@@ -283,7 +298,7 @@ def test_map_structure_and_canonical_form_match_the_references(d, picks):
     assert d.pair == reference_pair(d)
     assert d.faces() == reference_faces(d)
     assert d.components() == reference_components(d)
-    assert d.canonical_code() == reference_canonical_code(d)
+    assert d.canonical_code() == flat(reference_canonical_code(d))
     assert d.canonical_form() == reference_canonical_form(d)
 
 
@@ -362,7 +377,7 @@ def test_shadow_code_is_the_code_of_the_shadow(d, data):
     switched = d.with_parities(overs)
     fresh = Diagram(switched.nodes, switched.arcs, switched.free_loops)  # nothing cached
     assert switched.shadow_code() == d.shadow_code() == fresh.shadow_code()
-    assert fresh.shadow_code() == reference_shadow_code(fresh)
+    assert fresh.shadow_code() == flat(reference_shadow_code(fresh))
     assert normalize_shadow(fresh).canonical_code() == fresh.shadow_code()
     # a shadow search is offered one R2_add of each twin pair (u1, u2, 0) and
     # (u2, u1, 0); the one it skips makes the same shadow
@@ -416,15 +431,44 @@ def test_lock_step_traces_match_a_sequential_reference(d, data):
     d = Diagram(d.with_parities(overs).nodes, d.arcs, d.free_loops)
     pieces = sequential_shadow_traces(d)
     codes = sorted(code for (code, _order, _origin), _ties in pieces)
-    assert d.shadow_code() == (tuple(codes), d.free_loops)
+    assert d.shadow_code() == flat((tuple(codes), d.free_loops))
     assert d.shadow_parities() == {
         n: origin[n] % 2
         for (_code, order, origin), _ties in pieces
         for n in order
         if isinstance(d.nodes[n], Crossing)
     }
-    assert d.canonical_code() == reference_canonical_code(d)
+    assert d.canonical_code() == flat(reference_canonical_code(d))
     assert d.canonical_form() == reference_canonical_form(d)
+
+
+@given(st.one_of(link_diagrams(), graph_diagrams()), st.data())
+@settings(deadline=None)
+def test_flat_codes_sort_as_the_nested_references(a, data):
+    """Searches break ties by code order, so the flat codes must sort
+    exactly as the nested reference codes do.  ``b`` is another diagram, or
+    ``a`` one move on or with other parities, so that codes can agree far
+    into their rows."""
+    b = data.draw(
+        st.one_of(
+            link_diagrams(),
+            graph_diagrams(),
+            st.sampled_from(enumerate_moves(a, ISOTOPY_KINDS) or [None]),
+            st.fixed_dictionaries({n: st.integers(0, 1) for n in a.crossings()}),
+        )
+    )
+    if b is None:
+        b = a
+    elif isinstance(b, MoveSite):
+        b = apply_move(a, b)
+    elif isinstance(b, dict):
+        b = a.with_parities(b)
+    for key, reference in (
+        (Diagram.canonical_code, reference_canonical_code),
+        (Diagram.shadow_code, reference_shadow_code),
+    ):
+        ka, kb, ra, rb = key(a), key(b), reference(a), reference(b)
+        assert (ka < kb, ka == kb, kb < ka) == (ra < rb, ra == rb, rb < ra)
 
 
 def test_the_lock_step_corpus_has_tied_roots():
