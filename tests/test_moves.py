@@ -73,9 +73,9 @@ MOVE_CORPUS = [
 
 @pytest.mark.parametrize("d", [trefoil(), figure_eight(), k5_diagram(), wheel4_d := base_diagram(Multigraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])), *MOVE_CORPUS])
 def test_every_enumerated_move_applies(d):
-    """Every site applies, with and without shadow.  Growing and sliding
-    moves edit their parent's dart arrays and skip validation; the
-    validating constructor is their oracle."""
+    """Every site applies, with and without shadow.  Every move edits its
+    parent's dart arrays and skips validation; the validating constructor
+    is its oracle."""
     for shadow in (False, True):
         for site in enumerate_moves(d, shadow=shadow):
             r = apply_move(d, site, shadow=shadow)
