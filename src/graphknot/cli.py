@@ -203,7 +203,7 @@ def _cmd_verify(args) -> int:
     cert = certificate_from_json(data)
     report = verify_certificate(cert)
     if args.json:
-        _emit(_dump({"ok": report.ok, "notes": list(report.notes)}), args.out)
+        _emit(_dump(report.to_json()), args.out)
     else:
         status = "certificate accepted" if report.ok else "certificate REJECTED"
         _emit("\n".join([status, *report.notes]), args.out)

@@ -560,15 +560,6 @@ class AdditivityReport:
     combined: Section3Report
     holds: bool | None
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-            "combined": self.combined.to_json(),
-            "holds": self.holds,
-        }
-
 
 def additivity_check(
     g1: Multigraph,

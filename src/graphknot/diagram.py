@@ -93,7 +93,7 @@ class Diagram:
 
     def __init__(self, nodes, arcs, free_loops: int = 0):
         self.nodes: tuple[Node, ...] = tuple(nodes)
-        self.free_loops = int(free_loops)
+        self.free_loops = free_loops
         self._pair = None
         self._faces = None
         self._components = None
@@ -128,8 +128,9 @@ class Diagram:
         each node's degree, the index of each node's slot 0 (dart ``(n, s)``
         has index ``first[n] + s``, and ``first`` ends with the dart count),
         and each dart's partner ``(node, slot)`` by index."""
-        if self.free_loops < 0:
-            raise FormatError("free loop count must be non-negative")
+        # ``int()`` would take a float, a bool or a string of digits
+        if type(self.free_loops) is not int or self.free_loops < 0:
+            raise FormatError("free loop count must be a non-negative int")
         labels = [n.label for n in self.nodes if isinstance(n, Vertex)]
         if len(labels) != len(set(labels)):
             raise FormatError("vertex labels must be distinct")
@@ -509,7 +510,6 @@ class Diagram:
         return GraphProjection(
             diagram=self,
             graph=graph,
-            labels=tuple(self.nodes[n].label for n in verts),
             node_of_vertex=tuple(verts),
             strands=tuple(r[1] for r in records),
             circles=tuple(circles),
@@ -567,13 +567,12 @@ class GraphProjection:
     """How a diagram projects onto its underlying multigraph.
 
     ``graph.edges[i]`` is realized by ``strands[i]``; vertex ``i`` of the
-    graph is diagram node ``node_of_vertex[i]`` with label ``labels[i]``.
+    graph is diagram node ``node_of_vertex[i]``.
     Closed crossing-only circles (not graph edges) are listed separately.
     """
 
     diagram: Diagram
     graph: Multigraph
-    labels: tuple[str, ...]
     node_of_vertex: tuple[int, ...]
     strands: tuple[StrandPath, ...]
     circles: tuple[tuple[Dart, ...], ...]

@@ -197,10 +197,8 @@ def _contract(d: Diagram) -> dict[int, int]:
     a closed loop.
     """
     n = len(d.nodes)
-    pair = [0] * (4 * n)
-    for (a, s), (b, t) in d.arcs:
-        pair[4 * a + s] = 4 * b + t
-        pair[4 * b + t] = 4 * a + s
+    # every node has degree 4, so dart (m, t) has index 4 * m + t
+    pair = [4 * m + t for m, t in d._darts[2]]
     added = [False] * n
     joined_to_added = [0] * n
     boundary: list[int] = []
@@ -415,20 +413,27 @@ def simple_cycles(g: Multigraph, max_cycles: int = 100_000) -> list[list[int]]:
     for i in range(g.edge_count):
         if g.is_loop(i):
             record([i])
-
-    def extend(root: int, current: int, blocked: set[int], path: list[int]) -> None:
-        for e in g.incident_edges(current):
-            if e in path or g.is_loop(e):
-                continue
-            w = g.other_end(e, current)
-            if w == root and path:
-                record(path + [e])
-            elif w > root and w not in blocked:
-                extend(root, w, blocked | {w}, path + [e])
-
     for root in range(g.vertex_count):
-        extend(root, root, {root}, [])
+        _extend_cycles(g, record, root, root, {root}, [])
     return sorted(cycles, key=lambda c: (len(c), c))
+
+
+def _extend_cycles(
+    g: Multigraph, record, root: int, current: int, blocked: set[int], path: list[int]
+) -> None:
+    """Record every cycle through ``root`` that continues the simple
+    ``path`` from ``root`` to ``current`` over vertices above ``root``.  A
+    module function, not a closure: a recursive closure refers to itself
+    through its own cell, and each call would leave that cycle behind for
+    the collector."""
+    for e in g.incident_edges(current):
+        if e in path or g.is_loop(e):
+            continue
+        w = g.other_end(e, current)
+        if w == root and path:
+            record(path + [e])
+        elif w > root and w not in blocked:
+            _extend_cycles(g, record, root, w, blocked | {w}, path + [e])
 
 
 def cycle_vertices(g: Multigraph, cycle: list[int]) -> set[int]:

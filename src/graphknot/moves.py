@@ -2,11 +2,17 @@
 
 The move set: kink insertion/removal (R1), pokes (R2), triangle slides (R3),
 twisting a pair of rotation-adjacent edges at a graph vertex into a crossing
-and back (R5), and crossing changes.  Every move is a rewrite of the rotation
-system, guarded where a site enters: darts must be pairs of plain ints, an
-over or flip parameter must be 0 or 1, and the ``_require`` checks must
-hold, or ``apply_move`` raises ``MoveNotApplicable``.  Past that guard
-every move builds its child from the parent's dart arrays by a local edit
+and back (R5), and crossing changes.  Each kind is one entry of the table
+``_KINDS``, which gives its change in the crossing count and its move;
+``MOVE_KINDS`` lists the kinds in table order, which is the order of
+``enumerate_moves``.  Every move is a rewrite of the rotation system,
+guarded where a site enters: darts must be pairs of plain ints, an over or
+flip parameter must be 0 or 1, and the ``_require`` checks must hold, or
+``apply_move`` raises ``MoveNotApplicable``.  The condition of a removing
+move or an R3 slide is one predicate (``_kink``, ``_poke``, ``_twisted``,
+``_slides``) that the move requires and ``enumerate_moves`` filters its
+candidates by, so a site is listed exactly when it applies.  Past that
+guard every move builds its child from the parent's dart arrays by a local edit
 and ``Diagram._trusted``, with no global re-check: the growing and sliding
 moves (``R1_add``, ``R2_add``, ``R3``, ``R5_twist``) and crossing changes
 edit a copy where the move acts, and the removing moves (``R1_remove``,
@@ -32,22 +38,6 @@ from dataclasses import dataclass
 from .diagram import Crossing, Dart, Diagram, GraphProjection, splice_out
 from .errors import MoveNotApplicable
 
-MOVE_KINDS = (
-    "R1_remove",
-    "R2_remove",
-    "R5_untwist",
-    "R3",
-    "CrossingChange",
-    "R1_add",
-    "R2_add",
-    "R5_twist",
-)
-
-# Crossing changes alter the object, not just the picture, so the searches
-# that decide equivalence or count minimal crossings never take them.
-# Equivalence *up to* crossing changes is the shadow search.
-ISOTOPY_KINDS = tuple(k for k in MOVE_KINDS if k != "CrossingChange")
-
 _THROUGH = ((0, 2), (1, 3))
 
 
@@ -55,15 +45,6 @@ _THROUGH = ((0, 2), (1, 3))
 class MoveSite:
     kind: str
     params: tuple
-
-    def to_json(self):
-        return {"kind": self.kind, "params": _jsonify(self.params)}
-
-
-def _jsonify(x):
-    if isinstance(x, tuple):
-        return [_jsonify(y) for y in x]
-    return x
 
 
 @dataclass(frozen=True)
@@ -141,10 +122,14 @@ def _join(darts, a: Dart, b: Dart) -> None:
     partner[first[b[0]] + b[1]] = a
 
 
+def _kink(d: Diagram, c: int, s: int) -> bool:
+    """The arc at slot ``s`` of crossing ``c`` loops back to its next slot."""
+    return d.is_crossing(c) and d.pair[(c, s)] == (c, (s + 1) % 4)
+
+
 def _r1_remove(d: Diagram, params, shadow: bool) -> Diagram:
     c, s = _dart(d, params)
-    _require(d.is_crossing(c), "not a crossing")
-    _require(d.pair[(c, s)] == (c, (s + 1) % 4), "no kink loop at that slot")
+    _require(_kink(d, c, s), "no kink at that crossing slot")
     return splice_out(d, {c: _THROUGH})
 
 
@@ -169,20 +154,23 @@ def _r1_add(d: Diagram, params, shadow: bool) -> Diagram:
     return Diagram._trusted(nodes, darts, d.free_loops, d.crossing_count + 1)
 
 
+def _poke(d: Diagram, s: Dart, t: Dart, shadow: bool) -> bool:
+    """``s`` and ``t`` bound a bigon face between two crossings whose
+    strands poke instead of clasping, unless ``shadow``.  Either order of
+    the two darts gives the same answer."""
+    q, p = s[0], t[0]
+    bigon = d.phi(s) == t and d.phi(t) == s and q != p
+    if not (bigon and d.is_crossing(q) and d.is_crossing(p)):
+        return False
+    # the strand along arc {s, pair(s)} is over at both ends or under at both
+    return shadow or d.nodes[q].is_over_slot(s[1]) == d.nodes[p].is_over_slot(d.pair[s][1])
+
+
 def _r2_remove(d: Diagram, params, shadow: bool) -> Diagram:
     (s, t) = params
     s, t = _dart(d, s), _dart(d, t)
-    _require(d.phi(s) == t and d.phi(t) == s, "not a bigon face")
-    q, p = s[0], t[0]
-    _require(q != p, "bigon closes on a single node")
-    _require(d.is_crossing(q) and d.is_crossing(p), "bigon touches a vertex")
-    if not shadow:
-        # the strand along arc {s, pair(s)} must be over at both ends or
-        # under at both ends
-        a = d.nodes[q].is_over_slot(s[1])
-        b = d.nodes[p].is_over_slot(d.pair[s][1])
-        _require(a == b, "strands clasp instead of poking")
-    return splice_out(d, {q: _THROUGH, p: _THROUGH})
+    _require(_poke(d, s, t, shadow), "not a bigon of two crossings that poke")
+    return splice_out(d, {s[0]: _THROUGH, t[0]: _THROUGH})
 
 
 def _r2_add(d: Diagram, params, shadow: bool) -> Diagram:
@@ -232,21 +220,30 @@ def _r2_add(d: Diagram, params, shadow: bool) -> Diagram:
     return Diagram._trusted(nodes, darts, d.free_loops - loops, d.crossing_count + 2)
 
 
+def _slides(d: Diagram, s1: Dart, shadow: bool) -> bool:
+    """The face at ``s1`` is a triangle of three distinct crossings, and
+    unless ``shadow`` a strand passes across it: the triangle's three darts
+    are neither all over nor all under.  Each of the three darts gives the
+    same answer."""
+    s2 = d.phi(s1)
+    s3 = d.phi(s2)
+    face = (s1, s2, s3)
+    nodes = {n for n, _s in face}
+    return (
+        d.phi(s3) == s1
+        and len(nodes) == 3
+        and all(d.is_crossing(n) for n in nodes)
+        and (shadow or len({d.nodes[n].is_over_slot(s) for n, s in face}) == 2)
+    )
+
+
 def _r3(d: Diagram, params, shadow: bool) -> Diagram:
     (anchor,) = params
     s1 = _dart(d, anchor)
+    _require(_slides(d, s1, shadow), "not a triangle a strand slides across")
     s2 = d.phi(s1)
     s3 = d.phi(s2)
-    _require(d.phi(s3) == s1 and len({s1, s2, s3}) == 3, "not a triangular face")
     q, p, r = s1[0], s2[0], s3[0]
-    _require(len({q, p, r}) == 3, "triangle revisits a node")
-    _require(
-        d.is_crossing(q) and d.is_crossing(p) and d.is_crossing(r),
-        "triangle touches a vertex",
-    )
-    if not shadow:
-        bits = {d.nodes[n].is_over_slot(s) for n, s in (s1, s2, s3)}
-        _require(len(bits) == 2, "no strand passes across the triangle")
 
     def qs(k):
         return (q, (s1[1] + k) % 4)
@@ -311,41 +308,51 @@ def _r5_twist(d: Diagram, params, shadow: bool) -> Diagram:
     return Diagram._trusted(nodes, darts, d.free_loops, d.crossing_count + 1)
 
 
+def _twisted(d: Diagram, v: int, i: int) -> bool:
+    """Slots ``i`` and ``i + 1`` of vertex ``v`` run to consecutive slots of
+    one crossing, as ``R5_twist`` leaves them.  At a vertex of degree 1 the
+    two are one slot, whose arc cannot end at two slots."""
+    if d.is_crossing(v):
+        return False
+    ca = d.pair[(v, i)]
+    cb = d.pair[(v, (i + 1) % d.degree_of(v))]
+    return ca[0] == cb[0] and d.is_crossing(ca[0]) and cb[1] == (ca[1] - 1) % 4
+
+
 def _r5_untwist(d: Diagram, params, shadow: bool) -> Diagram:
-    a = _dart(d, params)
-    v, i = a
-    _require(not d.is_crossing(v), "not a vertex")
-    deg = d.degree_of(v)
-    _require(deg >= 2, "untwisting needs two adjacent slots")
-    b = (v, (i + 1) % deg)
-    ca = d.pair[a]
-    cb = d.pair[b]
-    _require(
-        ca[0] == cb[0] and d.is_crossing(ca[0]) and cb[1] == (ca[1] - 1) % 4,
-        "adjacent slots do not feed a twist crossing",
-    )
-    k = ca[1]
+    v, i = _dart(d, params)
+    _require(_twisted(d, v, i), "adjacent slots do not feed a twist crossing")
+    c, k = d.pair[(v, i)]
     matching = (((k, (k + 1) % 4)), (((k + 2) % 4, (k + 3) % 4)))
-    return splice_out(d, {ca[0]: matching})
+    return splice_out(d, {c: matching})
 
 
-_APPLY = {
-    "R1_remove": _r1_remove,
-    "R1_add": _r1_add,
-    "R2_remove": _r2_remove,
-    "R2_add": _r2_add,
-    "R3": _r3,
-    "CrossingChange": _crossing_change,
-    "R5_twist": _r5_twist,
-    "R5_untwist": _r5_untwist,
+# Every move kind, in the order ``enumerate_moves`` lists them, with its
+# change in the crossing count and its move.
+_KINDS = {
+    "R1_remove": (-1, _r1_remove),
+    "R2_remove": (-2, _r2_remove),
+    "R5_untwist": (-1, _r5_untwist),
+    "R3": (0, _r3),
+    "CrossingChange": (0, _crossing_change),
+    "R1_add": (1, _r1_add),
+    "R2_add": (2, _r2_add),
+    "R5_twist": (1, _r5_twist),
 }
+
+MOVE_KINDS = tuple(_KINDS)
+
+# Crossing changes alter the object, not just the picture, so the searches
+# that decide equivalence or count minimal crossings never take them.
+# Equivalence *up to* crossing changes is the shadow search.
+ISOTOPY_KINDS = tuple(k for k in MOVE_KINDS if k != "CrossingChange")
 
 
 def apply_move(d: Diagram, site: MoveSite, shadow: bool = False) -> Diagram:
-    if site.kind not in _APPLY:
+    if site.kind not in _KINDS:
         raise MoveNotApplicable(f"unknown move kind {site.kind!r}")
     try:
-        return _APPLY[site.kind](d, site.params, shadow)
+        return _KINDS[site.kind][1](d, site.params, shadow)
     except (TypeError, ValueError, KeyError, IndexError):
         raise MoveNotApplicable(
             f"malformed parameters {site.params!r} for {site.kind}"
@@ -361,52 +368,21 @@ def enumerate_moves(
     for kind in kinds:
         found: list[tuple] = []
         if kind == "R1_remove":
-            for c in d.crossings():
-                for s in range(4):
-                    if d.pair[(c, s)] == (c, (s + 1) % 4):
-                        found.append((c, s))
+            found = [(c, s) for c in d.crossings() for s in range(4) if _kink(d, c, s)]
         elif kind == "R2_remove":
-            for face in d.faces():
-                if len(face) != 2:
-                    continue
-                s, t = sorted(face)
-                if s[0] == t[0]:
-                    continue
-                if not (d.is_crossing(s[0]) and d.is_crossing(t[0])):
-                    continue
-                if not shadow:
-                    a = d.nodes[s[0]].is_over_slot(s[1])
-                    b = d.nodes[t[0]].is_over_slot(d.pair[s][1])
-                    if a != b:
-                        continue
-                found.append((s, t))
+            # a face starts at its least dart, so a bigon's two are sorted
+            found = [f for f in d.faces() if len(f) == 2 and _poke(d, *f, shadow)]
         elif kind == "R5_untwist":
-            for v in d.vertices():
-                deg = d.degree_of(v)
-                if deg < 2:
-                    continue
-                for i in range(deg):
-                    ca = d.pair[(v, i)]
-                    cb = d.pair[(v, (i + 1) % deg)]
-                    if (
-                        ca[0] == cb[0]
-                        and d.is_crossing(ca[0])
-                        and cb[1] == (ca[1] - 1) % 4
-                    ):
-                        found.append((v, i))
+            found = [
+                (v, i)
+                for v in d.vertices()
+                for i in range(d.degree_of(v))
+                if _twisted(d, v, i)
+            ]
         elif kind == "R3":
             for face in d.faces():
-                if len(face) != 3:
-                    continue
-                ns = [x[0] for x in face]
-                if len(set(ns)) != 3 or not all(d.is_crossing(n) for n in ns):
-                    continue
-                if not shadow:
-                    bits = {d.nodes[n].is_over_slot(s) for n, s in face}
-                    if len(bits) != 2:
-                        continue
-                for anchor in face:
-                    found.append((anchor,))
+                if len(face) == 3 and _slides(d, face[0], shadow):
+                    found.extend((anchor,) for anchor in face)
         elif kind == "CrossingChange":
             if not shadow:
                 for c in d.crossings():
@@ -470,22 +446,12 @@ class SearchResult:
     states: int
 
 
-_KIND_DELTA = {
-    "R1_remove": -1,
-    "R2_remove": -2,
-    "R5_untwist": -1,
-    "R3": 0,
-    "CrossingChange": 0,
-    "R1_add": 1,
-    "R2_add": 2,
-    "R5_twist": 1,
-}
-
-
 def _neighbors(d: Diagram, budget: Budget, shadow: bool, delta: int | None = None):
     """Each site of ``d`` within the budget, with the diagram it makes;
     with ``delta``, only the sites of the kinds that change the crossing
-    count by that much.
+    count by that much.  A kind changes the count by its delta exactly, so
+    keeping out the kinds that would pass the cap keeps out every child
+    over it, and every site offered applies.
 
     ``enumerate_moves`` offers an R3 triangle at each of its three darts,
     and all three slides make the same map, so only the first of them in
@@ -494,7 +460,7 @@ def _neighbors(d: Diagram, budget: Budget, shadow: bool, delta: int | None = Non
     use = tuple(
         k
         for k in ISOTOPY_KINDS
-        if _KIND_DELTA[k] <= room and delta in (None, _KIND_DELTA[k])
+        if _KINDS[k][0] <= room and delta in (None, _KINDS[k][0])
     )
     slid: set[Dart] = set()  # the darts of the triangles already slid
     for site in enumerate_moves(d, use, shadow=shadow):
@@ -504,13 +470,7 @@ def _neighbors(d: Diagram, budget: Budget, shadow: bool, delta: int | None = Non
                 continue
             second = d.phi(anchor)
             slid.update((anchor, second, d.phi(second)))
-        try:
-            nd = apply_move(d, site, shadow=shadow)
-        except MoveNotApplicable:
-            continue
-        if nd.crossing_count > budget.max_crossings:
-            continue
-        yield site, nd
+        yield site, apply_move(d, site, shadow=shadow)
 
 
 def search_min_crossings(
@@ -576,7 +536,7 @@ def _recover_step(cur: Diagram, target_code, back: MoveSite, budget, shadow):
     a step changes the crossing count by minus what ``back`` does, so only
     the kinds that do are tried."""
     key = _state_key(shadow)
-    for site, nd in _neighbors(cur, budget, shadow, -_KIND_DELTA[back.kind]):
+    for site, nd in _neighbors(cur, budget, shadow, -_KINDS[back.kind][0]):
         if key(nd) == target_code:
             return site, nd
     return None

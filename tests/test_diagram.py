@@ -159,6 +159,13 @@ def test_a_crossing_parity_is_the_int_0_or_1(over):
         trefoil().with_over(0, over)
 
 
+@pytest.mark.parametrize("free_loops", [1.7, True, "3", -1])
+def test_a_free_loop_count_is_a_non_negative_int(free_loops):
+    # int() would take each of the first three
+    with pytest.raises(FormatError):
+        Diagram([], [], free_loops)
+
+
 @pytest.mark.parametrize("slot", ["1", 1.5, 1.0, None, (1,)])
 def test_diagram_rejects_a_non_integer_dart(slot):
     arcs = [((0, 0), (0, slot)), ((0, 2), (0, 3))]

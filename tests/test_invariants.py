@@ -171,6 +171,16 @@ def test_cycle_guard_at_its_edge():
         simple_cycles(complete_graph(4), max_cycles=6)
 
 
+def test_simple_cycles_leaves_nothing_for_the_collector():
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(simple_cycles(complete_graph(5))) == 37
+        assert gc.collect() == 0  # freed by reference counting alone
+    finally:
+        gc.enable()
+
+
 def test_cycle_vertices():
     g = complete_graph(4)
     triangle = next(c for c in simple_cycles(g) if len(c) == 3)

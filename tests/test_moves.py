@@ -56,7 +56,8 @@ def test_isotopy_kinds_exclude_crossing_changes():
 # Small diagrams that between them offer sites of every kind, with and
 # without shadow: free loops to curl and poke, separate components, kinks,
 # bigons, triangles a strand passes across, vertices with a loop edge and a
-# twist to undo.
+# twist to undo.  The one-crossing curl has its kinks at slots 1 and 3,
+# where the next slot wraps round to 0; the others' kinks sit at slot 2.
 MOVE_CORPUS = [
     unlink(2),
     disjoint_union_diagrams(trefoil(), unknot()),
@@ -68,6 +69,7 @@ MOVE_CORPUS = [
     apply_move(k4_diagram(), MoveSite("R5_twist", (0, 0, 1))),
     base_diagram(Multigraph(2, ((0, 0), (0, 1), (1, 1)))),
     linked_triangles(),
+    Diagram([Crossing(0)], [((0, 1), (0, 2)), ((0, 3), (0, 0))]),
 ]
 
 
@@ -84,6 +86,38 @@ def test_every_enumerated_move_applies(d):
             assert full.crossing_count == r.crossing_count, site
             assert full.canonical_code() == r.canonical_code(), site
             assert full.shadow_code() == r.shadow_code(), site
+
+
+# the candidates of each kind whose sites a predicate filters: every
+# crossing dart, both orders of each bigon's darts, every vertex slot, and
+# every dart as a triangle's anchor
+def _filtered_candidates(d):
+    return {
+        "R1_remove": [(c, s) for c in d.crossings() for s in range(4)],
+        "R2_remove": [
+            order for f in d.faces() if len(f) == 2 for order in (f, f[::-1])
+        ],
+        "R5_untwist": [(v, i) for v in d.vertices() for i in range(d.degree_of(v))],
+        "R3": [(x,) for x in d.darts()],
+    }
+
+
+@pytest.mark.parametrize("d", MOVE_CORPUS)
+def test_a_filtered_candidate_applies_exactly_when_enumerated(d):
+    """The converse of ``test_every_enumerated_move_applies``: a candidate
+    that ``enumerate_moves`` leaves out is rejected by its move."""
+    for shadow in (False, True):
+        for kind, candidates in _filtered_candidates(d).items():
+            listed = {s.params for s in enumerate_moves(d, (kind,), shadow=shadow)}
+            assert listed <= set(candidates)
+            for params in candidates:
+                try:
+                    apply_move(d, MoveSite(kind, params), shadow=shadow)
+                    applied = True
+                except MoveNotApplicable:
+                    applied = False
+                either = {params, params[::-1]} if kind == "R2_remove" else {params}
+                assert applied == bool(either & listed), (kind, params, shadow)
 
 
 def removal_thru(d, site):
