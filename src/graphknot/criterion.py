@@ -512,6 +512,14 @@ def section3_crossing_number(
     switched) came first is given that one's report.  The reported value is
     the minimum, and it is withheld (``None``) if any subproblem's bounds
     fail to close.
+
+    A subproblem closes when a lower bound meets the least crossing count
+    its search found, or when the search exhausts its crossing cap (noted
+    as such).  The latter is relative to the moves in ``MOVE_KINDS`` other
+    than crossing changes, which have no move that passes a strand across
+    a graph vertex, and to the cap: its value is the least crossing count
+    those moves reach, an upper bound on the least over every diagram of
+    that spatial graph, not that least itself.
     """
     notes = []
     layered = descending_diagram(

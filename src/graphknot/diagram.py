@@ -298,29 +298,10 @@ class Diagram:
 
     # -- canonical form -------------------------------------------------------
 
-    def _root_candidates(self, comp: list[int], shadow: bool) -> list[Dart]:
-        """Darts that can start a minimal trace of a component, in order.
-
-        The first entry of a trace is the head of the root node, so only
-        darts realising the smallest head are in the running.  Vertex heads
-        ``("v", label, degree)`` sort before crossing heads ``("x", 0|1)``
-        and labels are distinct, so these are every slot of the vertex with
-        the least label or, in a crossing-only component, the two over slots
-        of every crossing (head ``("x", 0)``), or all four slots in a shadow
-        trace.  ``comp`` lists the component's nodes in increasing order.
-        """
-        nodes = self.nodes
-        vertices = [n for n in comp if isinstance(nodes[n], Vertex)]
-        if vertices:
-            v = min(vertices, key=lambda n: nodes[n].label)
-            return [(v, s) for s in range(nodes[v].degree)]
-        if shadow:
-            return [(n, s) for n in comp for s in range(4)]
-        return [(n, s) for n in comp for s in (nodes[n].over, nodes[n].over + 2)]
-
     def _least_traces(self, shadow: bool = False):
         """(code, node order, slot origins) of each component's least trace,
-        in component order; the first root to reach the least code wins.
+        in component order (by least node); the first root to reach the
+        least code wins.
 
         A trace is the breadth-first code of a component from a root dart.
         Node numbers and slot origins are both traversal-derived, so two
@@ -335,65 +316,56 @@ class Diagram:
         head, at fields of one type, or inside cells, since equal heads mean
         rows of equal length.
 
-        The traces from every root candidate advance together, one row at a
-        time, and a trace drops out once its row is larger than the least
-        row of that round, so no root is traced twice.  Once one trace is
-        left, it runs to its end, straight into the code.
+        Only darts realising the least head can root a least trace.  Vertex
+        heads sort before crossing heads and labels are distinct, so a
+        component with a vertex is rooted at every slot of its vertex with
+        the least label.  The vertices are walked in label order, and one
+        not yet placed has the least label of its component: its trace
+        finds the component, and the winning trace's node order places it.
+        A degree-0 vertex is an ``"isolated"`` piece of its own.  The nodes
+        left over form crossing-only components, each found by one walk and
+        rooted at the over slots of its crossings (head ``("x", 0)``), or at
+        all four slots in a shadow trace, in node order.
         """
         heads = _SHADOW_HEADS if shadow else _CROSSING_HEADS
         nodes = self.nodes
-        deg, first, partner = self._darts
-        pieces = []
-        for comp in self.components():
-            comp = sorted(comp)
-            if len(comp) == 1 and not deg[comp[0]]:
-                n = comp[0]
-                node = nodes[n]
-                pieces.append((("isolated", node.label, node.degree), [n], {n: 0}))
+        darts = self._darts
+        deg, first, partner = darts
+        placed = bytearray(len(nodes))
+        pieces = []  # (least node of the component, piece)
+        labelled = [(node.label, n) for n, node in enumerate(nodes) if type(node) is Vertex]
+        for label, n in sorted(labelled):
+            if placed[n]:
                 continue
-            traces = []  # each candidate's node numbers, slot origins, order
-            for n, o in self._root_candidates(comp, shadow):
-                number = [-1] * len(nodes)
-                origin = [0] * len(nodes)
-                number[n] = 0
-                origin[n] = o
-                traces.append((number, origin, [n]))
-            code = []
-            for i in range(len(comp)):
-                alone = len(traces) == 1
-                least = None
-                for trace in traces:
-                    number, origin, order = trace
-                    row = code if alone else []
-                    n = order[i]  # order grows as nodes get numbers
-                    node = nodes[n]
-                    o = origin[n]
-                    if type(node) is Crossing:
-                        row += heads[(node.over - o) % 2]
-                    else:
-                        row += ("v", node.label, node.degree)
-                    # the partners of the slots from o on, counter-clockwise
-                    cut = first[n] + o
-                    for m, t in partner[cut:first[n + 1]] + partner[first[n]:cut]:
-                        q = number[m]
-                        if q < 0:
-                            number[m] = q = len(order)
-                            origin[m] = t
-                            order.append(m)
-                        row.append(q)
-                        row.append((t - origin[m]) % deg[m])
-                    if alone:
-                        break
-                    if row == least:
-                        kept.append(trace)
-                    elif least is None or row < least:
-                        least, kept = row, [trace]
-                if not alone:
-                    code += least
-                    traces = kept
-            _number, origin, order = traces[0]
-            pieces.append((tuple(code), order, origin))
-        return pieces
+            if not deg[n]:
+                placed[n] = 1
+                pieces.append((n, (("isolated", label, 0), [n], {n: 0})))
+                continue
+            piece = _least_trace(nodes, darts, [(n, s) for s in range(deg[n])], heads)
+            order = piece[1]
+            if len(order) == len(nodes):  # the one component
+                return [piece]
+            for m in order:
+                placed[m] = 1
+            pieces.append((min(order), piece))
+        n = placed.find(0)
+        while n >= 0:
+            placed[n] = 1
+            comp = [n]
+            for m in comp:  # grows as the walk reaches new nodes
+                for k, _t in partner[first[m]:first[m + 1]]:
+                    if not placed[k]:
+                        placed[k] = 1
+                        comp.append(k)
+            comp.sort()
+            if shadow:
+                roots = [(m, s) for m in comp for s in range(4)]
+            else:
+                roots = [(m, s) for m in comp for s in (nodes[m].over, nodes[m].over + 2)]
+            pieces.append((n, _least_trace(nodes, darts, roots, heads)))
+            n = placed.find(0, n + 1)
+        pieces.sort(key=lambda p: p[0])
+        return [piece for _least, piece in pieces]
 
     def canonical_code(self):
         """Hashable key equal for diagrams that are the same abstract map."""
@@ -583,6 +555,64 @@ class GraphProjection:
             if dart in strand.ends:
                 return i
         raise InvalidVertexError(f"{dart} is not a vertex slot on any strand")
+
+
+def _least_trace(nodes, darts, roots, heads):
+    """(code, node order, slot origins) of the least trace of one component
+    from the root darts ``roots``, as ``Diagram._least_traces`` describes
+    it.
+
+    The traces from every root advance together, one row at a time, and a
+    trace drops out once its row is larger than the least row of that
+    round, so no root is traced twice.  Once one trace is left, it runs to
+    its end, straight into the code.  Every trace covers the one component,
+    so all end at the same row.
+    """
+    deg, first, partner = darts
+    traces = []  # each root's node numbers, slot origins, order
+    for n, o in roots:
+        number = [-1] * len(nodes)
+        origin = [0] * len(nodes)
+        number[n] = 0
+        origin[n] = o
+        traces.append((number, origin, [n]))
+    code = []
+    i = 0
+    while i < len(traces[0][2]):
+        alone = len(traces) == 1
+        least = None
+        for trace in traces:
+            number, origin, order = trace
+            row = code if alone else []
+            n = order[i]  # order grows as nodes get numbers
+            node = nodes[n]
+            o = origin[n]
+            if type(node) is Crossing:
+                row += heads[(node.over - o) % 2]
+            else:
+                row += ("v", node.label, node.degree)
+            # the partners of the slots from o on, counter-clockwise
+            cut = first[n] + o
+            for m, t in partner[cut:first[n + 1]] + partner[first[n]:cut]:
+                q = number[m]
+                if q < 0:
+                    number[m] = q = len(order)
+                    origin[m] = t
+                    order.append(m)
+                row.append(q)
+                row.append((t - origin[m]) % deg[m])
+            if alone:
+                break
+            if row == least:
+                kept.append(trace)
+            elif least is None or row < least:
+                least, kept = row, [trace]
+        if not alone:
+            code += least
+            traces = kept
+        i += 1
+    _number, origin, order = traces[0]
+    return tuple(code), order, origin
 
 
 def _arcs_of(darts) -> tuple[Arc, ...]:

@@ -3,21 +3,23 @@
 The move set: kink insertion/removal (R1), pokes (R2), triangle slides (R3),
 twisting a pair of rotation-adjacent edges at a graph vertex into a crossing
 and back (R5), and crossing changes.  Each kind is one entry of the table
-``_KINDS``, which gives its change in the crossing count and its move;
-``MOVE_KINDS`` lists the kinds in table order, which is the order of
-``enumerate_moves``.  Every move is a rewrite of the rotation system,
-guarded where a site enters: darts must be pairs of plain ints, an over or
-flip parameter must be 0 or 1, and the ``_require`` checks must hold, or
-``apply_move`` raises ``MoveNotApplicable``.  The condition of a removing
-move or an R3 slide is one predicate (``_kink``, ``_poke``, ``_twisted``,
-``_slides``) that the move requires and ``enumerate_moves`` filters its
-candidates by, so a site is listed exactly when it applies.  Past that
-guard every move builds its child from the parent's dart arrays by a local edit
-and ``Diagram._trusted``, with no global re-check: the growing and sliding
-moves (``R1_add``, ``R2_add``, ``R3``, ``R5_twist``) and crossing changes
-edit a copy where the move acts, and the removing moves (``R1_remove``,
-``R2_remove``, ``R5_untwist``) splice their crossings out with
-``splice_out``.  ``Diagram._validate`` stays the one definition of a valid
+``_KINDS``, which gives its change in the crossing count, its guard and its
+build; ``MOVE_KINDS`` lists the kinds in table order, which is the order of
+``enumerate_moves``.  Every move is a rewrite of the rotation system in two
+parts.  The guard checks a site where it enters: darts must be pairs of
+plain ints, an over or flip parameter must be 0 or 1, and the ``_require``
+checks must hold, or ``apply_move`` raises ``MoveNotApplicable``.  The
+condition of a removing move or an R3 slide is one predicate (``_kink``,
+``_poke``, ``_twisted``, ``_slides``) that the guard requires and
+``enumerate_moves`` filters its candidates by, so a site is listed exactly
+when it applies.  The build makes the child from the parent's dart arrays
+by a local edit and ``Diagram._trusted``, with no global re-check: the
+growing and sliding moves (``R1_add``, ``R2_add``, ``R3``, ``R5_twist``)
+and crossing changes edit a copy where the move acts, and the removing
+moves (``R1_remove``, ``R2_remove``, ``R5_untwist``) splice their crossings
+out with ``splice_out``.  ``apply_move`` runs the guard and then the build;
+the searches build the listed sites alone, so a child costs its local edit
+and its key.  ``Diagram._validate`` stays the one definition of a valid
 map; the tests hold every move result to it.
 
 ``shadow=True`` runs the same machinery on shadows: over/under data is
@@ -127,27 +129,38 @@ def _kink(d: Diagram, c: int, s: int) -> bool:
     return d.is_crossing(c) and d.pair[(c, s)] == (c, (s + 1) % 4)
 
 
-def _r1_remove(d: Diagram, params, shadow: bool) -> Diagram:
+def _check_r1_remove(d: Diagram, params, shadow: bool):
     c, s = _dart(d, params)
     _require(_kink(d, c, s), "no kink at that crossing slot")
-    return splice_out(d, {c: _THROUGH})
+    return c, s
+
+
+def _r1_remove(d: Diagram, params, shadow: bool) -> Diagram:
+    return splice_out(d, {params[0]: _THROUGH})
+
+
+def _check_r1_add(d: Diagram, params, shadow: bool):
+    if params[0] == "loop":
+        (_, over) = params
+        _require(d.free_loops >= 1, "no free loop to curl")
+        return "loop", _bit(over)
+    (arc_index, over, flip) = params
+    _require(type(arc_index) is int and 0 <= arc_index < len(d.arcs), "no such arc")
+    return arc_index, _bit(over), _bit(flip)
 
 
 def _r1_add(d: Diagram, params, shadow: bool) -> Diagram:
     c = len(d.nodes)
     if params[0] == "loop":
-        (_, over) = params
-        _require(d.free_loops >= 1, "no free loop to curl")
-        nodes, darts = _grown(d, (_bit(over),))
+        nodes, darts = _grown(d, (params[1],))
         _join(darts, (c, 0), (c, 1))
         _join(darts, (c, 2), (c, 3))
         return Diagram._trusted(nodes, darts, d.free_loops - 1, d.crossing_count + 1)
     (arc_index, over, flip) = params
-    _require(type(arc_index) is int and 0 <= arc_index < len(d.arcs), "no such arc")
     x, y = d.arcs[arc_index]
-    if _bit(flip):
+    if flip:
         x, y = y, x
-    nodes, darts = _grown(d, (_bit(over),))
+    nodes, darts = _grown(d, (over,))
     _join(darts, x, (c, 0))
     _join(darts, y, (c, 1))
     _join(darts, (c, 2), (c, 3))
@@ -166,27 +179,29 @@ def _poke(d: Diagram, s: Dart, t: Dart, shadow: bool) -> bool:
     return shadow or d.nodes[q].is_over_slot(s[1]) == d.nodes[p].is_over_slot(d.pair[s][1])
 
 
-def _r2_remove(d: Diagram, params, shadow: bool) -> Diagram:
+def _check_r2_remove(d: Diagram, params, shadow: bool):
     (s, t) = params
     s, t = _dart(d, s), _dart(d, t)
     _require(_poke(d, s, t, shadow), "not a bigon of two crossings that poke")
+    return s, t
+
+
+def _r2_remove(d: Diagram, params, shadow: bool) -> Diagram:
+    s, t = params
     return splice_out(d, {s[0]: _THROUGH, t[0]: _THROUGH})
 
 
-def _r2_add(d: Diagram, params, shadow: bool) -> Diagram:
-    """Poke the strand at dart ``d1`` across the one at ``d2``, making a
-    bigon of two new crossings ``c1`` and ``c2``; ``"loop"`` in place of a
-    dart pokes a free loop."""
+def _check_r2_add(d: Diagram, params, shadow: bool):
     (d1, d2, over) = params
     over = _bit(over)
     u1 = None if d1 == "loop" else _dart(d, d1)
     u2 = None if d2 == "loop" else _dart(d, d2)
     loops = (u1 is None) + (u2 is None)
     _require(d.free_loops >= loops, "not enough free loops to poke")
-    deg, first, partner = d._darts
-    w1 = None if u1 is None else partner[first[u1[0]] + u1[1]]
-    w2 = None if u2 is None else partner[first[u2[0]] + u2[1]]
     if loops == 0:
+        deg, first, partner = d._darts
+        w1 = partner[first[u1[0]] + u1[1]]
+        w2 = partner[first[u2[0]] + u2[1]]
         _require(len({u1, w1, u2, w2}) == 4, "darts must sit on two distinct arcs")
         # within one component both darts must border a common face;
         # separate components can always be arranged to present any two
@@ -199,24 +214,34 @@ def _r2_add(d: Diagram, params, shadow: bool) -> Diagram:
                 m, t = partner[i]
                 i = first[m] + (t + 1) % deg[m]
                 _require(i != start, "darts do not border a common face")
+    return ("loop" if u1 is None else u1), ("loop" if u2 is None else u2), over
+
+
+def _r2_add(d: Diagram, params, shadow: bool) -> Diagram:
+    """Poke the strand at dart ``u1`` across the one at ``u2``, making a
+    bigon of two new crossings ``c1`` and ``c2``; ``"loop"`` in place of a
+    dart pokes a free loop."""
+    (u1, u2, over) = params
+    _deg, first, partner = d._darts
     c1 = len(d.nodes)
     c2 = c1 + 1
     nodes, darts = _grown(d, (over, over))
     # the bigon: slots 1 and 2 of c1 meet slots 1 and 0 of c2
     _join(darts, (c1, 1), (c2, 1))
     _join(darts, (c2, 0), (c1, 2))
-    # each poked strand runs on across the bigon; a poked free loop closes
-    # up there instead
-    if u1 is None:
+    # each poked strand runs on across the bigon to its old partner, read
+    # off the parent's arrays; a poked free loop closes up there instead
+    if u1 == "loop":
         _join(darts, (c1, 3), (c2, 3))
     else:
         _join(darts, u1, (c1, 3))
-        _join(darts, (c2, 3), w1)
-    if u2 is None:
+        _join(darts, (c2, 3), partner[first[u1[0]] + u1[1]])
+    if u2 == "loop":
         _join(darts, (c1, 0), (c2, 2))
     else:
         _join(darts, u2, (c2, 2))
-        _join(darts, (c1, 0), w2)
+        _join(darts, (c1, 0), partner[first[u2[0]] + u2[1]])
+    loops = (u1 == "loop") + (u2 == "loop")
     return Diagram._trusted(nodes, darts, d.free_loops - loops, d.crossing_count + 2)
 
 
@@ -237,10 +262,15 @@ def _slides(d: Diagram, s1: Dart, shadow: bool) -> bool:
     )
 
 
-def _r3(d: Diagram, params, shadow: bool) -> Diagram:
+def _check_r3(d: Diagram, params, shadow: bool):
     (anchor,) = params
     s1 = _dart(d, anchor)
     _require(_slides(d, s1, shadow), "not a triangle a strand slides across")
+    return (s1,)
+
+
+def _r3(d: Diagram, params, shadow: bool) -> Diagram:
+    (s1,) = params
     s2 = d.phi(s1)
     s3 = d.phi(s2)
     q, p, r = s1[0], s2[0], s3[0]
@@ -276,27 +306,36 @@ def _r3(d: Diagram, params, shadow: bool) -> Diagram:
     return Diagram._trusted(d.nodes, darts, d.free_loops, d.crossing_count)
 
 
-def _crossing_change(d: Diagram, params, shadow: bool) -> Diagram:
+def _check_crossing_change(d: Diagram, params, shadow: bool):
     (c,) = params
     _require(not shadow, "crossing changes are invisible on shadows")
     _require(
         type(c) is int and 0 <= c < len(d.nodes) and d.is_crossing(c), "not a crossing"
     )
+    return (c,)
+
+
+def _crossing_change(d: Diagram, params, shadow: bool) -> Diagram:
+    (c,) = params
     return d.with_over(c, 1 - d.nodes[c].over)
+
+
+def _check_r5_twist(d: Diagram, params, shadow: bool):
+    (v, i, over) = params
+    v, i = _dart(d, (v, i))
+    _require(not d.is_crossing(v), "not a vertex")
+    _require(d.degree_of(v) >= 2, "twisting needs two adjacent slots")
+    return v, i, _bit(over)
 
 
 def _r5_twist(d: Diagram, params, shadow: bool) -> Diagram:
     (v, i, over) = params
-    a = _dart(d, (v, i))
-    v, i = a
-    _require(not d.is_crossing(v), "not a vertex")
-    deg = d.degree_of(v)
-    _require(deg >= 2, "twisting needs two adjacent slots")
-    b = (v, (i + 1) % deg)
-    _deg, first, partner = d._darts
+    deg, first, partner = d._darts
+    a = (v, i)
+    b = (v, (i + 1) % deg[v])
     pa, pb = partner[first[v] + i], partner[first[v] + b[1]]
     c = len(d.nodes)
-    nodes, darts = _grown(d, (_bit(over),))
+    nodes, darts = _grown(d, (over,))
     if pa == b:
         # the two slots are joined by a little loop arc; it rides along
         _join(darts, (c, 3), (c, 0))
@@ -319,25 +358,32 @@ def _twisted(d: Diagram, v: int, i: int) -> bool:
     return ca[0] == cb[0] and d.is_crossing(ca[0]) and cb[1] == (ca[1] - 1) % 4
 
 
-def _r5_untwist(d: Diagram, params, shadow: bool) -> Diagram:
+def _check_r5_untwist(d: Diagram, params, shadow: bool):
     v, i = _dart(d, params)
     _require(_twisted(d, v, i), "adjacent slots do not feed a twist crossing")
-    c, k = d.pair[(v, i)]
+    return v, i
+
+
+def _r5_untwist(d: Diagram, params, shadow: bool) -> Diagram:
+    c, k = d.pair[params]
     matching = (((k, (k + 1) % 4)), (((k + 2) % 4, (k + 3) % 4)))
     return splice_out(d, {c: matching})
 
 
 # Every move kind, in the order ``enumerate_moves`` lists them, with its
-# change in the crossing count and its move.
+# change in the crossing count, its guard and its build.  The guard takes a
+# caller's parameters, types them and checks that the site applies, or
+# raises ``MoveNotApplicable``; it returns the parameters in the form that
+# ``enumerate_moves`` lists, which the build turns into the child.
 _KINDS = {
-    "R1_remove": (-1, _r1_remove),
-    "R2_remove": (-2, _r2_remove),
-    "R5_untwist": (-1, _r5_untwist),
-    "R3": (0, _r3),
-    "CrossingChange": (0, _crossing_change),
-    "R1_add": (1, _r1_add),
-    "R2_add": (2, _r2_add),
-    "R5_twist": (1, _r5_twist),
+    "R1_remove": (-1, _check_r1_remove, _r1_remove),
+    "R2_remove": (-2, _check_r2_remove, _r2_remove),
+    "R5_untwist": (-1, _check_r5_untwist, _r5_untwist),
+    "R3": (0, _check_r3, _r3),
+    "CrossingChange": (0, _check_crossing_change, _crossing_change),
+    "R1_add": (1, _check_r1_add, _r1_add),
+    "R2_add": (2, _check_r2_add, _r2_add),
+    "R5_twist": (1, _check_r5_twist, _r5_twist),
 }
 
 MOVE_KINDS = tuple(_KINDS)
@@ -349,10 +395,13 @@ ISOTOPY_KINDS = tuple(k for k in MOVE_KINDS if k != "CrossingChange")
 
 
 def apply_move(d: Diagram, site: MoveSite, shadow: bool = False) -> Diagram:
+    """The diagram ``site`` makes of ``d``; a site that does not apply, or
+    whose parameters are malformed, raises ``MoveNotApplicable``."""
     if site.kind not in _KINDS:
         raise MoveNotApplicable(f"unknown move kind {site.kind!r}")
+    _delta, check, build = _KINDS[site.kind]
     try:
-        return _KINDS[site.kind][1](d, site.params, shadow)
+        return build(d, check(d, site.params, shadow), shadow)
     except (TypeError, ValueError, KeyError, IndexError):
         raise MoveNotApplicable(
             f"malformed parameters {site.params!r} for {site.kind}"
@@ -397,13 +446,14 @@ def enumerate_moves(
                     found.append(("loop", over))
         elif kind == "R2_add":
             for face in d.faces():
-                for u1 in face:
-                    for u2 in face:
+                # on a shadow, (u2, u1) pokes the bigon (u1, u2) does; keep
+                # the twin whose text sorts first, each dart formatted once
+                texts = [str(u) for u in face] if shadow else None
+                for j, u1 in enumerate(face):
+                    for k, u2 in enumerate(face):
                         if u1 == u2 or d.pair[u1] == u2:
                             continue
-                        # on a shadow, (u2, u1) pokes the bigon (u1, u2) does;
-                        # keep the twin that sorts first
-                        if shadow and str(u2) < str(u1):
+                        if shadow and texts[k] < texts[j]:
                             continue
                         for over in overs:
                             found.append((u1, u2, over))
@@ -446,12 +496,18 @@ class SearchResult:
     states: int
 
 
+def _build(d: Diagram, site: MoveSite, shadow: bool) -> Diagram:
+    """The diagram made by a site that ``enumerate_moves`` listed for
+    ``d``: such a site applies, so only its kind's build runs."""
+    return _KINDS[site.kind][2](d, site.params, shadow)
+
+
 def _neighbors(d: Diagram, budget: Budget, shadow: bool, delta: int | None = None):
     """Each site of ``d`` within the budget, with the diagram it makes;
     with ``delta``, only the sites of the kinds that change the crossing
     count by that much.  A kind changes the count by its delta exactly, so
     keeping out the kinds that would pass the cap keeps out every child
-    over it, and every site offered applies.
+    over it, and every site offered applies, so it is built unguarded.
 
     ``enumerate_moves`` offers an R3 triangle at each of its three darts,
     and all three slides make the same map, so only the first of them in
@@ -470,7 +526,7 @@ def _neighbors(d: Diagram, budget: Budget, shadow: bool, delta: int | None = Non
                 continue
             second = d.phi(anchor)
             slid.update((anchor, second, d.phi(second)))
-        yield site, apply_move(d, site, shadow=shadow)
+        yield site, _build(d, site, shadow)
 
 
 def search_min_crossings(
@@ -551,9 +607,13 @@ def equivalent_within(
     """Bidirectional search for a move path ``d1 -> d2``.
 
     ``equivalent=False`` means the full reachable sets within the crossing
-    cap were separated, so the diagrams are genuinely inequivalent *through
-    diagrams bounded by that cap*; ``None`` means the state budget ran out
-    first.  With ``shadow`` the states are shadows, told apart by
+    cap were separated: no path of the moves in ``MOVE_KINDS`` other than
+    crossing changes joins the diagrams through diagrams bounded by that
+    cap.  The answer is relative to that move set.  For link diagrams it
+    holds the Reidemeister moves; for graph diagrams it has no move that
+    passes a strand across a vertex, so two diagrams of one spatial graph
+    can be reported apart.  ``None`` means the state budget ran out first.
+    With ``shadow`` the states are shadows, told apart by
     ``Diagram.shadow_code``.
     """
     budget = budget or Budget()
@@ -579,7 +639,7 @@ def equivalent_within(
             cur = pending[side].pop(code)
             reached_by = info[side][code][1]
             if reached_by is not None:
-                cur = apply_move(cur, reached_by, shadow=shadow)
+                cur = _build(cur, reached_by, shadow)
             for site, nd in _neighbors(cur, budget, shadow):
                 ncode = key(nd)
                 if ncode in info[side]:

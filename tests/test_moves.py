@@ -37,6 +37,7 @@ from graphknot.gallery import (
     wheel4,
 )
 from graphknot.layout import base_diagram
+from graphknot.moves import _neighbors
 from oracles import mirror_diagram
 
 
@@ -137,6 +138,31 @@ def removal_thru(d, site):
             thru[(n, s)] = (n, t)
             thru[(n, t)] = (n, s)
     return thru
+
+
+@pytest.mark.parametrize("d", MOVE_CORPUS)
+def test_unguarded_builds_match_the_guarded_moves(d):
+    """A search builds the sites ``enumerate_moves`` lists without their
+    guards; each child equals what ``apply_move`` makes of the same site,
+    after its guard, and is a map that full validation accepts."""
+    budget = Budget(max_crossings=d.crossing_count + 2)  # room for every kind
+    for shadow in (False, True):
+        expected, slid = [], set()
+        for site in enumerate_moves(d, ISOTOPY_KINDS, shadow=shadow):
+            if site.kind == "R3":  # a search slides each triangle once
+                (anchor,) = site.params
+                if anchor in slid:
+                    continue
+                second = d.phi(anchor)
+                slid.update((anchor, second, d.phi(second)))
+            expected.append((site, apply_move(d, site, shadow=shadow)))
+        built = list(_neighbors(d, budget, shadow))
+        assert [site for site, _r in built] == [site for site, _r in expected]
+        for (site, r), (_site, want) in zip(built, expected):
+            assert r._darts == want._darts and r.nodes == want.nodes, site
+            assert r.free_loops == want.free_loops, site
+            assert r.crossing_count == want.crossing_count, site
+            assert Diagram(r.nodes, r.arcs, r.free_loops)._darts == r._darts, site
 
 
 REMOVALS = ("R1_remove", "R2_remove", "R5_untwist")

@@ -21,6 +21,7 @@ from graphknot import (
     RationalTangle,
     apply_move,
     diagram_to_text,
+    disjoint_union_diagrams,
     enumerate_moves,
     graph_to_text,
     kauffman_bracket,
@@ -31,7 +32,7 @@ from graphknot import (
 )
 from graphknot.cli import main
 from graphknot.criterion import VerifyReport
-from graphknot.diagram import Crossing, Diagram
+from graphknot.diagram import Crossing, Diagram, Vertex
 from graphknot.gallery import figure_eight, hopf_link, k4_diagram, k5_diagram, linked_triangles
 from graphknot.layout import base_diagram
 from graphknot.moves import normalize_shadow
@@ -413,14 +414,38 @@ def sequential_shadow_traces(d):
     return pieces
 
 
+# labels whose text order differs from the order they are listed in
+LABELS = ("1", "10", "2", "a", "B", "b", "A", "01", "9", "x")
+
+
+@st.composite
+def relabelled_graph_diagrams(draw):
+    """A graph diagram beside up to two isolated vertices, in either
+    order, with its vertices relabelled by a drawn permutation of
+    ``LABELS``, so that label order and node order differ."""
+    d = draw(graph_diagrams())
+    isolated = Diagram([Vertex(f"i{k}", 0) for k in range(draw(st.integers(0, 2)))], [])
+    d = disjoint_union_diagrams(*draw(st.permutations((d, isolated))))
+    labels = iter(draw(st.permutations(LABELS)))
+    nodes = [Vertex(next(labels), n.degree) if isinstance(n, Vertex) else n for n in d.nodes]
+    return Diagram(nodes, d.arcs, d.free_loops)
+
+
 # T(2,n) closures have maps with symmetries, so several roots of a trace tie
-# for the least code
+# for the least code.  The least traces find each component themselves, so
+# the corpus also has vertices whose label order is not their node order,
+# isolated vertices, and crossing-only components before or after vertex
+# components.
 tied_diagrams = st.one_of(
     st.integers(2, 7).map(lambda n: RationalTangle((n,)).closure_n()),
     st.integers(2, 7).map(lambda n: RationalTangle((n,)).closure_d()),
     st.just(k5_diagram()),
     link_diagrams(),
     graph_diagrams(),
+    relabelled_graph_diagrams(),
+    st.permutations((graph_diagrams(), link_diagrams())).flatmap(
+        lambda pair: st.builds(disjoint_union_diagrams, *pair)
+    ),
 )
 
 
@@ -469,6 +494,17 @@ def test_flat_codes_sort_as_the_nested_references(a, data):
     ):
         ka, kb, ra, rb = key(a), key(b), reference(a), reference(b)
         assert (ka < kb, ka == kb, kb < ka) == (ra < rb, ra == rb, rb < ra)
+
+
+def test_a_trusted_childs_keys_find_no_components():
+    """The least traces find each component themselves, so a child
+    that a move builds on trust never computes ``components()``."""
+    d = disjoint_union_diagrams(k5_diagram(), hopf_link())
+    for site in enumerate_moves(d, ISOTOPY_KINDS):
+        child = apply_move(d, site)
+        child.canonical_code()
+        child.shadow_code()
+        assert child._components is None, site
 
 
 def test_the_lock_step_corpus_has_tied_roots():
@@ -700,6 +736,15 @@ def test_diagram_text_is_read_or_rejected(text):
     assert back == d and diagram_to_text(back) == text
 
 
+@given(st.sampled_from([d for d in BOUNDARY_CORPUS if not d.vertices()]).flatmap(
+    lambda d: line_edits(diagram_to_text(d).splitlines())
+))
+@settings(deadline=None, max_examples=150)
+def test_invariant_survives_line_edits_of_a_link_diagram(text):
+    code, err = run_on_stdin(["invariant", "-", "--json"], text)
+    assert code in (0, 1, 2) and "Traceback" not in err
+
+
 # -- hostile graph files and twist words ----------------------------------------------
 
 
@@ -718,6 +763,13 @@ def test_graph_text_is_read_or_rejected(text):
     except GraphKnotError:
         return
     assert parse_graph(graph_to_text(g)) == g
+
+
+@given(st.sampled_from(GRAPH_TEXTS).flatmap(lambda text: line_edits(text.splitlines())))
+@settings(deadline=None, max_examples=150)
+def test_aut_survives_line_edits_of_a_graph(text):
+    code, err = run_on_stdin(["aut", "-", "--json"], text)
+    assert code in (0, 1, 2) and "Traceback" not in err
 
 
 twist_tokens = st.one_of(
