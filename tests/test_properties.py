@@ -431,11 +431,21 @@ def relabelled_graph_diagrams(draw):
     return Diagram(nodes, d.arcs, d.free_loops)
 
 
+def renumbered(d, perm):
+    """``d`` with node ``n`` moved to index ``perm[n]``."""
+    nodes = [None] * len(d.nodes)
+    for n, node in enumerate(d.nodes):
+        nodes[perm[n]] = node
+    arcs = [((perm[a[0]], a[1]), (perm[b[0]], b[1])) for a, b in d.arcs]
+    return Diagram(nodes, arcs, d.free_loops)
+
+
 # T(2,n) closures have maps with symmetries, so several roots of a trace tie
 # for the least code.  The least traces find each component themselves, so
 # the corpus also has vertices whose label order is not their node order,
-# isolated vertices, and crossing-only components before or after vertex
-# components.
+# isolated vertices, crossing-only components before or after vertex
+# components, and link diagrams whose crossings are renumbered, so that a
+# walk from the least node meets them out of node order.
 tied_diagrams = st.one_of(
     st.integers(2, 7).map(lambda n: RationalTangle((n,)).closure_n()),
     st.integers(2, 7).map(lambda n: RationalTangle((n,)).closure_d()),
@@ -446,6 +456,13 @@ tied_diagrams = st.one_of(
     st.permutations((graph_diagrams(), link_diagrams())).flatmap(
         lambda pair: st.builds(disjoint_union_diagrams, *pair)
     ),
+    st.one_of(st.integers(3, 7).map(lambda n: RationalTangle((n,)).closure_n()), link_diagrams())
+    .flatmap(lambda d: st.permutations(range(len(d.nodes))).map(lambda p: renumbered(d, p))),
+    # a walk from node 0 meets the tied least roots of these out of node order
+    st.sampled_from([
+        renumbered(RationalTangle((3,)).closure_d(), (1, 0, 2)),
+        renumbered(RationalTangle((4,)).closure_d(), (1, 2, 0, 3)),
+    ]),
 )
 
 
@@ -463,6 +480,11 @@ def test_lock_step_traces_match_a_sequential_reference(d, data):
         for n in order
         if isinstance(d.nodes[n], Crossing)
     }
+    # in component order, the first root in dart order to reach its
+    # component's least trace wins: the same node order and slot origins
+    assert [(order, [origin[n] for n in order]) for _c, order, origin in d._least_traces(True)] == [
+        (order, [origin.get(n, 0) for n in order]) for (_c, order, origin), _ties in pieces
+    ]
     assert d.canonical_code() == flat(reference_canonical_code(d))
     assert d.canonical_form() == reference_canonical_form(d)
 
