@@ -6,8 +6,16 @@ Builds the workload from ``perfbench/workloads.py`` exactly as the
 benchmark does for that seed, runs every op of its first cycle once, and
 prints one line per op: its position, its kind and a digest of what it
 returned, with diagrams written as diagram text, plus any file it wrote.
-Two checkouts give the same behaviour on that cycle when their outputs
-``diff`` clean.  Ops run under ``PYTHONHASHSEED=0``, as in the benchmark.
+Two header lines, starting with ``#``, name the workload, the seed and the
+Python and networkx versions.  Two checkouts give the same behaviour on
+that cycle when their outputs ``diff`` clean.  Ops run under
+``PYTHONHASHSEED=0``, as in the benchmark.
+
+The seed-1 outputs are committed as ``tests/digests/<workload>.txt`` and
+checked by ``tests/test_digests.py``.  A change that alters output on
+purpose regenerates them::
+
+    python3 scripts/output_digests.py bracket > tests/digests/bracket.txt
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import random
 import sys
 import tempfile
@@ -25,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import networkx  # noqa: E402
 import workloads  # noqa: E402
 from graphknot import diagram  # noqa: E402
 
@@ -50,6 +60,8 @@ def main() -> None:
         env = dict(os.environ, PYTHONHASHSEED="0")
         os.execve(sys.executable, [sys.executable, *sys.argv], env)
 
+    print(f"# scripts/output_digests.py {args.workload} --seed {args.seed}")
+    print(f"# python {platform.python_version()}, networkx {networkx.__version__}")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         rng = random.Random(f"{args.workload}:{args.seed}")
