@@ -5,6 +5,11 @@ byte-identical output.  Exit codes: 0 for a completed computation
 (including an inconclusive one), 1 for an input problem (malformed
 argument, unreadable file, malformed text, rejected certificate), 2 for an
 exceeded size guard.
+
+One parser, built when this module is imported, serves every call of
+``main`` in a process: argparse gives each call a fresh ``Namespace``, so
+no call sees another's options.  ``build_parser`` is the one definition of
+the command line.
 """
 
 from __future__ import annotations
@@ -30,18 +35,24 @@ from .tangle import VertexOrientation, parse_conway
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        return Path(path).read_text()
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path}: not {exc.encoding} text ({exc.reason})") from None
 
 
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise FormatError(f"cannot write {out}: {exc.strerror}") from None
+    sys.stdout.write(text)
 
 
 def _dump(data) -> str:
@@ -316,9 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except SizeLimitExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")

@@ -184,11 +184,14 @@ def cycle_graph(n: int) -> Multigraph:
 # -- text format -------------------------------------------------------------
 
 
+_INTEGER = re.compile("-?[0-9]+")
+
+
 def parse_int(token: str) -> int:
     """``token`` as an integer if it is ASCII digits with an optional leading
     ``-``; otherwise ``ValueError``.  Every text reader reads its numbers
     here, since ``int`` also takes other scripts' digits, ``1_0`` and ``+1``."""
-    if not re.fullmatch("-?[0-9]+", token):
+    if not _INTEGER.fullmatch(token):
         raise ValueError(f"not an integer: {token!r}")
     return int(token)
 

@@ -445,3 +445,97 @@ def test_criterion_assignment_guard_exits_two(capsys, tmp_path):
     path.write_text(diagram_to_text(d))
     assert main(["criterion", str(path)]) == 2
     assert capsys.readouterr().err.startswith("budget exceeded:")
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.diagram"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["invariant", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out", ["", "missing/result.json"])
+def test_an_out_path_that_cannot_be_written_is_an_input_error(capsys, tmp_path, out):
+    target = tmp_path / out
+    assert main(["aut", str(DATA / "k5.graph"), "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_one_parser_serves_every_call(
+    capsys, monkeypatch, tmp_path, k5_diagram_file, k5_graph_file
+):
+    """``main`` parses with the one parser of the process.  Each call parses
+    to the ``Namespace`` a new parser gives and answers as it does when it
+    is the parser's first call, whatever the calls before it set or broke."""
+    import argparse
+
+    import graphknot.cli as cli
+    from graphknot.errors import FormatError
+
+    hopf = tmp_path / "hopf.diagram"
+    hopf.write_text(diagram_to_text(hopf_link()))
+    kinked = tmp_path / "kinked.diagram"
+    kinked.write_text(diagram_to_text(kinked_unknot(2)))
+    target = tmp_path / "result.json"
+
+    def parse(parser, argv):
+        try:
+            return argparse.ArgumentParser.parse_args(parser, argv)
+        except (FormatError, SystemExit) as exc:
+            return repr(exc)
+
+    def call(argv):
+        """What ``main(argv)`` parsed and answered: exit code, stdout,
+        stderr and the file it wrote."""
+        parsed, parser = [], cli._PARSER
+
+        def recorded(*args, **kwargs):
+            try:
+                parsed.append(argparse.ArgumentParser.parse_args(parser, *args, **kwargs))
+            except (FormatError, SystemExit) as exc:
+                parsed.append(repr(exc))
+                raise
+            return parsed[-1]
+
+        monkeypatch.setattr(parser, "parse_args", recorded)
+        target.unlink(missing_ok=True)
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        wrote = target.read_text() if target.exists() else None
+        return parsed, (code, out, err, wrote)
+
+    sequences = [
+        (["aut", k5_graph_file, "--json"], ["aut", k5_graph_file]),
+        (["invariant", str(hopf), "--out", str(target)], ["invariant", str(hopf)]),
+        (
+            ["criterion", k5_diagram_file, "--vertex", "2", "--orientation", "2", "--json"],
+            ["criterion", k5_diagram_file, "--vertex", "2", "--json"],
+        ),
+        (
+            ["crossing-number", k5_graph_file, "--budget-states", "50", "--json"],
+            ["crossing-number", k5_graph_file, "--json"],
+        ),
+        (
+            ["criterion", k5_diagram_file, "--json", "--orientation", "7"],
+            ["criterion", k5_diagram_file, "--vertex", "2"],
+        ),
+        (
+            ["simplify", "--help"],
+            ["simplify", str(kinked), "--budget-crossings", "3", "--budget-states", "500"],
+        ),
+    ]
+    shared = [[call(argv) for argv in sequence] for sequence in sequences]
+    for sequence, results in zip(sequences, shared):
+        # the first call's flag does change what the call answers
+        assert results[0][1] != results[1][1]
+        for argv, (parsed, answer) in zip(sequence, results):
+            assert parsed == [parse(cli.build_parser(), argv)]
+            monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            assert call(argv)[1] == answer

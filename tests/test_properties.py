@@ -767,6 +767,21 @@ def test_invariant_survives_line_edits_of_a_link_diagram(text):
     assert code in (0, 1, 2) and "Traceback" not in err
 
 
+# searches small enough for a fuzz: the default budget runs out of memory first
+small_budgets = st.tuples(st.integers(0, 6), st.integers(0, 300)).map(
+    lambda b: ["--budget-crossings", str(b[0]), "--budget-states", str(b[1])]
+)
+
+
+@given(st.sampled_from(BOUNDARY_CORPUS).flatmap(
+    lambda d: line_edits(diagram_to_text(d).splitlines())
+), small_budgets)
+@settings(deadline=None, max_examples=300)
+def test_simplify_survives_line_edits_of_a_diagram(text, budget):
+    code, err = run_on_stdin(["simplify", "-", "--json", *budget], text)
+    assert code in (0, 1, 2) and "Traceback" not in err
+
+
 # -- hostile graph files and twist words ----------------------------------------------
 
 
@@ -791,6 +806,14 @@ def test_graph_text_is_read_or_rejected(text):
 @settings(deadline=None, max_examples=150)
 def test_aut_survives_line_edits_of_a_graph(text):
     code, err = run_on_stdin(["aut", "-", "--json"], text)
+    assert code in (0, 1, 2) and "Traceback" not in err
+
+
+@given(st.sampled_from(GRAPH_TEXTS).flatmap(lambda text: line_edits(text.splitlines())),
+       small_budgets)
+@settings(deadline=None, max_examples=300)
+def test_crossing_number_survives_line_edits_of_a_graph(text, budget):
+    code, err = run_on_stdin(["crossing-number", "-", "--json", *budget], text)
     assert code in (0, 1, 2) and "Traceback" not in err
 
 
