@@ -42,7 +42,8 @@ def _read(path: str) -> str:
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise FormatError(f"cannot read {path}: not {exc.encoding} text ({exc.reason})") from None
+        why = f"not {exc.encoding} text ({exc.reason})"
+        raise FormatError(f"cannot read {path}: {why}") from None
 
 
 def _emit(text: str, out: str | None) -> None:

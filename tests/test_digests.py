@@ -33,5 +33,5 @@ def test_per_op_digests_match_the_committed_ones(workload):
     assert proc.returncode == 0, proc.stderr
     got = proc.stdout.splitlines()
     for mine, theirs in zip(got, want):
-        assert mine == theirs, f"first differing op:\n  now:       {mine}\n  committed: {theirs}"
+        assert mine == theirs, f"first op that differs:\n  now:  {mine}\n  file: {theirs}"
     assert len(got) == len(want), f"{len(got)} ops now, {len(want)} committed"
