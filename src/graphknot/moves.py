@@ -1,4 +1,4 @@
-"""Local moves on diagrams and breadth-first searches over them.
+"""Local moves on diagrams and the searches over them.
 
 The move set: kink insertion/removal (R1), pokes (R2), triangle slides (R3),
 twisting a pair of rotation-adjacent edges at a graph vertex into a crossing
@@ -30,12 +30,18 @@ in either order only the first is offered, since both make the same shadow.
 A shadow search keys its states by ``Diagram.shadow_code``, so each shadow
 is one state whatever its over/under data.  Two diagrams are equivalent
 modulo crossing changes exactly when their shadows are move equivalent.
+
+``search_min_crossings`` explores breadth-first from one diagram.
+``equivalent_within`` searches from both ends, each side expanding its
+waiting state with the fewest crossings first.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 
 from .diagram import Crossing, Dart, Diagram, GraphProjection, splice_out
 from .errors import MoveNotApplicable
@@ -569,8 +575,13 @@ def search_min_crossings(
 
 
 def simplify(d: Diagram, budget: Budget | None = None) -> Diagram:
-    """Best reachable diagram (fewest crossings, canonical tie-break)."""
-    return search_min_crossings(d, budget).best.canonical_form()
+    """Best reachable diagram (fewest crossings, canonical tie-break).
+
+    A diagram without vertices stops at the first diagram it reaches with
+    no crossing: that one is just its free loops, one per component, and
+    moves keep the component count, so no other diagram can beat it."""
+    stop_at = None if d.vertices() else 0
+    return search_min_crossings(d, budget, stop_at).best.canonical_form()
 
 
 @dataclass
@@ -606,6 +617,13 @@ def equivalent_within(
 ) -> EquivalenceResult:
     """Bidirectional search for a move path ``d1 -> d2``.
 
+    Each side keeps its waiting states in a heap and expands one at a
+    time: the one with the fewest crossings, the first to arrive among
+    equal counts.  The side with fewer waiting states goes next (Pohl's
+    cardinality rule).  The search stops when a side reaches a state the
+    other has recorded, so a path it returns joins the two diagrams but is
+    not promised to be a shortest one.
+
     ``equivalent=False`` means the full reachable sets within the crossing
     cap were separated: no path of the moves in ``MOVE_KINDS`` other than
     crossing changes joins the diagrams through diagrams bounded by that
@@ -626,40 +644,38 @@ def equivalent_within(
     # so this keeps few diagrams alive.
     info = [{c1: (None, None)}, {c2: (None, None)}]
     pending = [{c1: d1}, {c2: d2}]
-    frontiers = [deque([c1]), deque([c2])]
+    # each side's waiting states, least (crossings, arrival) first
+    waiting = [[(d1.crossing_count, 0, c1)], [(d2.crossing_count, 1, c2)]]
+    arrivals = count(2)
     if c1 == c2:
         return EquivalenceResult(True, (), 2, True)
     meet = None
     exhausted = True
-    while frontiers[0] and frontiers[1]:
-        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        frontier = frontiers[side]
-        for _ in range(len(frontier)):
-            code = frontier.popleft()
-            cur = pending[side].pop(code)
-            reached_by = info[side][code][1]
-            if reached_by is not None:
-                cur = _build(cur, reached_by, shadow)
-            for site, nd in _neighbors(cur, budget, shadow):
-                ncode = key(nd)
-                if ncode in info[side]:
-                    continue
-                info[side][ncode] = (code, site)
-                pending[side][ncode] = cur
-                frontier.append(ncode)
-                if ncode in info[1 - side]:
-                    meet = ncode
-                    break
-            if meet:
+    while waiting[0] and waiting[1]:
+        side = 0 if len(waiting[0]) <= len(waiting[1]) else 1
+        _crossings, _arrival, code = heappop(waiting[side])
+        cur = pending[side].pop(code)
+        reached_by = info[side][code][1]
+        if reached_by is not None:
+            cur = _build(cur, reached_by, shadow)
+        for site, nd in _neighbors(cur, budget, shadow):
+            ncode = key(nd)
+            if ncode in info[side]:
+                continue
+            info[side][ncode] = (code, site)
+            pending[side][ncode] = cur
+            heappush(waiting[side], (nd.crossing_count, next(arrivals), ncode))
+            if ncode in info[1 - side]:
+                meet = ncode
                 break
-            if len(info[0]) + len(info[1]) >= budget.max_states:
-                exhausted = False
-                break
-        if meet or not exhausted:
+        if meet is not None:
+            break
+        if len(info[0]) + len(info[1]) >= budget.max_states:
+            exhausted = False
             break
     states = len(info[0]) + len(info[1])
     if meet is None:
-        if exhausted and (not frontiers[0] or not frontiers[1]):
+        if exhausted:  # a side ran out of waiting states
             return EquivalenceResult(False, None, states, True)
         return EquivalenceResult(None, None, states, False)
     # forward half: d1 .. meet

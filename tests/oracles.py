@@ -2,9 +2,11 @@
 compare against.  Not a test module: pytest collects nothing here."""
 
 import itertools
+from collections import deque
 
 from graphknot import Diagram, LaurentPoly, Multigraph, NotALinkError, SizeLimitExceeded
 from graphknot.invariants import MAX_BRACKET_CROSSINGS
+from graphknot.moves import Budget, _neighbors, _state_key
 from graphknot.multigraph import AutGroup, Permutation
 
 # the value of one closed loop, -A^2 - A^-2
@@ -83,3 +85,33 @@ def brute_force_automorphisms(g: Multigraph) -> AutGroup:
 def mirror_diagram(d: Diagram) -> Diagram:
     """Every crossing switched: the mirror image through the sphere."""
     return d.with_parities({n: 1 - d.nodes[n].over for n in d.crossings()})
+
+
+def level_order_equivalent(d1: Diagram, d2: Diagram, budget: Budget, shadow: bool = False):
+    """The verdict and state count of a bidirectional search that expands
+    whole breadth-first levels in arrival order, the side with the shorter
+    frontier first: ``True`` when the sides meet, ``False`` when a side
+    runs out of states, ``None`` when ``budget.max_states`` stops it.  The
+    same record, cap test and side rule as ``equivalent_within``, without
+    its path."""
+    key = _state_key(shadow)
+    seen = [{key(d1)}, {key(d2)}]
+    if seen[0] == seen[1]:
+        return True, 2
+    frontiers = [deque([d1]), deque([d2])]
+    while frontiers[0] and frontiers[1]:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        frontier = frontiers[side]
+        for _ in range(len(frontier)):
+            cur = frontier.popleft()
+            for _site, nd in _neighbors(cur, budget, shadow):
+                code = key(nd)
+                if code in seen[side]:
+                    continue
+                seen[side].add(code)
+                if code in seen[1 - side]:
+                    return True, len(seen[0]) + len(seen[1])
+                frontier.append(nd)
+            if len(seen[0]) + len(seen[1]) >= budget.max_states:
+                return None, len(seen[0]) + len(seen[1])
+    return False, len(seen[0]) + len(seen[1])

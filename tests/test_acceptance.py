@@ -318,34 +318,45 @@ def _perturbed(base, seed, rounds=2):
     return d
 
 
+# Every multigraph with at most four edges on at most four vertices: the
+# cases of the descending test, numbered from 1 in this order.
+DESCENDING_GRAPHS = [
+    Multigraph(n, combo)
+    for n in range(1, 5)
+    for m in range(0, 5)
+    for combo in itertools.combinations_with_replacement(
+        [(i, j) for i in range(n) for j in range(i, n)], m
+    )
+]
+
+
+def descending_pair(case):
+    """The two descending diagrams of case ``case`` (from 1): two
+    independently perturbed routings of its graph's drawing, each layered
+    descendingly with the identity arc order."""
+    base = base_diagram(DESCENDING_GRAPHS[case - 1])
+    return tuple(
+        descending_diagram(_perturbed(base, seed).underlying_graph())
+        for seed in (2 * case, 2 * case + 1)
+    )
+
+
 def test_descending_diagrams_coincide_up_to_moves():
     """For every multigraph with at most four edges on at most four
     vertices, two independently perturbed routings of the same vertex
     placement become equivalent once both are layered descendingly with the
     same arc order (verified by bidirectional search)."""
     with scored("descending-diagrams-coincide", 600.0):
-        case = 0
-        for n in range(1, 5):
-            pair_types = [(i, j) for i in range(n) for j in range(i, n)]
-            for m in range(0, 5):
-                for combo in itertools.combinations_with_replacement(
-                    pair_types, m
-                ):
-                    case += 1
-                    g = Multigraph(n, combo)
-                    base = base_diagram(g)
-                    d1 = _perturbed(base, seed=2 * case)
-                    d2 = _perturbed(base, seed=2 * case + 1)
-                    dd1 = descending_diagram(d1.underlying_graph())
-                    dd2 = descending_diagram(d2.underlying_graph())
-                    if dd1.canonical_code() == dd2.canonical_code():
-                        continue
-                    cap = max(dd1.crossing_count, dd2.crossing_count) + 2
-                    res = cc_equivalent_within(
-                        dd1, dd2, Budget(max_crossings=cap, max_states=100_000)
-                    )
-                    assert res.equivalent is True, (n, combo, res)
-        assert case == 1251
+        assert len(DESCENDING_GRAPHS) == 1251
+        for case in range(1, len(DESCENDING_GRAPHS) + 1):
+            dd1, dd2 = descending_pair(case)
+            if dd1.canonical_code() == dd2.canonical_code():
+                continue
+            cap = max(dd1.crossing_count, dd2.crossing_count) + 2
+            res = cc_equivalent_within(
+                dd1, dd2, Budget(max_crossings=cap, max_states=100_000)
+            )
+            assert res.equivalent is True, (case, DESCENDING_GRAPHS[case - 1], res)
 
 
 def test_twist_words_classify_by_fraction():

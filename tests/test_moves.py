@@ -1,5 +1,7 @@
 """Local moves: enumeration, application, inverses, and equivalence search."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,7 +40,7 @@ from graphknot.gallery import (
 )
 from graphknot.layout import base_diagram
 from graphknot.moves import _neighbors
-from oracles import mirror_diagram
+from oracles import level_order_equivalent, mirror_diagram
 
 
 INVERSE = {
@@ -425,15 +427,87 @@ def test_a_shadow_path_replays_to_the_target_shadow():
     # case 252 of the descending acceptance test, a loop at one of four
     # vertices: keyed by parity-relative codes, its backward half found no
     # over-0 R2_add whose code was the stored one
-    from test_acceptance import _perturbed
+    from test_acceptance import descending_pair
 
-    base = base_diagram(Multigraph(4, ((0, 0),)))
-    dd1, dd2 = (
-        descending_diagram(_perturbed(base, seed).underlying_graph()) for seed in (504, 505)
-    )
+    dd1, dd2 = descending_pair(252)
     assert dd1.canonical_code() != dd2.canonical_code()
     cap = max(dd1.crossing_count, dd2.crossing_count) + 2
     res = cc_equivalent_within(dd1, dd2, Budget(max_crossings=cap, max_states=100_000))
     assert res.equivalent is True
     assert res.path is not None
-    assert replay_path(dd1, res.path, shadow=True).canonical_code() == dd2.shadow_code()
+    assert _replays(dd1, dd2, res.path, shadow=True)
+
+
+def _replays(d1, d2, path, shadow):
+    """``path`` leads from ``d1`` to ``d2``, or to its shadow."""
+    end = replay_path(d1, path, shadow=shadow)
+    return end.canonical_code() == (d2.shadow_code() if shadow else d2.canonical_code())
+
+
+def _agrees_with_the_level_order_search(d1, d2, budget, shadow):
+    res = equivalent_within(d1, d2, budget, shadow=shadow)
+    verdict, _states = level_order_equivalent(d1, d2, budget, shadow=shadow)
+    assert verdict is not None, "the budget must let both searches finish"
+    assert res.equivalent is verdict
+    if res.path is not None:
+        assert _replays(d1, d2, res.path, shadow)
+
+
+@pytest.mark.parametrize("shadow", [False, True])
+def test_the_move_corpus_verdicts_match_the_level_order_search(shadow):
+    # within the larger crossing count of the two, most pairs are separated
+    # only once a side has run out of states, which any order reaches
+    for d1, d2 in itertools.combinations(MOVE_CORPUS, 2):
+        cap = max(d1.crossing_count, d2.crossing_count)
+        budget = Budget(max_crossings=cap, max_states=100_000)
+        _agrees_with_the_level_order_search(d1, d2, budget, shadow)
+
+
+@pytest.mark.parametrize("shadow", [False, True])
+def test_descending_verdicts_match_the_level_order_search(shadow):
+    from test_acceptance import DESCENDING_GRAPHS, descending_pair
+
+    for case in range(10, len(DESCENDING_GRAPHS) + 1, 10):
+        dd1, dd2 = descending_pair(case)
+        cap = max(dd1.crossing_count, dd2.crossing_count) + 2
+        budget = Budget(max_crossings=cap, max_states=100_000)
+        _agrees_with_the_level_order_search(dd1, dd2, budget, shadow)
+
+
+def test_the_descending_tail_pair_meets_within_300_states():
+    # case 333 of the descending acceptance test: expanding whole levels,
+    # the search spent 1,952 states, most of them on the 85-113 neighbours
+    # each of 4-crossing states far from where the two sides meet
+    from test_acceptance import descending_pair
+
+    dd1, dd2 = descending_pair(333)
+    cap = max(dd1.crossing_count, dd2.crossing_count) + 2
+    budget = Budget(max_crossings=cap, max_states=100_000)
+    res = cc_equivalent_within(dd1, dd2, budget)
+    assert res.equivalent is True
+    assert res.states <= 300
+    assert res.path is not None and _replays(dd1, dd2, res.path, shadow=True)
+    assert level_order_equivalent(dd1, dd2, budget, shadow=True) == (True, 1952)
+
+
+def test_simplify_stops_at_no_crossings_without_vertices(monkeypatch):
+    # the kinked unknot reaches 0 crossings after 15 states; searched to
+    # the end within 5 crossings it takes 3,050
+    import graphknot.moves as moves
+
+    states = []
+    search = moves.search_min_crossings
+
+    def counted(*args, **kwargs):
+        result = search(*args, **kwargs)
+        states.append(result.states)
+        return result
+
+    monkeypatch.setattr(moves, "search_min_crossings", counted)
+    d = kinked_unknot(2)
+    best = simplify(d, Budget(max_crossings=5, max_states=5_000))
+    assert states == [15]
+    assert best.canonical_code() == unknot().canonical_code()
+    full = search(d, Budget(max_crossings=4, max_states=5_000))
+    assert full.exhausted
+    assert simplify(d, Budget(max_crossings=4, max_states=5_000)) == full.best.canonical_form()
