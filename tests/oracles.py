@@ -92,8 +92,8 @@ def level_order_equivalent(d1: Diagram, d2: Diagram, budget: Budget, shadow: boo
     whole breadth-first levels in arrival order, the side with the shorter
     frontier first: ``True`` when the sides meet, ``False`` when a side
     runs out of states, ``None`` when ``budget.max_states`` stops it.  The
-    same record, cap test and side rule as ``equivalent_within``, without
-    its path."""
+    same state keys, neighbours, cap test and side rule as
+    ``equivalent_within``, with no path."""
     key = _state_key(shadow)
     seen = [{key(d1)}, {key(d2)}]
     if seen[0] == seen[1]:
