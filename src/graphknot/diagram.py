@@ -233,9 +233,11 @@ class Diagram:
         return self._pair
 
     def phi(self, d: Dart) -> Dart:
-        """Next dart along the face to the right of ``d``."""
-        n, s = self.pair[d]
-        return (n, (s + 1) % self.degree_of(n))
+        """Next dart along the face to the right of ``d``, read off the
+        flat arrays ``_darts``."""
+        deg, first, partner = self._darts
+        n, s = partner[first[d[0]] + d[1]]
+        return (n, (s + 1) % deg[n])
 
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
         """Face orbits, each starting at its least dart, in dart order."""
@@ -678,15 +680,17 @@ def splice_identify(d: Diagram, thru: dict[Dart, Dart]) -> Diagram:
 def _trapped_loops(d: Diagram, thru: dict[Dart, Dart], passed: set[Dart]) -> int:
     """How many circles close up inside the removed nodes: the removed darts
     (the keys of ``thru``) that no rejoined strand ``passed`` lie on them,
-    each a cycle of alternate ``thru`` and ``pair`` steps."""
+    each a cycle of alternate ``thru`` and arc steps."""
+    _deg, first, partner = d._darts
     trapped = set(thru).difference(passed)
     loops = 0
     while trapped:
         loops += 1
         cur = trapped.pop()
         while thru[cur] in trapped:
-            trapped.remove(thru[cur])
-            cur = d.pair[thru[cur]]
+            m, t = thru[cur]
+            trapped.remove((m, t))
+            cur = partner[first[m] + t]
             trapped.discard(cur)
     return loops
 

@@ -495,6 +495,17 @@ class ObstructionScan:
     A sublink's linking numbers and span bounds depend only on the over bits
     of the crossings it keeps, so they are kept per (cycles, bits): ``hits``
     counts the values served from there instead of computed again.
+
+    ``obstructions`` skips, before extracting it, a candidate whose sublink
+    keeps too few crossings to yield anything; the count of kept crossings
+    depends on the map alone and is kept per cycle tuple, and ``skipped``
+    counts the candidates passed over.  A disjoint pair keeping fewer than
+    two crossings has linking numbers 0, since the crossings between two
+    circles come in pairs, and a span bound of at most its crossing count
+    (a connected c-crossing diagram has bracket span at most 4c; Kauffman,
+    Topology 26, 1987), so below the 2 an unlinked pair needs.  A single
+    cycle keeping fewer than three crossings is a knot diagram of at most
+    two crossings, an unknot, whose bracket span is 0.
     """
 
     def __init__(self, d: Diagram):
@@ -505,8 +516,10 @@ class ObstructionScan:
         self._pairs: list[tuple[list[int], list[int]]] = []
         self._more_pairs = None
         self._sublinks: dict = {}
+        self._kept: dict = {}
         self._values: dict = {}
         self.hits = 0
+        self.skipped = 0
 
     @property
     def projection(self) -> GraphProjection:
@@ -535,6 +548,13 @@ class ObstructionScan:
             self._pairs.append(pair)
             yield pair
 
+    def _kept_crossings(self, key) -> list[int]:
+        """``sublink_crossings`` of the cycle tuple ``key``, kept per tuple."""
+        kept = self._kept.get(key)
+        if kept is None:
+            kept = self._kept[key] = sublink_crossings(self.projection, key)
+        return kept
+
     def _extraction(self, cycles) -> tuple[tuple, Diagram, list[int]]:
         """The cycle tuple of ``cycles``, the sublink it extracts to and the
         crossings that sublink keeps.
@@ -549,7 +569,7 @@ class ObstructionScan:
             try:
                 hit = (
                     extract_sublink(projection, [list(c) for c in key]),
-                    sublink_crossings(projection, key),
+                    self._kept_crossings(key),
                 )
             except (FormatError, TopologyError) as exc:
                 hit = exc.with_traceback(None)
@@ -594,7 +614,9 @@ class ObstructionScan:
 
         Cheap evidence comes first: a link diagram's own span, then linking
         numbers of disjoint cycle pairs, then bracket spans of single
-        cycles, then spans of the unlinked pairs.
+        cycles, then spans of the unlinked pairs.  A pair keeping fewer than
+        two crossings, or a cycle fewer than three, is skipped unextracted:
+        it yields nothing (see the class docstring).
         """
         if not d.vertices() and (d.components() or d.free_loops):
             # a pure link diagram bounds itself through its own span
@@ -603,8 +625,12 @@ class ObstructionScan:
                 yield Obstruction("sublink-span", bound, (), -1), ()
         unlinked = []
         for c1, c2 in self.disjoint_pairs():
+            key = (tuple(c1), tuple(c2))
+            if len(self._kept_crossings(key)) < 2:
+                self.skipped += 1
+                continue
             try:
-                extraction = self._extraction((c1, c2))
+                extraction = self._extraction(key)
             except TopologyError:
                 continue
             signed = self._per_parity(_signed_linking, extraction, d)
@@ -614,8 +640,12 @@ class ObstructionScan:
             else:
                 unlinked.append(extraction)
         for cycle in self.cycles():
+            key = (tuple(cycle),)
+            if len(self._kept_crossings(key)) < 3:
+                self.skipped += 1
+                continue
             try:
-                extraction = self._extraction((cycle,))
+                extraction = self._extraction(key)
             except TopologyError:
                 continue
             # one cycle extracts to one circle, so its bound is its own span's

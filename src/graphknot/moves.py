@@ -12,7 +12,8 @@ checks must hold, or ``apply_move`` raises ``MoveNotApplicable``.  The
 condition of a removing move or an R3 slide is one predicate (``_kink``,
 ``_poke``, ``_twisted``, ``_slides``) that the guard requires and
 ``enumerate_moves`` filters its candidates by, so a site is listed exactly
-when it applies.  The build makes the child from the parent's dart arrays
+when it applies; the predicates read the dart arrays ``Diagram._darts``.
+The build makes the child from the parent's dart arrays
 by a local edit and ``Diagram._trusted``, with no global re-check: the
 growing and sliding moves (``R1_add``, ``R2_add``, ``R3``, ``R5_twist``)
 and crossing changes edit a copy where the move acts, and the removing
@@ -132,7 +133,8 @@ def _join(darts, a: Dart, b: Dart) -> None:
 
 def _kink(d: Diagram, c: int, s: int) -> bool:
     """The arc at slot ``s`` of crossing ``c`` loops back to its next slot."""
-    return d.is_crossing(c) and d.pair[(c, s)] == (c, (s + 1) % 4)
+    _deg, first, partner = d._darts
+    return type(d.nodes[c]) is Crossing and partner[first[c] + s] == (c, (s + 1) % 4)
 
 
 def _check_r1_remove(d: Diagram, params, shadow: bool):
@@ -177,12 +179,18 @@ def _poke(d: Diagram, s: Dart, t: Dart, shadow: bool) -> bool:
     """``s`` and ``t`` bound a bigon face between two crossings whose
     strands poke instead of clasping, unless ``shadow``.  Either order of
     the two darts gives the same answer."""
-    q, p = s[0], t[0]
-    bigon = d.phi(s) == t and d.phi(t) == s and q != p
-    if not (bigon and d.is_crossing(q) and d.is_crossing(p)):
+    (q, i), (p, j) = s, t
+    nodes = d.nodes
+    if q == p or type(nodes[q]) is not Crossing or type(nodes[p]) is not Crossing:
+        return False
+    # the face turns from s to t and from t to s: each slot's partner sits
+    # just before the other slot on its crossing
+    _deg, first, partner = d._darts
+    m, k = partner[first[q] + i]
+    if m != p or (k + 1) % 4 != j or partner[first[p] + j] != (q, (i - 1) % 4):
         return False
     # the strand along arc {s, pair(s)} is over at both ends or under at both
-    return shadow or d.nodes[q].is_over_slot(s[1]) == d.nodes[p].is_over_slot(d.pair[s][1])
+    return shadow or (i % 2 == nodes[q].over) == (k % 2 == nodes[p].over)
 
 
 def _check_r2_remove(d: Diagram, params, shadow: bool):
@@ -256,15 +264,24 @@ def _slides(d: Diagram, s1: Dart, shadow: bool) -> bool:
     unless ``shadow`` a strand passes across it: the triangle's three darts
     are neither all over nor all under.  Each of the three darts gives the
     same answer."""
-    s2 = d.phi(s1)
-    s3 = d.phi(s2)
-    face = (s1, s2, s3)
-    nodes = {n for n, _s in face}
+    deg, first, partner = d._darts
+    nodes = d.nodes
+    q, i = s1
+    p, j = partner[first[q] + i]
+    j = (j + 1) % deg[p]
+    r, k = partner[first[p] + j]
+    k = (k + 1) % deg[r]
     return (
-        d.phi(s3) == s1
-        and len(nodes) == 3
-        and all(d.is_crossing(n) for n in nodes)
-        and (shadow or len({d.nodes[n].is_over_slot(s) for n, s in face}) == 2)
+        partner[first[r] + k] == (q, (i - 1) % deg[q])
+        and q != p != r != q
+        and type(nodes[q]) is Crossing
+        and type(nodes[p]) is Crossing
+        and type(nodes[r]) is Crossing
+        and (
+            shadow
+            or len({i % 2 == nodes[q].over, j % 2 == nodes[p].over, k % 2 == nodes[r].over})
+            == 2
+        )
     )
 
 
@@ -357,11 +374,15 @@ def _twisted(d: Diagram, v: int, i: int) -> bool:
     """Slots ``i`` and ``i + 1`` of vertex ``v`` run to consecutive slots of
     one crossing, as ``R5_twist`` leaves them.  At a vertex of degree 1 the
     two are one slot, whose arc cannot end at two slots."""
-    if d.is_crossing(v):
+    nodes = d.nodes
+    if type(nodes[v]) is Crossing:
         return False
-    ca = d.pair[(v, i)]
-    cb = d.pair[(v, (i + 1) % d.degree_of(v))]
-    return ca[0] == cb[0] and d.is_crossing(ca[0]) and cb[1] == (ca[1] - 1) % 4
+    _deg, first, partner = d._darts
+    c, k = partner[first[v] + i]
+    return (
+        type(nodes[c]) is Crossing
+        and partner[first[v] + (i + 1) % nodes[v].degree] == (c, (k - 1) % 4)
+    )
 
 
 def _check_r5_untwist(d: Diagram, params, shadow: bool):
@@ -371,7 +392,9 @@ def _check_r5_untwist(d: Diagram, params, shadow: bool):
 
 
 def _r5_untwist(d: Diagram, params, shadow: bool) -> Diagram:
-    c, k = d.pair[params]
+    (v, i) = params
+    _deg, first, partner = d._darts
+    c, k = partner[first[v] + i]
     matching = (((k, (k + 1) % 4)), (((k + 2) % 4, (k + 3) % 4)))
     return splice_out(d, {c: matching})
 
@@ -451,13 +474,14 @@ def enumerate_moves(
                 for over in overs:
                     found.append(("loop", over))
         elif kind == "R2_add":
+            _deg, first, partner = d._darts
             for face in d.faces():
                 # on a shadow, (u2, u1) pokes the bigon (u1, u2) does; keep
                 # the twin whose text sorts first, each dart formatted once
                 texts = [str(u) for u in face] if shadow else None
                 for j, u1 in enumerate(face):
                     for k, u2 in enumerate(face):
-                        if u1 == u2 or d.pair[u1] == u2:
+                        if u1 == u2 or partner[first[u1[0]] + u1[1]] == u2:
                             continue
                         if shadow and texts[k] < texts[j]:
                             continue

@@ -5,7 +5,17 @@ import itertools
 from collections import deque
 
 from graphknot import Diagram, LaurentPoly, Multigraph, NotALinkError, SizeLimitExceeded
-from graphknot.invariants import MAX_BRACKET_CROSSINGS
+from graphknot.diagram import extract_sublink
+from graphknot.errors import TopologyError
+from graphknot.invariants import (
+    MAX_BRACKET_CROSSINGS,
+    Obstruction,
+    _bracket_span,
+    _signed_linking,
+    component_span_lower_bound,
+    disjoint_cycle_pairs,
+    simple_cycles,
+)
 from graphknot.moves import Budget, _neighbors, _state_key
 from graphknot.multigraph import AutGroup, Permutation
 
@@ -115,3 +125,113 @@ def level_order_equivalent(d1: Diagram, d2: Diagram, budget: Budget, shadow: boo
             if len(seen[0]) + len(seen[1]) >= budget.max_states:
                 return None, len(seen[0]) + len(seen[1])
     return False, len(seen[0]) + len(seen[1])
+
+
+def full_obstructions(d: Diagram):
+    """``ObstructionScan(d).obstructions(d)`` with no candidate skipped and
+    nothing kept: every disjoint cycle pair and every cycle is extracted
+    from ``d`` itself and measured.
+
+    Returns the obstructions with their signed linking numbers, in scan
+    order; the crossing count of each candidate's sublink by cycle tuple
+    (None where extracting raises ``TopologyError``); and the cycle tuples
+    that yielded an obstruction."""
+    found = []
+    kept: dict[tuple, int | None] = {}
+    yielded: set[tuple] = set()
+    if not d.vertices() and (d.components() or d.free_loops):
+        bound = component_span_lower_bound(d)
+        if bound > 0:
+            found.append((Obstruction("sublink-span", bound, (), -1), ()))
+    projection = d.underlying_graph()
+    g = projection.graph
+    cycles = simple_cycles(g)
+
+    def extract(key):
+        try:
+            sub = extract_sublink(projection, [list(c) for c in key])
+        except TopologyError:
+            kept[key] = None
+            return None
+        kept[key] = sub.crossing_count
+        return sub
+
+    unlinked = []
+    for c1, c2 in disjoint_cycle_pairs(g, cycles):
+        key = (tuple(c1), tuple(c2))
+        sub = extract(key)
+        if sub is None:
+            continue
+        signed = _signed_linking(sub)
+        total = sum(abs(v) for v in signed)
+        if total >= 1:
+            found.append((Obstruction("linked-cycles", 2 * total, key, total), signed))
+            yielded.add(key)
+        else:
+            unlinked.append((key, sub))
+    for cycle in cycles:
+        key = (tuple(cycle),)
+        sub = extract(key)
+        if sub is None:
+            continue
+        span = _bracket_span(sub)
+        bound = (span + 3) // 4
+        if bound > 0:
+            found.append((Obstruction("sublink-span", bound, key, span), ()))
+            yielded.add(key)
+    for key, sub in unlinked:
+        bound = component_span_lower_bound(sub)
+        if bound >= 2:
+            found.append((Obstruction("sublink-span", bound, key, -1), ()))
+            yielded.add(key)
+    return found, kept, yielded
+
+
+# -- the move site predicates, read off the arc dict ``pair`` -------------------
+
+
+def _phi(d: Diagram, x):
+    """Next dart along the face to the right of ``x``."""
+    n, s = d.pair[x]
+    return (n, (s + 1) % d.degree_of(n))
+
+
+def kink(d: Diagram, c: int, s: int) -> bool:
+    """``moves._kink``: the arc at slot ``s`` of crossing ``c`` loops back
+    to its next slot."""
+    return d.is_crossing(c) and d.pair[(c, s)] == (c, (s + 1) % 4)
+
+
+def poke(d: Diagram, s, t, shadow: bool) -> bool:
+    """``moves._poke``: ``s`` and ``t`` bound a bigon face between two
+    crossings whose strands poke instead of clasping, unless ``shadow``."""
+    q, p = s[0], t[0]
+    bigon = _phi(d, s) == t and _phi(d, t) == s and q != p
+    if not (bigon and d.is_crossing(q) and d.is_crossing(p)):
+        return False
+    return shadow or d.nodes[q].is_over_slot(s[1]) == d.nodes[p].is_over_slot(d.pair[s][1])
+
+
+def slides(d: Diagram, s1, shadow: bool) -> bool:
+    """``moves._slides``: the face at ``s1`` is a triangle of three distinct
+    crossings, and unless ``shadow`` a strand passes across it."""
+    s2 = _phi(d, s1)
+    s3 = _phi(d, s2)
+    face = (s1, s2, s3)
+    nodes = {n for n, _s in face}
+    return (
+        _phi(d, s3) == s1
+        and len(nodes) == 3
+        and all(d.is_crossing(n) for n in nodes)
+        and (shadow or len({d.nodes[n].is_over_slot(s) for n, s in face}) == 2)
+    )
+
+
+def twisted(d: Diagram, v: int, i: int) -> bool:
+    """``moves._twisted``: slots ``i`` and ``i + 1`` of vertex ``v`` run to
+    consecutive slots of one crossing."""
+    if d.is_crossing(v):
+        return False
+    ca = d.pair[(v, i)]
+    cb = d.pair[(v, (i + 1) % d.degree_of(v))]
+    return ca[0] == cb[0] and d.is_crossing(ca[0]) and cb[1] == (ca[1] - 1) % 4

@@ -18,6 +18,7 @@ from graphknot import (
     complete_graph,
     crossing_number,
     cycle_graph,
+    disjoint_union,
     one_point_union,
     parse_diagram,
     section3_crossing_number,
@@ -34,7 +35,7 @@ from graphknot.criterion import (
 )
 from graphknot.diagram import crossing_assignments
 from graphknot.invariants import ObstructionScan
-from graphknot.moves import search_min_crossings
+from graphknot.moves import descending_diagram, search_min_crossings
 from graphknot.tangle import substitute
 from graphknot.gallery import (
     bowtie,
@@ -44,6 +45,7 @@ from graphknot.gallery import (
     wheel4,
 )
 from graphknot.layout import base_diagram
+from oracles import full_obstructions
 
 
 def degree_four_vertices(d):
@@ -361,12 +363,14 @@ def test_driver_reports_what_a_fresh_crossing_number_reports(g, searches, monkey
 def test_a_shared_scan_finds_what_a_fresh_scan_finds():
     """One scan serves every crossing assignment of its map: the obstructions
     are a fresh scan's, in the same order, and the linking numbers and spans
-    of a sublink are computed once per parity vector of its crossings."""
+    of a sublink are computed once per parity vector of its crossings.  The
+    candidates skipped for keeping too few crossings are counted on every
+    assignment."""
     rng = random.Random(8)
     maps = [k5_routing(c, rng) for c in (3, 4, 5)]
     where = VertexOrientation(degree_four_vertices(maps[-1])[0], 0)
     maps += [substitute(maps[-1], where, t) for t in (TANGLE_PLUS, TANGLE_MINUS)]
-    hits, found = [], 0
+    hits, skipped, found = [], [], 0
     for d in maps:
         scan = ObstructionScan(d)
         for assigned in crossing_assignments(d):
@@ -376,5 +380,52 @@ def test_a_shared_scan_finds_what_a_fresh_scan_finds():
             assert fresh.hits == 0
             found += len(shared)
         hits.append(scan.hits)
+        skipped.append(scan.skipped)
     assert found == 64  # 32 from each tangle's 64 assignments
-    assert hits == [238, 523, 1072, 1229, 1229]
+    assert hits == [0, 16, 120, 300, 300]
+    assert skipped == [296, 560, 1024, 960, 960]
+
+
+# the graphs whose crossing numbers the benchmark's certify workload asks for
+CERTIFY_GRAPHS = [
+    cycle_graph(5),
+    complete_graph(4),
+    wheel4(),
+    complete_bipartite(2, 3),
+    complete_bipartite(3, 3),
+    complete_bipartite(3, 4),
+    complete_graph(5),
+    complete_graph(6),
+    subdivided_k5(),
+    disjoint_union(complete_graph(4), complete_graph(5)),
+    one_point_union(complete_graph(5), 0, complete_graph(5), 0),
+]
+
+
+def test_the_scan_skips_only_candidates_that_yield_nothing():
+    """On every crossing assignment of the layered drawings that
+    ``section3_crossing_number`` makes of the certify graphs, and of K5
+    routings with 2-6 crossings, the scan yields what its oracle yields:
+    the oracle extracts and measures every candidate.  Every candidate the
+    scan skips, a disjoint pair whose sublink keeps fewer than two
+    crossings or a cycle fewer than three, yields nothing in the oracle."""
+    rng = random.Random(19)
+    maps = [descending_diagram(base_diagram(g).underlying_graph()) for g in CERTIFY_GRAPHS]
+    maps += [k5_routing(c, rng) for c in range(2, 7)]
+    total_skipped = found = 0
+    for d in maps:
+        scan = ObstructionScan(d)
+        for assigned in crossing_assignments(d):
+            before = scan.skipped
+            expected, kept, yielded = full_obstructions(assigned)
+            assert list(scan.obstructions(assigned)) == expected
+            short = {
+                key
+                for key, n in kept.items()
+                if n is not None and n < (2 if len(key) == 2 else 3)
+            }
+            assert not short & yielded
+            assert scan.skipped - before == len(short)
+            total_skipped += len(short)
+            found += len(expected)
+    assert total_skipped > 0 and found > 0

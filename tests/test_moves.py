@@ -39,8 +39,8 @@ from graphknot.gallery import (
     wheel4,
 )
 from graphknot.layout import base_diagram
-from graphknot.moves import _neighbors
-from oracles import level_order_equivalent, mirror_diagram
+from graphknot.moves import _kink, _neighbors, _poke, _slides, _twisted
+from oracles import kink, level_order_equivalent, mirror_diagram, poke, slides, twisted
 
 
 INVERSE = {
@@ -121,6 +121,39 @@ def test_a_filtered_candidate_applies_exactly_when_enumerated(d):
                     applied = False
                 either = {params, params[::-1]} if kind == "R2_remove" else {params}
                 assert applied == bool(either & listed), (kind, params, shadow)
+
+
+def _site_cases(d, shadow):
+    """A site of each predicate-filtered kind at every dart, and an
+    ``R2_remove`` site at every ordered pair of darts on one face, with the
+    answers of the array predicate and of its ``pair`` oracle."""
+    for x in d.darts():
+        yield "R1_remove", x, _kink(d, *x), kink(d, *x)
+        yield "R5_untwist", x, _twisted(d, *x), twisted(d, *x)
+        yield "R3", (x,), _slides(d, x, shadow), slides(d, x, shadow)
+    for face in d.faces():
+        for s in face:
+            for t in face:
+                yield "R2_remove", (s, t), _poke(d, s, t, shadow), poke(d, s, t, shadow)
+
+
+@pytest.mark.parametrize("d", MOVE_CORPUS)
+def test_the_site_predicates_match_their_pair_oracles(d):
+    """The predicates read the dart arrays; their oracles read the arc dict
+    ``pair``.  On ``d`` and on each child a search builds from it, with and
+    without ``shadow``, they agree at every candidate, and ``apply_move``
+    raises ``MoveNotApplicable`` exactly where the oracle fails the site."""
+    for shadow in (False, True):
+        budget = Budget(max_crossings=d.crossing_count + 2)  # room for every kind
+        for e in [d, *(child for _site, child in _neighbors(d, budget, shadow))]:
+            for kind, params, fast, slow in _site_cases(e, shadow):
+                assert fast == slow, (kind, params, shadow)
+                try:
+                    apply_move(e, MoveSite(kind, params), shadow=shadow)
+                    applied = True
+                except MoveNotApplicable:
+                    applied = False
+                assert applied == slow, (kind, params, shadow)
 
 
 def removal_thru(d, site):
