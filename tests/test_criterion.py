@@ -386,7 +386,7 @@ def test_a_shared_scan_finds_what_a_fresh_scan_finds():
     assert skipped == [296, 560, 1024, 960, 960]
 
 
-# the graphs whose crossing numbers the benchmark's certify workload asks for
+# the graphs whose crossing numbers perfbench's certify workload asks for
 CERTIFY_GRAPHS = [
     cycle_graph(5),
     complete_graph(4),
