@@ -32,14 +32,13 @@ A shadow search keys its states by ``Diagram.shadow_code``, so each shadow
 is one state whatever its over/under data.  Two diagrams are equivalent
 modulo crossing changes exactly when their shadows are move equivalent.
 
-``search_min_crossings`` explores breadth-first from one diagram.
-``equivalent_within`` searches from both ends, each side expanding its
-waiting state with the fewest crossings first.
+Both searches grow sides (``_Side``) that record each state as a parent
+and a site.  ``search_min_crossings`` grows one side breadth-first;
+``equivalent_within`` grows one from each end, fewest crossings first.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
@@ -62,13 +61,13 @@ class Budget:
 
     ``max_crossings`` caps the crossings of every diagram a search visits.
     ``max_states`` caps the distinct diagrams it records, but softly: a
-    state is not expanded once ``len(seen) >= max_states``, yet the last
-    expansion records all of its new neighbours, so a search can end with
-    more than ``max_states`` states.  ``exhausted`` needs an empty queue;
-    it is false whenever the cap stopped the search.  In
-    ``equivalent_within``, ``seen`` counts the states of both sides and
-    the cap is tested after each expansion, so its first state is always
-    expanded.
+    state is not expanded once the record holds ``max_states`` states, yet
+    the last expansion records all of its new neighbours, so a search can
+    end with more than ``max_states`` states.  ``exhausted`` needs a side
+    with no waiting states; it is false whenever the cap stopped the
+    search.  In ``equivalent_within`` the record counts the states of both
+    sides and the cap is tested after each expansion, so its first state
+    is always expanded.
     """
 
     max_crossings: int = 10
@@ -559,6 +558,49 @@ def _neighbors(d: Diagram, budget: Budget, shadow: bool, delta: int | None = Non
         yield site, _build(d, site, shadow)
 
 
+def _state_key(shadow: bool):
+    """What a search tells its states apart by: the shadow, or the map."""
+    return Diagram.shadow_code if shadow else Diagram.canonical_code
+
+
+class _Side:
+    """One side of a move search, grown from one diagram.
+
+    The permanent record per visited code is just (parent code, site),
+    which is all the path reconstruction needs.  A state waiting to be
+    expanded keeps only the diagram it was reached from, shared by its
+    siblings, and is rebuilt from it and its site when expanded: most
+    states are never expanded, so this keeps few diagrams alive.  The
+    waiting codes form a heap: least rank first, then first to arrive."""
+
+    def __init__(self, d: Diagram, rank, budget: Budget, shadow: bool):
+        self.rank, self.budget, self.shadow = rank, budget, shadow
+        self.key = _state_key(shadow)
+        code = self.key(d)
+        self.record = {code: (None, None)}
+        self.pending = {code: d}
+        self.waiting = [(rank(d), 0, code)]
+        self.arrivals = count(1)
+
+    def expand(self):
+        """Pop the least waiting state, rebuild it and yield it with its
+        code; then record each new neighbour within the budget and yield
+        it with its code."""
+        _rank, _arrival, code = heappop(self.waiting)
+        cur = self.pending.pop(code)
+        reached_by = self.record[code][1]
+        if reached_by is not None:
+            cur = _build(cur, reached_by, self.shadow)
+        yield code, cur
+        for site, nd in _neighbors(cur, self.budget, self.shadow):
+            ncode = self.key(nd)
+            if ncode not in self.record:
+                self.record[ncode] = (code, site)
+                self.pending[ncode] = cur
+                heappush(self.waiting, (self.rank(nd), next(self.arrivals), ncode))
+                yield ncode, nd
+
+
 def search_min_crossings(
     d: Diagram,
     budget: Budget | None = None,
@@ -570,32 +612,22 @@ def search_min_crossings(
     ``stop_at`` the search returns as soon as a diagram with that few
     crossings turns up (then ``exhausted`` only reflects how far it got)."""
     budget = budget or Budget()
-    start = d
-    seen = {start.canonical_code()}
-    queue = deque([start])
-    best = start
-    if stop_at is not None and best.crossing_count <= stop_at:
-        return SearchResult(best=best, exhausted=False, states=1)
-    exhausted = True
-    while queue:
-        cur = queue.popleft()
-        if (cur.crossing_count, cur.canonical_code()) < (
-            best.crossing_count,
-            best.canonical_code(),
-        ):
-            best = cur
-        if len(seen) >= budget.max_states:
-            exhausted = False
-            break
-        for _site, nd in _neighbors(cur, budget, False):
-            code = nd.canonical_code()
-            if code in seen:
-                continue
-            seen.add(code)
+    if stop_at is not None and d.crossing_count <= stop_at:
+        return SearchResult(best=d, exhausted=False, states=1)
+    # one side whose constant rank expands its states in arrival order
+    side = _Side(d, lambda _d: 0, budget, False)
+    best, best_code = d, d.canonical_code()
+    while side.waiting:
+        expansion = side.expand()
+        code, cur = next(expansion)
+        if (cur.crossing_count, code) < (best.crossing_count, best_code):
+            best, best_code = cur, code
+        if len(side.record) >= budget.max_states:
+            return SearchResult(best=best, exhausted=False, states=len(side.record))
+        for _code, nd in expansion:
             if stop_at is not None and nd.crossing_count <= stop_at:
-                return SearchResult(best=nd, exhausted=False, states=len(seen))
-            queue.append(nd)
-    return SearchResult(best=best, exhausted=exhausted, states=len(seen))
+                return SearchResult(best=nd, exhausted=False, states=len(side.record))
+    return SearchResult(best=best, exhausted=True, states=len(side.record))
 
 
 def simplify(d: Diagram, budget: Budget | None = None) -> Diagram:
@@ -614,11 +646,6 @@ class EquivalenceResult:
     path: tuple[MoveSite, ...] | None
     states: int
     exhausted: bool
-
-
-def _state_key(shadow: bool):
-    """What a search tells its states apart by: the shadow, or the map."""
-    return Diagram.shadow_code if shadow else Diagram.canonical_code
 
 
 def _recover_step(cur: Diagram, target_code, back: MoveSite, budget, shadow):
@@ -660,72 +687,41 @@ def equivalent_within(
     """
     budget = budget or Budget()
     key = _state_key(shadow)
-    c1, c2 = key(d1), key(d2)
-    # The permanent record per visited code is just (parent code, site),
-    # which is all the path reconstruction needs.  A state waiting to be
-    # expanded keeps only the diagram it was reached from, and is rebuilt
-    # from it and its site when expanded: most states are never expanded,
-    # so this keeps few diagrams alive.
-    info = [{c1: (None, None)}, {c2: (None, None)}]
-    pending = [{c1: d1}, {c2: d2}]
-    # each side's waiting states, least (crossings, arrival) first
-    waiting = [[(d1.crossing_count, 0, c1)], [(d2.crossing_count, 1, c2)]]
-    arrivals = count(2)
-    if c1 == c2:
+    if key(d1) == key(d2):
         return EquivalenceResult(True, (), 2, True)
+    # each side expands its waiting state with the fewest crossings first
+    sides = [_Side(d, lambda nd: nd.crossing_count, budget, shadow) for d in (d1, d2)]
+    records = [sides[0].record, sides[1].record]
     meet = None
-    exhausted = True
-    while waiting[0] and waiting[1]:
-        side = 0 if len(waiting[0]) <= len(waiting[1]) else 1
-        _crossings, _arrival, code = heappop(waiting[side])
-        cur = pending[side].pop(code)
-        reached_by = info[side][code][1]
-        if reached_by is not None:
-            cur = _build(cur, reached_by, shadow)
-        for site, nd in _neighbors(cur, budget, shadow):
-            ncode = key(nd)
-            if ncode in info[side]:
-                continue
-            info[side][ncode] = (code, site)
-            pending[side][ncode] = cur
-            heappush(waiting[side], (nd.crossing_count, next(arrivals), ncode))
-            if ncode in info[1 - side]:
-                meet = ncode
-                break
-        if meet is not None:
-            break
-        if len(info[0]) + len(info[1]) >= budget.max_states:
-            exhausted = False
-            break
-    states = len(info[0]) + len(info[1])
-    if meet is None:
-        if exhausted:  # a side ran out of waiting states
-            return EquivalenceResult(False, None, states, True)
-        return EquivalenceResult(None, None, states, False)
+    while meet is None and sides[0].waiting and sides[1].waiting:
+        side = 0 if len(sides[0].waiting) <= len(sides[1].waiting) else 1
+        expansion = sides[side].expand()
+        next(expansion)  # the state itself; its new neighbours follow
+        meet = next((c for c, _nd in expansion if c in records[1 - side]), None)
+        if meet is None and len(records[0]) + len(records[1]) >= budget.max_states:
+            return EquivalenceResult(None, None, len(records[0]) + len(records[1]), False)
+    states = len(records[0]) + len(records[1])
+    if meet is None:  # a side ran out of waiting states
+        return EquivalenceResult(False, None, states, True)
     # forward half: d1 .. meet
-    fwd = []
+    path = []
     code = meet
-    while info[0][code][0] is not None:
-        parent, site = info[0][code]
-        fwd.append(site)
-        code = parent
-    fwd.reverse()
+    while records[0][code][0] is not None:
+        code, site = records[0][code]
+        path.append(site)
+    path.reverse()
     # backward half: walk meet .. d2 recovering the inverse of each stored move
-    back = []
-    cur = replay_path(d1, fwd, shadow=shadow)
+    cur = replay_path(d1, path, shadow=shadow)
     code = meet
-    ok = True
-    while info[1][code][0] is not None:
-        parent, reached_by = info[1][code]
+    while records[1][code][0] is not None:
+        parent, reached_by = records[1][code]
         step = _recover_step(cur, parent, reached_by, budget, shadow)
         if step is None:
-            ok = False
-            break
+            return EquivalenceResult(True, None, states, True)
         site, cur = step
-        back.append(site)
+        path.append(site)
         code = parent
-    path = tuple(fwd + back) if ok else None
-    return EquivalenceResult(True, path, states, exhausted)
+    return EquivalenceResult(True, tuple(path), states, True)
 
 
 def cc_equivalent_within(

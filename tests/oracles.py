@@ -97,6 +97,36 @@ def mirror_diagram(d: Diagram) -> Diagram:
     return d.with_parities({n: 1 - d.nodes[n].over for n in d.crossings()})
 
 
+def queued_search_min_crossings(d: Diagram, budget: Budget, stop_at: int | None = None):
+    """``search_min_crossings`` as a breadth-first search that queues whole
+    diagrams: the best diagram, the state count and the ``exhausted`` flag.
+    The same neighbours, ``best`` tie-break, ``stop_at`` and soft
+    ``max_states`` rule, tested before each expansion."""
+    seen = {d.canonical_code()}
+    queue = deque([d])
+    best = d
+    if stop_at is not None and best.crossing_count <= stop_at:
+        return best, 1, False
+    while queue:
+        cur = queue.popleft()
+        if (cur.crossing_count, cur.canonical_code()) < (
+            best.crossing_count,
+            best.canonical_code(),
+        ):
+            best = cur
+        if len(seen) >= budget.max_states:
+            return best, len(seen), False
+        for _site, nd in _neighbors(cur, budget, False):
+            code = nd.canonical_code()
+            if code in seen:
+                continue
+            seen.add(code)
+            if stop_at is not None and nd.crossing_count <= stop_at:
+                return nd, len(seen), False
+            queue.append(nd)
+    return best, len(seen), True
+
+
 def level_order_equivalent(d1: Diagram, d2: Diagram, budget: Budget, shadow: bool = False):
     """The verdict and state count of a bidirectional search that expands
     whole breadth-first levels in arrival order, the side with the shorter

@@ -82,15 +82,17 @@ def atlas_graphs(max_vertices=6):
 
 
 def normal_forms(lo, hi):
-    """The reduced twist-sequence normal forms with lo <= crossings <= hi
-    whose fraction p/q has |p|, q <= 3 * hi.
+    """Every reduced twist-sequence normal form with lo <= crossings <= hi.
 
-    That bound keeps every form while hi <= 7, but not beyond:
-    ``normal_forms(0, 8)`` yields 400 of the 512 forms with up to 8
-    crossings, and ``normal_forms(0, 9)`` 576 of the 1024 with up to 9.
+    A form with c crossings is a continued fraction p/q whose terms sum to
+    c, and |p| and q are largest when every term is 1, so |p|, q <=
+    F(c + 1), the Fibonacci number: with that bound ``normal_forms(0, 9)``
+    yields all 1024 forms with up to 9 crossings.
     """
     forms = {}
-    bound = 3 * hi
+    bound, after = 1, 1  # F(1), F(2)
+    for _ in range(hi):
+        bound, after = after, bound + after
     for p in range(-bound, bound + 1):
         for q in range(0, bound + 1):
             if (p or q) and gcd(abs(p), q) == 1:
@@ -247,8 +249,8 @@ def test_bracket_values_and_move_behavior():
 def test_bracket_contraction_matches_the_state_sum():
     """The contraction and the 2^n state sum give identical brackets on
     every gallery link diagram and on both closures of every normal form
-    ``normal_forms`` yields up to nine crossings, and of a fixed sample of
-    10..12-crossing forms."""
+    with up to eight crossings, and of a fixed-stride sample of the
+    9..12-crossing forms."""
     with scored("bracket-contraction-oracle", 20.0):
         diagrams = [
             unknot(), unlink(2), unlink(3), kinked_unknot(3), hopf_link(),
@@ -256,10 +258,10 @@ def test_bracket_contraction_matches_the_state_sum():
             disjoint_union_diagrams(hopf_link(), trefoil()),
             connected_sum_diagrams(hopf_link(), 0, figure_eight(), 0),
         ]
-        small = normal_forms(0, 9)
-        assert len(small) == 576
-        large = normal_forms(10, 12)[::36]
-        assert len(large) == 12
+        small = normal_forms(0, 8)
+        assert len(small) == 512
+        large = normal_forms(9, 12)[::336]
+        assert len(large) == 23
         for t in small + large:
             diagrams.extend((t.closure_n(), t.closure_d()))
         compared = 0
@@ -268,7 +270,7 @@ def test_bracket_contraction_matches_the_state_sum():
                 continue  # the empty diagram has no bracket
             assert kauffman_bracket(d) == bracket_state_sum(d), diagram_to_text(d)
             compared += 1
-        assert compared > 1100
+        assert compared == 9 + 2 * (512 + 23)
 
 
 def test_crossing_number_driver():

@@ -1,6 +1,8 @@
 """Local moves: enumeration, application, inverses, and equivalence search."""
 
 import itertools
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from graphknot import (
     search_min_crossings,
     simplify,
 )
-from graphknot.diagram import Crossing, Diagram, splice_identify
+from graphknot.diagram import Crossing, Diagram, parse_diagram, splice_identify
 from graphknot.gallery import (
     figure_eight,
     hopf_link,
@@ -40,7 +42,17 @@ from graphknot.gallery import (
 )
 from graphknot.layout import base_diagram
 from graphknot.moves import _kink, _neighbors, _poke, _slides, _twisted
-from oracles import kink, level_order_equivalent, mirror_diagram, poke, slides, twisted
+from oracles import (
+    kink,
+    level_order_equivalent,
+    mirror_diagram,
+    poke,
+    queued_search_min_crossings,
+    slides,
+    twisted,
+)
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 INVERSE = {
@@ -441,6 +453,37 @@ def test_max_states_stops_expansion_at_the_cap():
     assert run(2) == (5, False)  # the last expansion overshoots the cap
     assert run(6) == (6, False)  # every state recorded, but the cap stopped it
     assert run(7) == (6, True)
+
+
+@pytest.mark.parametrize("d", [*MOVE_CORPUS, parse_diagram((DATA / "k5.diagram").read_text())])
+def test_search_matches_the_diagram_queue_oracle(d):
+    # from a state cap that stops the search before its first expansion
+    # up to caps that let the smaller searches run out of states
+    for cap in (d.crossing_count, d.crossing_count + 2):
+        for max_states in (1, 2, 6, 7, 50, 500):
+            for stop_at in (None, 0):
+                budget = Budget(max_crossings=cap, max_states=max_states)
+                r = search_min_crossings(d, budget, stop_at)
+                best, states, exhausted = queued_search_min_crossings(d, budget, stop_at)
+                assert (r.best.canonical_code(), r.states, r.exhausted) == (
+                    best.canonical_code(),
+                    states,
+                    exhausted,
+                ), (cap, max_states, stop_at)
+
+
+def test_k5_search_keeps_few_bytes_a_state():
+    # a search that queued whole diagrams peaked at 2,203 B a state here;
+    # a waiting state that keeps only its shared parent and its site, 1,258
+    d = parse_diagram((DATA / "k5.diagram").read_text())
+    tracemalloc.start()
+    try:
+        r = search_min_crossings(d, Budget(max_states=5000))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.states == 5089
+    assert peak / r.states <= 1600
 
 
 def test_equivalent_within_tests_max_states_after_each_expansion():
