@@ -469,7 +469,7 @@ def _bracket_span(d: Diagram) -> int:
 class Obstruction:
     """Why the crossing number is at least ``bound``."""
 
-    kind: str  # "nonplanar-graph" | "linked-cycles" | "sublink-span"
+    kind: str  # "nonplanar-graph" | "block-euler-girth" | "linked-cycles" | "sublink-span"
     bound: int
     cycles: tuple[tuple[int, ...], ...] = ()
     value: int = 0  # linking number or span, depending on kind
@@ -486,7 +486,8 @@ class Obstruction:
 class ObstructionScan:
     """The lower-bound scan of one map, its over/under-free half kept.
 
-    A diagram's projection, its planarity, simple cycles and disjoint cycle
+    A diagram's projection, its planarity and graph-wide crossing bound
+    (``Multigraph.crossing_lower_bound``), simple cycles and disjoint cycle
     pairs, and the sublink each candidate extracts to (or the error
     extracting it raises), depend on its map alone.  They are built on first
     use, in scan order, and kept, so ``obstructions`` run on every diagram
@@ -512,6 +513,7 @@ class ObstructionScan:
         self.diagram = d
         self._projection: GraphProjection | None = None
         self._planar: bool | None = None
+        self._graph_bound: int | None = None
         self._cycles: list[list[int]] | None = None
         self._pairs: list[tuple[list[int], list[int]]] = []
         self._more_pairs = None
@@ -532,6 +534,15 @@ class ObstructionScan:
         if self._planar is None:
             self._planar = self.projection.graph.is_planar()
         return self._planar
+
+    @property
+    def graph_bound(self) -> int:
+        """``crossing_lower_bound`` of the projection's graph; 0, without
+        computing it, when the graph is planar."""
+        if self._graph_bound is None:
+            graph = self.projection.graph
+            self._graph_bound = 0 if self.planar else graph.crossing_lower_bound()
+        return self._graph_bound
 
     def cycles(self) -> list[list[int]]:
         if self._cycles is None:
@@ -694,7 +705,16 @@ def lower_bound_obstructions(
     d: Diagram, stop_when: int | None = None, scan: ObstructionScan | None = None
 ) -> tuple[int, tuple[Obstruction, ...]]:
     """Every obstruction of ``d``: non-planarity of its graph, then the
-    ``ObstructionScan``, stopping at the first that reaches ``stop_when``.
+    graph's block bound (``ObstructionScan.graph_bound``, listed only when
+    it exceeds the 1 of non-planarity), then the ``ObstructionScan``,
+    stopping at the first that reaches ``stop_when``.
+
+    The graph-wide bounds come first because they hold for every drawing
+    of the graph and cost one pass over the map, computed once per scan,
+    while the scan enumerates cycles and computes brackets for every
+    crossing assignment: where the block bound already reaches the
+    drawing's crossing count, as on K3,4, K6 and K5.K5, the scan is not
+    run.
 
     ``scan`` is the scan of ``d``'s map (a fresh one by default); diagrams
     sharing the map share it."""
@@ -706,6 +726,8 @@ def lower_bound_obstructions(
 
     if not scan.planar:
         obstructions.append(Obstruction("nonplanar-graph", 1))
+        if scan.graph_bound > 1:
+            obstructions.append(Obstruction("block-euler-girth", scan.graph_bound))
     if stop_when is None or best() < stop_when:
         for o, _signed in scan.obstructions(d):
             obstructions.append(o)

@@ -120,12 +120,41 @@ class Multigraph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def is_planar(self) -> bool:
+    def _simple(self) -> nx.Graph:
+        """The underlying simple graph: loops and parallel edges dropped."""
         simple = nx.Graph()
         simple.add_nodes_from(range(self.vertex_count))
         simple.add_edges_from((u, v) for u, v in self.edges if u != v)
-        ok, _ = nx.check_planarity(simple)
+        return simple
+
+    def is_planar(self) -> bool:
+        ok, _ = nx.check_planarity(self._simple())
         return ok
+
+    def crossing_lower_bound(self) -> int:
+        """A lower bound on the crossing number, read off the blocks of the
+        underlying simple graph (dropping loops and parallel edges never
+        raises it).
+
+        The crossing number is the sum of the blocks' crossing numbers.  A
+        block with n >= 3 vertices, m edges and girth g needs at least
+        ⌈m - g(n - 2)/(g - 2)⌉ crossings, since a planar graph of girth g
+        has at most g(n - 2)/(g - 2) edges, and at least 1 if it is
+        non-planar; a bridge needs none (Schaefer, *Crossing Numbers of
+        Graphs*, CRC 2018).  Both hold for every drawing of the graph.
+        """
+        total = 0
+        for edges in nx.biconnected_component_edges(self._simple()):
+            block = nx.Graph(edges)
+            n, m = block.number_of_nodes(), block.number_of_edges()
+            if n < 3:
+                continue
+            g = nx.girth(block)
+            euler = -((g * (n - 2) - m * (g - 2)) // (g - 2))
+            if euler < 1 and not nx.check_planarity(block)[0]:
+                euler = 1
+            total += max(euler, 0)
+        return total
 
 
 # -- composition -----------------------------------------------------------

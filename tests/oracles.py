@@ -4,6 +4,8 @@ compare against.  Not a test module: pytest collects nothing here."""
 import itertools
 from collections import deque
 
+import networkx as nx
+
 from graphknot import Diagram, LaurentPoly, Multigraph, NotALinkError, SizeLimitExceeded
 from graphknot.diagram import extract_sublink
 from graphknot.errors import TopologyError
@@ -90,6 +92,50 @@ def brute_force_automorphisms(g: Multigraph) -> AutGroup:
         if mapped == edge_multiset:
             elems.append(Permutation(image))
     return AutGroup(g.vertex_count, tuple(elems))
+
+
+def atlas_graphs(max_vertices=6):
+    """All connected simple graphs with up to ``max_vertices`` vertices, in
+    networkx atlas order."""
+    for G in nx.graph_atlas_g()[1:209]:
+        n = G.number_of_nodes()
+        if 0 < n <= max_vertices and nx.is_connected(G):
+            yield Multigraph(n, tuple(sorted(tuple(sorted(e)) for e in G.edges())))
+
+
+def small_crossing_number(g: Multigraph) -> int | None:
+    """The crossing number of ``g`` where it is 0, 1, or that of K6 or
+    K6 - e, found without any lower-bound formula; None otherwise.  That
+    covers every graph with at most six vertices.
+
+    cr = 0 when the simple graph is planar.  A non-planar graph has cr = 1
+    when two independent edges, replaced by a new vertex joined to their
+    four ends, leave a planar graph: its embedding draws the two edges
+    through one point, and they cross there, or the graph would be planar.
+    cr(K6) = 3 (Guy), and cr(K6 - e) = 2: at least 2 by deleting a crossed
+    edge from any drawing of K6 - e plus that edge, and at most 2 by
+    deleting a crossed edge from an optimal drawing of K6.
+    """
+    simple = nx.Graph()
+    simple.add_nodes_from(range(g.vertex_count))
+    simple.add_edges_from((u, v) for u, v in g.edges if u != v)
+    if nx.check_planarity(simple)[0]:
+        return 0
+    for (a, b), (c, d) in itertools.combinations(list(simple.edges), 2):
+        if len({a, b, c, d}) < 4:
+            continue
+        crossed = simple.copy()
+        crossed.remove_edges_from([(a, b), (c, d)])
+        crossed.add_edges_from(("x", w) for w in (a, b, c, d))
+        if nx.check_planarity(crossed)[0]:
+            return 1
+    k6 = nx.complete_graph(6)
+    if nx.is_isomorphic(simple, k6):
+        return 3
+    k6.remove_edge(0, 1)
+    if nx.is_isomorphic(simple, k6):
+        return 2
+    return None
 
 
 def mirror_diagram(d: Diagram) -> Diagram:

@@ -11,8 +11,6 @@ import time
 from contextlib import contextmanager
 from math import gcd
 
-import networkx as nx
-
 from graphknot import (
     Budget,
     LaurentPoly,
@@ -55,7 +53,7 @@ from graphknot.tangle import (
     tangle_from_fraction,
     zero_tangle,
 )
-from oracles import bracket_state_sum
+from oracles import atlas_graphs, bracket_state_sum
 
 
 @contextmanager
@@ -71,14 +69,6 @@ def scored(name, limit):
         print(f"[FAIL] {name} ({elapsed:.1f}s, over the {limit:.0f}s limit)")
         raise AssertionError(f"{name} took {elapsed:.1f}s, limit {limit:.0f}s")
     print(f"[PASS] {name} ({elapsed:.1f}s, limit {limit:.0f}s)")
-
-
-def atlas_graphs(max_vertices=6):
-    """All connected simple graphs with up to ``max_vertices`` vertices."""
-    for G in nx.graph_atlas_g()[1:209]:
-        n = G.number_of_nodes()
-        if 0 < n <= max_vertices and nx.is_connected(G):
-            yield Multigraph(n, tuple(sorted(tuple(sorted(e)) for e in G.edges())))
 
 
 def normal_forms(lo, hi):

@@ -34,7 +34,7 @@ from graphknot.criterion import (
     condition_ii,
 )
 from graphknot.diagram import crossing_assignments
-from graphknot.invariants import ObstructionScan
+from graphknot.invariants import Obstruction, ObstructionScan
 from graphknot.moves import descending_diagram, search_min_crossings
 from graphknot.tangle import substitute
 from graphknot.gallery import (
@@ -45,7 +45,7 @@ from graphknot.gallery import (
     wheel4,
 )
 from graphknot.layout import base_diagram
-from oracles import full_obstructions
+from oracles import atlas_graphs, full_obstructions, small_crossing_number
 
 
 def degree_four_vertices(d):
@@ -324,17 +324,85 @@ def test_additivity_rejects_unknown_kind():
         additivity_check(cycle_graph(3), cycle_graph(3), "smashed")
 
 
-# -- one scan per drawing --------------------------------------------------------
-
-
 @pytest.mark.parametrize(
-    "g, searches",
+    "g, cr",
     [
         (complete_bipartite(3, 4), 2),
         (complete_graph(6), 3),
         (one_point_union(complete_graph(5), 0, complete_graph(5), 0), 2),
     ],
     ids=["K3,4", "K6", "K5.K5"],
+)
+def test_the_block_bound_closes_drawings_that_meet_it(g, cr):
+    """Each layered drawing already has cr(G) crossings, which the graph's
+    block bound reaches: every assignment closes with no search, by proof
+    rather than relative to the crossing cap."""
+    assert g.crossing_lower_bound() == cr
+    report = section3_crossing_number(g)
+    assert report.value == cr and report.closed
+    for s in report.subproblems:
+        assert s.report.states == 0
+        assert s.report.notes[0].endswith("no search needed")
+        assert Obstruction("block-euler-girth", cr) in s.report.obstructions
+    assert not any("closed only relative" in note for note in report.notes)
+
+
+GRAPH_WIDE = ("nonplanar-graph", "block-euler-girth")
+
+
+def _lower_bound_faults():
+    """Where a graph-wide lower bound exceeds the exact crossing number, or
+    a closed value falls below it, over every connected graph with at most
+    six vertices.  The knot-theoretic obstructions bound the crossings of
+    one spatial graph, which may exceed cr(G), so they are not checked."""
+    faults = []
+    for g in atlas_graphs():
+        cr = small_crossing_number(g)
+        assert cr is not None
+        if g.crossing_lower_bound() > cr:
+            faults.append((g, "crossing_lower_bound"))
+        report = section3_crossing_number(g)
+        if any(
+            o.kind in GRAPH_WIDE and o.bound > cr
+            for s in report.subproblems
+            for o in s.report.obstructions
+        ):
+            faults.append((g, "obstruction"))
+        if report.closed and report.value < cr:
+            faults.append((g, "value"))
+    return faults
+
+
+def test_no_lower_bound_exceeds_the_exact_crossing_number():
+    assert _lower_bound_faults() == []
+
+
+def test_a_block_bound_one_too_high_is_caught(monkeypatch):
+    bound = Multigraph.crossing_lower_bound
+    monkeypatch.setattr(Multigraph, "crossing_lower_bound", lambda g: bound(g) + 1)
+    faults = _lower_bound_faults()
+    assert (complete_graph(6), "crossing_lower_bound") in faults
+    assert (complete_graph(6), "obstruction") in faults
+
+
+# -- one scan per drawing --------------------------------------------------------
+
+
+# K6 - e labelled as atlas G207: its layered drawing has 3 crossings, one
+# more than its block bound, so its assignments still search
+K6_MINUS_E = Multigraph(6, tuple(e for e in complete_graph(6).edges if e != (0, 3)))
+
+
+@pytest.mark.parametrize(
+    "g, searches",
+    [
+        # these three close by the block bound, with no search
+        (complete_bipartite(3, 4), 0),
+        (complete_graph(6), 0),
+        (one_point_union(complete_graph(5), 0, complete_graph(5), 0), 0),
+        (K6_MINUS_E, 3),
+    ],
+    ids=["K3,4", "K6", "K5.K5", "K6-e"],
 )
 def test_driver_reports_what_a_fresh_crossing_number_reports(g, searches, monkeypatch):
     """The driver's subproblems share one scan, and an assignment's mirror
