@@ -515,17 +515,19 @@ def section3_crossing_number(
 
     A subproblem closes when a lower bound meets the least crossing count
     its search found, or when the search exhausts its crossing cap (noted
-    as such).  The graph-wide bounds of ``lower_bound_obstructions`` come
-    first, non-planarity and then the block bound
-    (``Multigraph.crossing_lower_bound``): they hold for every drawing, so
-    for every assignment, and the shared scan computes them once.  Where
-    the block bound already reaches the drawing's crossing count, as on
-    K3,4, K6 and K5.K5, every assignment closes with no cycle scan and no
-    search.  The latter is relative to the moves in ``MOVE_KINDS`` other
+    as such).  The latter is relative to the moves in ``MOVE_KINDS`` other
     than crossing changes, which have no move that passes a strand across
     a graph vertex, and to the cap: its value is the least crossing count
     those moves reach, an upper bound on the least over every diagram of
     that spatial graph, not that least itself.
+
+    The graph-wide bounds of ``lower_bound_obstructions`` come first,
+    non-planarity and then the block bound
+    (``Multigraph.crossing_lower_bound``): they hold for every drawing, so
+    for every assignment, and the shared scan computes them once.  Where
+    the block bound already reaches the drawing's crossing count, as on
+    K3,4, K6 and K5.K5, every assignment closes with no cycle scan and no
+    search.
     """
     notes = []
     layered = descending_diagram(

@@ -724,11 +724,14 @@ def lower_bound_obstructions(
     def best() -> int:
         return max((o.bound for o in obstructions), default=0)
 
+    def below_stop() -> bool:
+        return stop_when is None or best() < stop_when
+
     if not scan.planar:
         obstructions.append(Obstruction("nonplanar-graph", 1))
-        if scan.graph_bound > 1:
+        if below_stop() and scan.graph_bound > 1:
             obstructions.append(Obstruction("block-euler-girth", scan.graph_bound))
-    if stop_when is None or best() < stop_when:
+    if below_stop():
         for o, _signed in scan.obstructions(d):
             obstructions.append(o)
             if stop_when is not None and o.bound >= stop_when:

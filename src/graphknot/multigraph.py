@@ -150,10 +150,10 @@ class Multigraph:
             if n < 3:
                 continue
             g = nx.girth(block)
-            euler = -((g * (n - 2) - m * (g - 2)) // (g - 2))
-            if euler < 1 and not nx.check_planarity(block)[0]:
-                euler = 1
-            total += max(euler, 0)
+            euler = -((g * (n - 2) - m * (g - 2)) // (g - 2))  # the ceiling, exactly
+            if euler < 1:
+                euler = 0 if nx.check_planarity(block)[0] else 1
+            total += euler
         return total
 
 
