@@ -314,32 +314,31 @@ def _adjacency(g: Multigraph) -> list[list[int]]:
     return m
 
 
-def _mappings(g: Multigraph):
-    """Yield the vertex permutations of ``g`` preserving edge multiplicities."""
-    n = g.vertex_count
-    profile = _profiles(g)
-    adj = _adjacency(g)
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(k: int):
-        if k == n:
-            yield Permutation(tuple(image))
-            return
-        for w in range(n):
-            if used[w] or profile[k] != profile[w]:
-                continue
-            if adj[k][k] != adj[w][w]:
-                continue
-            if any(adj[k][j] != adj[w][image[j]] for j in range(k)):
-                continue
-            image[k] = w
-            used[w] = True
-            yield from extend(k + 1)
-            image[k] = -1
-            used[w] = False
-
-    yield from extend(0)
+def _first_completion(profile, adj, image, used, k, targets) -> Permutation | None:
+    """The first vertex permutation preserving edge multiplicities that agrees
+    with ``image`` on ``0 .. k-1`` (``used`` marks those images) and sends
+    ``k`` into ``targets``, trying images in increasing order; None if there
+    is none.  ``profile`` and ``adj`` are ``_profiles`` and ``_adjacency`` of
+    the graph."""
+    n = len(image)
+    for w in targets:
+        if used[w] or profile[k] != profile[w]:
+            continue
+        if adj[k][k] != adj[w][w]:
+            continue
+        if any(adj[k][j] != adj[w][image[j]] for j in range(k)):
+            continue
+        image[k] = w
+        used[w] = True
+        if k + 1 == n:
+            found = Permutation(tuple(image))
+        else:
+            found = _first_completion(profile, adj, image, used, k + 1, range(n))
+        image[k] = -1
+        used[w] = False
+        if found is not None:
+            return found
+    return None
 
 
 DEFAULT_MAX_AUT_VERTICES = 10
@@ -347,12 +346,22 @@ DEFAULT_MAX_AUT_VERTICES = 10
 
 @dataclass(frozen=True)
 class AutGroup:
-    degree: int
-    elements: tuple[Permutation, ...]
+    """The automorphism group G of a multigraph on ``degree`` vertices, by its
+    order and generators; its elements are never listed.
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    Let G_k be the automorphisms fixing each of ``0 .. k-1``, so G = G_0 >=
+    G_1 >= ... >= G_n = 1.  ``generators`` holds, for each k and each w != k
+    that some element of G_k sends k to, one such element.  With the
+    identity they are one representative of each coset of G_{k+1} in G_k,
+    so every element of G is a product of one representative per level:
+    they generate G, and ``order`` is the product of the coset counts
+    (Sims, "Computational methods in the study of permutation groups",
+    1970).
+    """
+
+    degree: int
+    order: int
+    generators: tuple[Permutation, ...]
 
     def orbits(self) -> list[frozenset[int]]:
         """Vertex orbits, sorted by smallest member."""
@@ -364,7 +373,7 @@ class AutGroup:
                 x = parent[x]
             return x
 
-        for p in self.elements:
+        for p in self.generators:
             for i in range(self.degree):
                 ri, rj = find(i), find(p(i))
                 if ri != rj:
@@ -375,18 +384,34 @@ class AutGroup:
         return sorted((frozenset(b) for b in buckets.values()), key=min)
 
 def automorphisms(g: Multigraph) -> AutGroup:
-    """Full automorphism group by pruned backtracking.
+    """The automorphism group of ``g``, read off its pointwise-stabilizer
+    chain on the base ``0, 1, ..., n-1``.
 
-    Guarded by ``DEFAULT_MAX_AUT_VERTICES`` because the group itself can be
-    factorially large.
+    At level k every automorphism found fixes ``0 .. k-1``: for each w > k a
+    pruned depth-first search looks for the first one sending k to w and
+    stops there.  So at most n(n-1)/2 automorphisms are built, however
+    large the group.  The searches that find none can still take time
+    factorial in n; ``DEFAULT_MAX_AUT_VERTICES`` bounds them.
     """
     if g.vertex_count > DEFAULT_MAX_AUT_VERTICES:
         raise SizeLimitExceeded(
             f"{g.vertex_count} vertices exceeds the guard of "
             f"{DEFAULT_MAX_AUT_VERTICES}"
         )
-    elems = tuple(_mappings(g))
-    return AutGroup(g.vertex_count, elems)
+    n = g.vertex_count
+    profile, adj = _profiles(g), _adjacency(g)
+    image, used = [-1] * n, [False] * n
+    order, generators = 1, []
+    for k in range(n):
+        cosets = 1  # the identity's, found without a search
+        for w in range(k + 1, n):
+            found = _first_completion(profile, adj, image, used, k, (w,))
+            if found is not None:
+                generators.append(found)
+                cosets += 1
+        order *= cosets
+        image[k], used[k] = k, True
+    return AutGroup(n, order, tuple(generators))
 
 
 # -- minimalizability -----------------------------------------------------

@@ -91,7 +91,24 @@ def brute_force_automorphisms(g: Multigraph) -> AutGroup:
         )
         if mapped == edge_multiset:
             elems.append(Permutation(image))
-    return AutGroup(g.vertex_count, tuple(elems))
+    return AutGroup(g.vertex_count, len(elems), tuple(elems))
+
+
+def group_elements(aut: AutGroup) -> set[Permutation]:
+    """Every element of the group that ``aut.generators`` generate: the
+    identity closed under composition with them.  In a finite group each
+    inverse is a power, so no inverses are needed."""
+    identity = Permutation(tuple(range(aut.degree)))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for s in aut.generators:
+            q = Permutation(tuple(s.image[i] for i in p.image))
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return seen
 
 
 def atlas_graphs(max_vertices=6):

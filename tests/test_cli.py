@@ -435,6 +435,19 @@ def test_aut_guard_exits_two(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("budget exceeded:")
 
 
+def test_aut_reads_the_largest_group_under_the_guard(capsys, tmp_path):
+    k10 = tmp_path / "k10.graph"
+    k10.write_text(graph_to_text(complete_graph(10)))
+    code, out = run(capsys, "aut", str(k10), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["order"] == 3628800 and report["blocks"] == [10]
+    k11 = tmp_path / "k11.graph"
+    k11.write_text(graph_to_text(complete_graph(11)))
+    assert main(["aut", str(k11)]) == 2
+    assert capsys.readouterr().err.startswith("budget exceeded:")
+
+
 def test_criterion_assignment_guard_exits_two(capsys, tmp_path):
     from graphknot import apply_move, enumerate_moves
 

@@ -1,6 +1,10 @@
 """Multigraphs, automorphisms, and the symmetric-product decomposition."""
 
+import time
+
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from graphknot import (
     FormatError,
@@ -21,7 +25,7 @@ from graphknot import (
     path_graph,
     symmetric_product_orbits,
 )
-from oracles import brute_force_automorphisms
+from oracles import brute_force_automorphisms, group_elements
 
 
 # group orders worked out by hand: Aut(K_n) = S_n, Aut(K_{m,m}) doubles the
@@ -45,12 +49,17 @@ def test_automorphism_orders(g, order):
     assert automorphisms(g).order == order
 
 
+def _mapped_edges(g: Multigraph, p: Permutation) -> list[tuple[int, int]]:
+    return sorted(tuple(sorted((p(u), p(v)))) for u, v in g.edges)
+
+
 @pytest.mark.parametrize("g,order", AUT_ORDERS)
 def test_backtracking_agrees_with_brute_force(g, order):
     fast = automorphisms(g)
     slow = brute_force_automorphisms(g)
     assert fast.order == slow.order == order
-    assert set(fast.elements) == set(slow.elements)
+    assert fast.orbits() == slow.orbits()
+    assert group_elements(fast) == set(slow.generators)
 
 
 def test_automorphism_guard_at_its_edge():
@@ -59,11 +68,48 @@ def test_automorphism_guard_at_its_edge():
         automorphisms(path_graph(11))
 
 
+@pytest.mark.parametrize("g", [complete_graph(10), Multigraph(10, [])])
+def test_the_largest_group_under_the_guard(g):
+    # 10! elements, never listed: one generator per coset of the chain
+    start = time.monotonic()
+    aut = automorphisms(g)
+    assert time.monotonic() - start < 1
+    assert aut.order == 3628800
+    assert len(aut.generators) == 45
+    assert aut.orbits() == [frozenset(range(10))]
+    with pytest.raises(SizeLimitExceeded):
+        automorphisms(complete_graph(11))
+
+
 def test_automorphisms_fix_the_graph():
     g = one_point_union(cycle_graph(3), 0, cycle_graph(3), 0)
     edges = sorted(g.edges)
-    for p in automorphisms(g).elements:
-        assert sorted(tuple(sorted((p(u), p(v)))) for u, v in g.edges) == edges
+    aut = automorphisms(g)
+    assert aut.generators
+    for p in aut.generators:
+        assert _mapped_edges(g, p) == edges
+    elements = group_elements(aut)
+    assert len(elements) == aut.order == 8
+    for p in elements:
+        assert _mapped_edges(g, p) == edges
+
+
+def test_every_small_atlas_graph_agrees_with_networkx():
+    # all 1252 graphs with 1 to 7 vertices, disconnected ones included
+    graphs = nx.graph_atlas_g()[1:]
+    assert len(graphs) == 1252
+    for G in graphs:
+        n = G.number_of_nodes()
+        g = Multigraph(n, tuple(G.edges()))
+        aut = automorphisms(g)
+        isos = {
+            Permutation(tuple(m[i] for i in range(n)))
+            for m in GraphMatcher(G, G).isomorphisms_iter()
+        }
+        orbits = sorted({frozenset(p(v) for p in isos) for v in range(n)}, key=min)
+        assert aut.order == len(isos), g
+        assert aut.orbits() == orbits, g
+        assert group_elements(aut) == isos, g
 
 
 def test_orbits_of_the_bowtie():

@@ -20,6 +20,7 @@ from graphknot import (
     Multigraph,
     RationalTangle,
     apply_move,
+    automorphisms,
     diagram_to_text,
     disjoint_union_diagrams,
     enumerate_moves,
@@ -37,7 +38,12 @@ from graphknot.gallery import figure_eight, hopf_link, k4_diagram, k5_diagram, l
 from graphknot.layout import base_diagram
 from graphknot.moves import normalize_shadow
 from graphknot.tangle import normalize_fraction, tangle_from_fraction
-from oracles import bracket_state_sum, mirror_diagram
+from oracles import (
+    bracket_state_sum,
+    brute_force_automorphisms,
+    group_elements,
+    mirror_diagram,
+)
 
 
 # -- strategies -------------------------------------------------------------------
@@ -140,6 +146,27 @@ def test_mirror_is_an_involution(word):
 @given(multigraphs())
 def test_graph_text_round_trip(g):
     assert parse_graph(graph_to_text(g)) == g
+
+
+@st.composite
+def loopy_multigraphs(draw):
+    # few edges over few vertex pairs, so loops, parallel edges and
+    # non-trivial groups are common
+    n = draw(st.integers(0, 6))
+    if n == 0:
+        return Multigraph(0, ())
+    vertex = st.integers(0, n - 1)
+    return Multigraph(n, tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=9))))
+
+
+@given(loopy_multigraphs())
+@settings(deadline=None)
+def test_stabilizer_chain_matches_brute_force_on_multigraphs(g):
+    fast = automorphisms(g)
+    slow = brute_force_automorphisms(g)
+    assert fast.order == slow.order
+    assert fast.orbits() == slow.orbits()
+    assert group_elements(fast) == set(slow.generators)
 
 
 @given(st.one_of(link_diagrams(), graph_diagrams()))
