@@ -45,8 +45,6 @@ from .invariants import (
 from .invariants import (
     Obstruction,
     component_span_lower_bound,
-    is_alternating,
-    is_reduced,
     linking_numbers,
     lower_bound_obstructions,
     simple_cycles,

@@ -186,8 +186,7 @@ def condition_ii(
     """
     subs = _Substitutions(d, where)
     records: list[AssignmentRecord] = []
-    for assigned in crossing_assignments(d):
-        bits = tuple(assigned.nodes[n].over for n in assigned.crossings())
+    for bits in crossing_assignments(d):
         hit = None
         for r in (1, -1):
             sub = subs.assigned(r, bits)
@@ -238,6 +237,9 @@ def certificate_from_json(data: dict) -> NonPlanarCertificate:
         raise FormatError("not a recognized certificate payload")
     if not isinstance(data.get("diagram"), str):
         raise FormatError("malformed certificate: the diagram must be text")
+    minimalizability = data.get("minimalizability", "asserted by caller")
+    if not isinstance(minimalizability, str):
+        raise FormatError("malformed certificate: the minimalizability must be text")
     try:
         wit = data["condition_i"]
         witness = ConditionOneWitness(
@@ -267,7 +269,7 @@ def certificate_from_json(data: dict) -> NonPlanarCertificate:
             orientation=VertexOrientation(_int(data["vertex"]), _int(data["a_slot"])),
             witness=witness,
             per_assignment=records,
-            minimalizability=data.get("minimalizability", "asserted by caller"),
+            minimalizability=minimalizability,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed certificate: {exc}") from exc
@@ -449,8 +451,7 @@ def verify_certificate(cert: NonPlanarCertificate | dict) -> VerifyReport:
     by_bits = {rec.bits: rec for rec in cert.per_assignment}
     subs = _Substitutions(d, cert.orientation)
     checked: dict = {}
-    for assigned in crossing_assignments(d):
-        bits = tuple(assigned.nodes[n].over for n in assigned.crossings())
+    for bits in crossing_assignments(d):
         rec = by_bits.get(bits)
         if rec is None:
             return uncovered
@@ -538,8 +539,9 @@ def section3_crossing_number(
     subproblems: list[Section3Subproblem] = []
     best: int | None = None
     closed = True
-    for assigned in crossing_assignments(layered):
-        bits = tuple(assigned.nodes[n].over for n in assigned.crossings())
+    crossings = layered.crossings()
+    for bits in crossing_assignments(layered):
+        assigned = layered.with_parities(dict(zip(crossings, bits)))
         sub_budget = budget or Budget(
             max_crossings=assigned.crossing_count + 1, max_states=200_000
         )

@@ -7,7 +7,7 @@ or graph vertices of arbitrary degree.  Crossing-free circles are tracked by
 a plain counter (``free_loops``) since they carry no combinatorial data.
 
 A *dart* is a pair ``(node_index, slot)``.  Faces are the orbits of
-``phi(d) = next_slot(pair(d))`` and lie to the right of each dart; every
+``phi(d) = next_slot(partner(d))`` and lie to the right of each dart; every
 connected component must satisfy V - E + F = 2, i.e. embed in a sphere.
 Distinct components live on separate spheres.
 """
@@ -41,9 +41,6 @@ class Crossing:
         if type(self.over) is not int or self.over not in (0, 1):
             raise FormatError("crossing 'over' parity must be the int 0 or 1")
 
-    def is_over_slot(self, slot: int) -> bool:
-        return slot % 2 == self.over
-
 
 @dataclass(frozen=True)
 class Vertex:
@@ -75,26 +72,26 @@ class Diagram:
 
     ``Diagram(nodes, arcs, free_loops)`` is the trust boundary: it validates
     the embedding (``_validate``, the one definition of a valid map) and
-    builds the flat dart arrays ``_darts``.  Every other diagram is derived
-    from a validated one through the private ``_trusted``, which stores dart
-    arrays as given: ``with_parities`` shares its map, the growing and
-    sliding moves of ``moves`` edit a copy of its arrays locally, and
-    ``splice_out`` rebuilds them without the crossings that the removing
-    moves delete.  ``arcs`` lists each arc once, at its lesser end, in dart
-    order; a trusted diagram derives it from the arrays on first use.
-    ``canonical_code`` and ``shadow_code`` hold one flat tuple per
-    component (see ``_least_traces``).
+    builds the flat dart arrays ``_darts``, the one arc map, which
+    ``partner`` reads.  Every other diagram is derived from a validated one
+    through the private ``_trusted``, which stores dart arrays as given:
+    ``with_parities`` shares its map, the growing and sliding moves of
+    ``moves`` edit a copy of its arrays locally, and ``splice_out`` rebuilds
+    them without the crossings that the removing moves delete.  ``arcs``
+    lists each arc once, at its lesser end, in dart order; a trusted
+    diagram derives it from the arrays on first use.  ``canonical_code``
+    and ``shadow_code`` hold one flat tuple per component (see
+    ``_least_traces``).
     """
 
     __slots__ = (
-        "nodes", "_arcs", "free_loops", "crossing_count", "_darts", "_pair", "_faces",
+        "nodes", "_arcs", "free_loops", "crossing_count", "_darts", "_faces",
         "_components", "_code", "_shadow",
     )
 
     def __init__(self, nodes, arcs, free_loops: int = 0):
         self.nodes: tuple[Node, ...] = tuple(nodes)
         self.free_loops = free_loops
-        self._pair = None
         self._faces = None
         self._components = None
         self._code = None
@@ -118,7 +115,7 @@ class Diagram:
         out = object.__new__(cls)
         out.nodes, out._arcs, out.free_loops = nodes, None, free_loops
         out.crossing_count, out._darts = crossing_count, darts
-        out._pair = out._faces = out._components = out._code = out._shadow = None
+        out._faces = out._components = out._code = out._shadow = None
         return out
 
     # -- construction checks ------------------------------------------------
@@ -220,17 +217,11 @@ class Diagram:
             self._arcs = _arcs_of(self._darts)
         return self._arcs
 
-    @property
-    def pair(self) -> dict[Dart, Dart]:
-        """The arc partner of every dart, built on first use.  Validation,
-        components and traces read the flat arrays ``_darts`` instead."""
-        if self._pair is None:
-            pair: dict[Dart, Dart] = {}
-            for a, b in self.arcs:
-                pair[a] = b
-                pair[b] = a
-            self._pair = pair
-        return self._pair
+    def partner(self, d: Dart) -> Dart:
+        """The other end of the arc at ``d``, read off the flat arrays
+        ``_darts``."""
+        _deg, first, partner = self._darts
+        return partner[first[d[0]] + d[1]]
 
     def phi(self, d: Dart) -> Dart:
         """Next dart along the face to the right of ``d``, read off the
@@ -430,6 +421,7 @@ class Diagram:
         starting from the smallest.
         """
         used: set[Dart] = set()
+        partner = self.partner
         open_paths = []
         for n in self.vertices():
             for s in range(self.degree_of(n)):
@@ -438,13 +430,13 @@ class Diagram:
                     continue
                 passages = []
                 used.add(start)
-                cur = self.pair[start]
+                cur = partner(start)
                 while self.is_crossing(cur[0]):
                     used.add(cur)
                     passages.append(cur)
                     out = (cur[0], (cur[1] + 2) % 4)
                     used.add(out)
-                    cur = self.pair[out]
+                    cur = partner(out)
                 used.add(cur)
                 open_paths.append(StrandPath((start, cur), tuple(passages)))
         circles = []
@@ -458,7 +450,7 @@ class Diagram:
                 entries.append(cur)
                 out = (cur[0], (cur[1] + 2) % 4)
                 used.add(out)
-                cur = self.pair[out]
+                cur = partner(out)
             start = entries.index(min(entries))
             circles.append(tuple(entries[start:] + entries[:start]))
         open_paths.sort(key=lambda p: p.ends)
@@ -504,12 +496,9 @@ class Diagram:
 
     # -- simple rewrites ----------------------------------------------------------
 
-    def with_over(self, n: int, over: int) -> "Diagram":
-        return self.with_parities({n: over})
-
     def with_parities(self, overs: dict[int, int]) -> "Diagram":
         """This map with crossing ``n`` over at parity ``overs[n]``, sharing the
-        dart arrays, arcs, pair, faces, components and shadow code."""
+        dart arrays, arcs, faces, components and shadow code."""
         nodes = list(self.nodes)
         for n, over in overs.items():
             if not isinstance(nodes[n], Crossing):
@@ -518,7 +507,7 @@ class Diagram:
         out = Diagram._trusted(
             tuple(nodes), self._darts, self.free_loops, self.crossing_count
         )
-        out._arcs, out._pair, out._faces = self._arcs, self._pair, self._faces
+        out._arcs, out._faces = self._arcs, self._faces
         out._components, out._shadow = self._components, self._shadow
         return out
 
@@ -753,13 +742,14 @@ MAX_ASSIGNED_CROSSINGS = 16
 
 
 def crossing_assignments(d: Diagram):
-    """Yield every reassignment of over/under at the crossings, in binary
-    counter order over crossings listed by node index."""
-    xs = d.crossings()
-    if len(xs) > MAX_ASSIGNED_CROSSINGS:
-        raise SizeLimitExceeded(f"{len(xs)} crossings would give 2^{len(xs)} assignments")
-    for word in range(1 << len(xs)):
-        yield d.with_parities({n: (word >> j) & 1 for j, n in enumerate(xs)})
+    """Yield every reassignment of over/under at the crossings as its tuple
+    of over parities, one per crossing by node index, in binary counter
+    order (the first crossing's bit flips fastest)."""
+    c = d.crossing_count
+    if c > MAX_ASSIGNED_CROSSINGS:
+        raise SizeLimitExceeded(f"{c} crossings would give 2^{c} assignments")
+    for word in range(1 << c):
+        yield tuple((word >> j) & 1 for j in range(c))
 
 
 def sublink_crossings(projection: GraphProjection, cycles) -> list[int]:

@@ -14,8 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-import networkx as nx
-
 from .diagram import Diagram, GraphProjection, extract_sublink, sublink_crossings
 from .errors import (
     DisconnectedError,
@@ -39,23 +37,13 @@ class LaurentPoly:
         }
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, coeff: int, exp: int) -> "LaurentPoly":
-        return cls({exp: coeff})
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
@@ -95,9 +83,6 @@ class LaurentPoly:
             base = base * base
             n >>= 1
         return result
-
-    def shifted(self, exp: int) -> "LaurentPoly":
-        return LaurentPoly({e + exp: c for e, c in self.coeffs.items()})
 
     @property
     def span(self) -> int:
@@ -336,41 +321,6 @@ def linking_numbers(d: Diagram) -> dict[tuple[int, int], int]:
             raise TopologyError("odd crossing count between two circles")
         sums[key] = v // 2
     return sums
-
-
-# -- diagram shape predicates ------------------------------------------------------
-
-
-def is_alternating(d: Diagram) -> bool:
-    """Along every strand, over- and under-passages alternate.
-
-    Arcs incident to graph vertices impose no constraint; only
-    crossing-to-crossing arcs must join an over-end to an under-end.
-    """
-    for (n1, s1), (n2, s2) in d.arcs:
-        if d.is_crossing(n1) and d.is_crossing(n2):
-            if (s1 % 2 == d.nodes[n1].over) == (s2 % 2 == d.nodes[n2].over):
-                return False
-    return True
-
-
-def is_reduced(d: Diagram) -> bool:
-    """No nugatory crossing.
-
-    A crossing is nugatory when a simple closed curve meets the diagram in
-    that crossing alone — equivalently, when it carries a self-arc or cuts
-    its projection component in two.
-    """
-    g = nx.Graph()
-    g.add_nodes_from(range(len(d.nodes)))
-    for (n1, _), (n2, _) in d.arcs:
-        if n1 == n2:
-            if d.is_crossing(n1):
-                return False
-        else:
-            g.add_edge(n1, n2)
-    cuts = set(nx.articulation_points(g))
-    return not any(n in cuts for n in d.crossings())
 
 
 # -- span bounds -----------------------------------------------------------------

@@ -47,7 +47,7 @@ def _route(d: Diagram, u: int, v: int) -> tuple[int, list[Dart], int]:
     while queue:
         fi = queue.popleft()
         for dart in faces[fi]:
-            nxt = dart_face[d.pair[dart]]
+            nxt = dart_face[d.partner(dart)]
             if nxt in parent:
                 continue
             parent[nxt] = (fi, dart)
@@ -86,7 +86,7 @@ def _insert_edge(d: Diagram, u: int, v: int) -> Diagram:
             return (n, s + 1)
         return dart
 
-    cut = set(crossed) | {d.pair[a] for a in crossed}
+    cut = set(crossed) | {d.partner(a) for a in crossed}
     arcs = [(moved(a), moved(b)) for a, b in d.arcs if a not in cut]
     prev = (u, gap_u)
     for a in crossed:
@@ -94,7 +94,7 @@ def _insert_edge(d: Diagram, u: int, v: int) -> Diagram:
         # upper strand
         x = len(nodes)
         nodes.append(Crossing(1))
-        arcs += [(moved(a), (x, 1)), (moved(d.pair[a]), (x, 3)), (prev, (x, 2))]
+        arcs += [(moved(a), (x, 1)), (moved(d.partner(a)), (x, 3)), (prev, (x, 2))]
         prev = (x, 0)
     arcs.append((prev, (v, gap_v)))
     for n in (u, v):

@@ -44,7 +44,7 @@ from heapq import heappop, heappush
 from itertools import count
 
 from .diagram import Crossing, Dart, Diagram, GraphProjection, splice_out
-from .errors import MoveNotApplicable
+from .errors import FormatError, MoveNotApplicable
 
 _THROUGH = ((0, 2), (1, 3))
 
@@ -339,7 +339,7 @@ def _check_crossing_change(d: Diagram, params, shadow: bool):
 
 def _crossing_change(d: Diagram, params, shadow: bool) -> Diagram:
     (c,) = params
-    return d.with_over(c, 1 - d.nodes[c].over)
+    return d.with_parities({c: 1 - d.nodes[c].over})
 
 
 def _check_r5_twist(d: Diagram, params, shadow: bool):
@@ -757,7 +757,7 @@ def descending_diagram(
     d = projection.diagram
     order = list(range(len(projection.strands))) if edge_order is None else list(edge_order)
     if sorted(order) != list(range(len(projection.strands))):
-        raise ValueError("edge_order must permute the edge indices")
+        raise FormatError("edge_order must permute the edge indices")
     schedule: list[tuple[Dart, ...]] = [projection.strands[e].passages for e in order]
     schedule.extend(projection.circles)
     first_parity: dict[int, int] = {}  # crossing -> parity of its first passage

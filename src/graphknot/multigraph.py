@@ -67,11 +67,6 @@ class Multigraph:
         self._check_vertex(vertex)
         return [i for i, (u, v) in enumerate(self.edges) if vertex in (u, v)]
 
-    def degree(self, vertex: int) -> int:
-        """Number of edge ends at ``vertex``; a loop contributes two."""
-        self._check_vertex(vertex)
-        return sum((u == vertex) + (v == vertex) for u, v in self.edges)
-
     def degrees(self) -> list[int]:
         out = [0] * self.vertex_count
         for u, v in self.edges:

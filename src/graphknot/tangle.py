@@ -192,8 +192,8 @@ def _twist(d: Diagram, kind: str, sign: int) -> Diagram:
         raise FormatError(f"unknown twist kind {kind!r}")
     x = len(d.nodes)
     over = 0 if sign > 0 else 1
-    p_first = d.pair[first]
-    p_second = d.pair[second]
+    p_first = d.partner(first)
+    p_second = d.partner(second)
     arcs = [a for a in d.arcs if first not in a and second not in a]
     if p_first == second:
         arcs.append(((x, cap[0]), (x, cap[1])))

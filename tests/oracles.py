@@ -25,6 +25,62 @@ from graphknot.multigraph import AutGroup, Permutation
 DELTA = LaurentPoly({2: -1, -2: -1})
 
 
+def arc_partners(d: Diagram) -> dict:
+    """The other end of the arc at every dart, read off ``d.arcs``."""
+    pair = {}
+    for a, b in d.arcs:
+        pair[a] = b
+        pair[b] = a
+    return pair
+
+
+def monomial(coeff: int, exp: int) -> LaurentPoly:
+    """``coeff * A^exp``."""
+    return LaurentPoly({exp: coeff})
+
+
+def shifted(p: LaurentPoly, exp: int) -> LaurentPoly:
+    """``p * A^exp``, by moving every exponent."""
+    return LaurentPoly({e + exp: c for e, c in p.coeffs.items()})
+
+
+def is_over_slot(d: Diagram, n: int, slot: int) -> bool:
+    """Slot ``slot`` of crossing ``n`` passes on top."""
+    return slot % 2 == d.nodes[n].over
+
+
+def is_alternating(d: Diagram) -> bool:
+    """Along every strand, over- and under-passages alternate.
+
+    Arcs incident to graph vertices impose no constraint; only
+    crossing-to-crossing arcs must join an over-end to an under-end.
+    """
+    for (n1, s1), (n2, s2) in d.arcs:
+        if d.is_crossing(n1) and d.is_crossing(n2):
+            if is_over_slot(d, n1, s1) == is_over_slot(d, n2, s2):
+                return False
+    return True
+
+
+def is_reduced(d: Diagram) -> bool:
+    """No nugatory crossing.
+
+    A crossing is nugatory when a simple closed curve meets the diagram in
+    that crossing alone — equivalently, when it carries a self-arc or cuts
+    its projection component in two.
+    """
+    g = nx.Graph()
+    g.add_nodes_from(range(len(d.nodes)))
+    for (n1, _), (n2, _) in d.arcs:
+        if n1 == n2:
+            if d.is_crossing(n1):
+                return False
+        else:
+            g.add_edge(n1, n2)
+    cuts = set(nx.articulation_points(g))
+    return not any(n in cuts for n in d.crossings())
+
+
 def bracket_state_sum(d: Diagram) -> LaurentPoly:
     """Bracket polynomial by the 2^n state sum over smoothings.
 
@@ -46,7 +102,7 @@ def bracket_state_sum(d: Diagram) -> LaurentPoly:
         o = d.nodes[c].over
         smooth_a[c] = (((o + 1) % 4, (o + 2) % 4), ((o + 3) % 4, o))
         smooth_b[c] = ((o, (o + 1) % 4), ((o + 2) % 4, (o + 3) % 4))
-    pair = d.pair
+    pair = arc_partners(d)
     counts: dict[tuple[int, int], int] = {}
     for word in range(1 << n):
         match: dict[tuple[int, int], tuple[int, int]] = {}
@@ -74,9 +130,9 @@ def bracket_state_sum(d: Diagram) -> LaurentPoly:
                 cur = pair[step]
         key = (2 * a_count - n, circles)
         counts[key] = counts.get(key, 0) + 1
-    total = LaurentPoly.zero()
+    total = LaurentPoly()
     for (exp, circles), mult in counts.items():
-        total = total + (DELTA ** (circles - 1) * mult).shifted(exp)
+        total = total + shifted(DELTA ** (circles - 1) * mult, exp)
     return total
 
 
@@ -280,51 +336,51 @@ def full_obstructions(d: Diagram):
     return found, kept, yielded
 
 
-# -- the move site predicates, read off the arc dict ``pair`` -------------------
+# -- the move site predicates, read off the arc dict ``pair = arc_partners(d)`` --
 
 
-def _phi(d: Diagram, x):
+def _phi(d: Diagram, pair, x):
     """Next dart along the face to the right of ``x``."""
-    n, s = d.pair[x]
+    n, s = pair[x]
     return (n, (s + 1) % d.degree_of(n))
 
 
-def kink(d: Diagram, c: int, s: int) -> bool:
+def kink(d: Diagram, pair, c: int, s: int) -> bool:
     """``moves._kink``: the arc at slot ``s`` of crossing ``c`` loops back
     to its next slot."""
-    return d.is_crossing(c) and d.pair[(c, s)] == (c, (s + 1) % 4)
+    return d.is_crossing(c) and pair[(c, s)] == (c, (s + 1) % 4)
 
 
-def poke(d: Diagram, s, t, shadow: bool) -> bool:
+def poke(d: Diagram, pair, s, t, shadow: bool) -> bool:
     """``moves._poke``: ``s`` and ``t`` bound a bigon face between two
     crossings whose strands poke instead of clasping, unless ``shadow``."""
     q, p = s[0], t[0]
-    bigon = _phi(d, s) == t and _phi(d, t) == s and q != p
+    bigon = _phi(d, pair, s) == t and _phi(d, pair, t) == s and q != p
     if not (bigon and d.is_crossing(q) and d.is_crossing(p)):
         return False
-    return shadow or d.nodes[q].is_over_slot(s[1]) == d.nodes[p].is_over_slot(d.pair[s][1])
+    return shadow or is_over_slot(d, q, s[1]) == is_over_slot(d, p, pair[s][1])
 
 
-def slides(d: Diagram, s1, shadow: bool) -> bool:
+def slides(d: Diagram, pair, s1, shadow: bool) -> bool:
     """``moves._slides``: the face at ``s1`` is a triangle of three distinct
     crossings, and unless ``shadow`` a strand passes across it."""
-    s2 = _phi(d, s1)
-    s3 = _phi(d, s2)
+    s2 = _phi(d, pair, s1)
+    s3 = _phi(d, pair, s2)
     face = (s1, s2, s3)
     nodes = {n for n, _s in face}
     return (
-        _phi(d, s3) == s1
+        _phi(d, pair, s3) == s1
         and len(nodes) == 3
         and all(d.is_crossing(n) for n in nodes)
-        and (shadow or len({d.nodes[n].is_over_slot(s) for n, s in face}) == 2)
+        and (shadow or len({is_over_slot(d, n, s) for n, s in face}) == 2)
     )
 
 
-def twisted(d: Diagram, v: int, i: int) -> bool:
+def twisted(d: Diagram, pair, v: int, i: int) -> bool:
     """``moves._twisted``: slots ``i`` and ``i + 1`` of vertex ``v`` run to
     consecutive slots of one crossing."""
     if d.is_crossing(v):
         return False
-    ca = d.pair[(v, i)]
-    cb = d.pair[(v, (i + 1) % d.degree_of(v))]
+    ca = pair[(v, i)]
+    cb = pair[(v, (i + 1) % d.degree_of(v))]
     return ca[0] == cb[0] and d.is_crossing(ca[0]) and cb[1] == (ca[1] - 1) % 4

@@ -29,8 +29,6 @@ from graphknot import (
     diagram_to_text,
     disjoint_union_diagrams,
     enumerate_moves,
-    is_alternating,
-    is_reduced,
     kauffman_bracket,
     section3_crossing_number,
     substitute,
@@ -53,7 +51,7 @@ from graphknot.tangle import (
     tangle_from_fraction,
     zero_tangle,
 )
-from oracles import atlas_graphs, bracket_state_sum
+from oracles import atlas_graphs, bracket_state_sum, is_alternating, is_reduced
 
 
 @contextmanager

@@ -55,6 +55,12 @@ def test_criterion_finds_k5(capsys, k5_diagram_file):
     assert out.startswith("non-planar")
 
 
+def test_criterion_reproduces_the_stored_k5_certificate(capsys):
+    code, out = run(capsys, "criterion", str(DATA / "k5.diagram"), "--vertex", "0", "--json")
+    assert code == 0
+    assert out == (DATA / "k5_certificate.json").read_text()
+
+
 def test_criterion_inconclusive_is_success(capsys, tmp_path):
     from graphknot.gallery import wheel4
     from graphknot.layout import base_diagram
@@ -409,10 +415,14 @@ def test_verify_rejects_a_payload_that_is_not_an_object(capsys, tmp_path):
     assert code == 1 and err.startswith("error:")
 
 
-@pytest.mark.parametrize("value", [5, None], ids=["number", "null"])
-def test_verify_rejects_a_diagram_that_is_not_text(capsys, tmp_path, value):
+@pytest.mark.parametrize(
+    "field, value",
+    [("diagram", 5), ("diagram", None), ("minimalizability", {"x": 1})],
+    ids=["number", "null", "minimalizability-object"],
+)
+def test_verify_rejects_a_diagram_that_is_not_text(capsys, tmp_path, field, value):
     data = json.loads((DATA / "k5_certificate.json").read_text())
-    data["diagram"] = value
+    data[field] = value
     code, err = verify_error(capsys, tmp_path, json.dumps(data))
     assert code == 1 and err.startswith("error:")
 

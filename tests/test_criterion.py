@@ -193,8 +193,8 @@ def oracle_condition_ii(d, where):
     """condition (ii) the slow way: every crossing assignment substituted and
     scanned afresh by a new ``ObstructionScan``, its linking numbers recomputed."""
     records = []
-    for assigned in crossing_assignments(d):
-        bits = tuple(assigned.nodes[n].over for n in assigned.crossings())
+    for bits in crossing_assignments(d):
+        assigned = d.with_parities(dict(zip(d.crossings(), bits)))
         for r, tangle in ((1, TANGLE_PLUS), (-1, TANGLE_MINUS)):
             sub = substitute(assigned, where, tangle)
             found = ObstructionScan(sub).at_least_two(sub)
@@ -441,7 +441,8 @@ def test_a_shared_scan_finds_what_a_fresh_scan_finds():
     hits, skipped, found = [], [], 0
     for d in maps:
         scan = ObstructionScan(d)
-        for assigned in crossing_assignments(d):
+        for bits in crossing_assignments(d):
+            assigned = d.with_parities(dict(zip(d.crossings(), bits)))
             shared = list(scan.obstructions(assigned))
             fresh = ObstructionScan(assigned)
             assert shared == list(fresh.obstructions(assigned))
@@ -483,7 +484,8 @@ def test_the_scan_skips_only_candidates_that_yield_nothing():
     total_skipped = found = 0
     for d in maps:
         scan = ObstructionScan(d)
-        for assigned in crossing_assignments(d):
+        for bits in crossing_assignments(d):
+            assigned = d.with_parities(dict(zip(d.crossings(), bits)))
             before = scan.skipped
             expected, kept, yielded = full_obstructions(assigned)
             assert list(scan.obstructions(assigned)) == expected

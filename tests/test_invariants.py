@@ -22,8 +22,6 @@ from graphknot import (
     cycle_graph,
     disjoint_union,
     disjoint_union_diagrams,
-    is_alternating,
-    is_reduced,
     kauffman_bracket,
     linking_numbers,
     lower_bound_obstructions,
@@ -43,7 +41,7 @@ from graphknot.gallery import (
     unlink,
 )
 from graphknot.invariants import ObstructionScan, cycle_vertices, disjoint_cycle_pairs
-from oracles import bracket_state_sum, mirror_diagram
+from oracles import bracket_state_sum, is_alternating, is_reduced, mirror_diagram, monomial
 
 
 # frozen polynomial values, cross-checked against the delta-recursion by hand
@@ -89,8 +87,8 @@ def test_bracket_at_the_twenty_crossing_guard():
     the B-smoothing leaves the T(2, n-1) twist and the A-smoothing a chain of
     n-1 kinks, each worth -A^3, so <T(2,n)> = A^-1 <T(2,n-1)> + A (-A^3)^(n-1)
     from <T(2,0)> = delta, the two-circle unlink."""
-    a, a_inv = LaurentPoly.monomial(1, 1), LaurentPoly.monomial(1, -1)
-    kink = LaurentPoly.monomial(-1, 3)
+    a, a_inv = monomial(1, 1), monomial(1, -1)
+    kink = monomial(-1, 3)
     expected = LaurentPoly({2: -1, -2: -1})
     for n in range(1, 21):
         expected = a_inv * expected + a * kink ** (n - 1)

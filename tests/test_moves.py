@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphknot import (
     Budget,
+    FormatError,
     ISOTOPY_KINDS,
     MOVE_KINDS,
     MoveNotApplicable,
@@ -43,6 +44,7 @@ from graphknot.gallery import (
 from graphknot.layout import base_diagram
 from graphknot.moves import _kink, _neighbors, _poke, _slides, _twisted
 from oracles import (
+    arc_partners,
     kink,
     level_order_equivalent,
     mirror_diagram,
@@ -139,20 +141,22 @@ def _site_cases(d, shadow):
     """A site of each predicate-filtered kind at every dart, and an
     ``R2_remove`` site at every ordered pair of darts on one face, with the
     answers of the array predicate and of its ``pair`` oracle."""
+    pair = arc_partners(d)
     for x in d.darts():
-        yield "R1_remove", x, _kink(d, *x), kink(d, *x)
-        yield "R5_untwist", x, _twisted(d, *x), twisted(d, *x)
-        yield "R3", (x,), _slides(d, x, shadow), slides(d, x, shadow)
+        yield "R1_remove", x, _kink(d, *x), kink(d, pair, *x)
+        yield "R5_untwist", x, _twisted(d, *x), twisted(d, pair, *x)
+        yield "R3", (x,), _slides(d, x, shadow), slides(d, pair, x, shadow)
     for face in d.faces():
         for s in face:
             for t in face:
-                yield "R2_remove", (s, t), _poke(d, s, t, shadow), poke(d, s, t, shadow)
+                fast, slow = _poke(d, s, t, shadow), poke(d, pair, s, t, shadow)
+                yield "R2_remove", (s, t), fast, slow
 
 
 @pytest.mark.parametrize("d", MOVE_CORPUS)
 def test_the_site_predicates_match_their_pair_oracles(d):
     """The predicates read the dart arrays; their oracles read the arc dict
-    ``pair``.  On ``d`` and on each child a search builds from it, with and
+    ``pair`` that ``arc_partners`` builds from ``arcs``.  On ``d`` and on each child a search builds from it, with and
     without ``shadow``, they agree at every candidate, and ``apply_move``
     raises ``MoveNotApplicable`` exactly where the oracle fails the site."""
     for shadow in (False, True):
@@ -177,7 +181,7 @@ def removal_thru(d, site):
     elif site.kind == "R2_remove":
         matchings = {end[0]: ((0, 2), (1, 3)) for end in site.params}
     else:
-        c, k = d.pair[site.params]
+        c, k = d.partner(site.params)
         matchings = {c: ((k, (k + 1) % 4), ((k + 2) % 4, (k + 3) % 4))}
     thru = {}
     for n, pairs in matchings.items():
@@ -408,6 +412,17 @@ def test_descending_diagram_is_stable():
     d1 = descending_diagram(proj)
     d2 = descending_diagram(d1.underlying_graph())
     assert d1.canonical_code() == d2.canonical_code()
+
+
+@pytest.mark.parametrize(
+    "bad", [[0, 0, 1, 2, 3, 4, 5, 6, 7, 8], [0, 1, 2]], ids=["repeated", "short"]
+)
+def test_an_edge_order_that_is_not_a_permutation_is_a_format_error(bad):
+    g = complete_graph(5)
+    with pytest.raises(FormatError, match="edge_order must permute"):
+        base_diagram(g, edge_order=bad)
+    with pytest.raises(FormatError, match="edge_order must permute"):
+        descending_diagram(base_diagram(g).underlying_graph(), bad)
 
 
 def test_descending_respects_the_edge_order():
