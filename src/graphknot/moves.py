@@ -13,6 +13,8 @@ condition of a removing move or an R3 slide is one predicate (``_kink``,
 ``_poke``, ``_twisted``, ``_slides``) that the guard requires and
 ``enumerate_moves`` filters its candidates by, so a site is listed exactly
 when it applies; the predicates read the dart arrays ``Diagram._darts``.
+Every listed removal can be undone by a listed growing move: ``_poke``
+offers a bigon only where its two strands stay two arcs once it is gone.
 The build makes the child from the parent's dart arrays
 by a local edit and ``Diagram._trusted``, with no global re-check: the
 growing and sliding moves (``R1_add``, ``R2_add``, ``R3``, ``R5_twist``)
@@ -34,7 +36,9 @@ modulo crossing changes exactly when their shadows are move equivalent.
 
 Both searches grow sides (``_Side``) that record each state as a parent
 and a site.  ``search_min_crossings`` grows one side breadth-first;
-``equivalent_within`` grows one from each end, fewest crossings first.
+``equivalent_within`` grows one from each end, fewest crossings first, by
+partial expansion: a state's children that add crossings are built only
+once the search has reached their crossing count.
 """
 
 from __future__ import annotations
@@ -60,14 +64,16 @@ class Budget:
     """Limits of a search.
 
     ``max_crossings`` caps the crossings of every diagram a search visits.
-    ``max_states`` caps the distinct diagrams it records, but softly: a
-    state is not expanded once the record holds ``max_states`` states, yet
-    the last expansion records all of its new neighbours, so a search can
-    end with more than ``max_states`` states.  ``exhausted`` needs a side
-    with no waiting states; it is false whenever the cap stopped the
-    search.  In ``equivalent_within`` the record counts the states of both
-    sides and the cap is tested after each expansion, so its first state
-    is always expanded.
+    ``max_states`` caps the distinct diagrams it records, but softly: no
+    expansion starts once the record holds ``max_states`` states, yet the
+    last one records all of its new neighbours, so a search can end with
+    more than ``max_states`` states.  An expansion is one waiting entry of
+    a ``_Side``: in ``search_min_crossings`` a state and all its moves, in
+    ``equivalent_within`` a state and one batch of its moves.
+    ``exhausted`` needs a side with no waiting entries; it is false
+    whenever the cap stopped the search.  In ``equivalent_within`` the
+    record counts the states of both sides and the cap is tested after
+    each expansion, so its first batch is always expanded.
     """
 
     max_crossings: int = 10
@@ -176,8 +182,9 @@ def _r1_add(d: Diagram, params, shadow: bool) -> Diagram:
 
 def _poke(d: Diagram, s: Dart, t: Dart, shadow: bool) -> bool:
     """``s`` and ``t`` bound a bigon face between two crossings whose
-    strands poke instead of clasping, unless ``shadow``.  Either order of
-    the two darts gives the same answer."""
+    strands poke instead of clasping, unless ``shadow``, and that stay two
+    arcs once it is removed, so that an ``R2_add`` can undo the removal.
+    Either order of the two darts gives the same answer."""
     (q, i), (p, j) = s, t
     nodes = d.nodes
     if q == p or type(nodes[q]) is not Crossing or type(nodes[p]) is not Crossing:
@@ -187,6 +194,12 @@ def _poke(d: Diagram, s: Dart, t: Dart, shadow: bool) -> bool:
     _deg, first, partner = d._darts
     m, k = partner[first[q] + i]
     if m != p or (k + 1) % 4 != j or partner[first[p] + j] != (q, (i - 1) % 4):
+        return False
+    # the strands run (q, i+2) .. (p, j+1) and (q, i+1) .. (p, j+2); if an
+    # arc joins an outer end of one to an outer end of the other, removing
+    # the bigon leaves them one arc, which no R2_add can poke back apart
+    ends = ((q, (i + 2) % 4), (p, (j + 1) % 4))
+    if partner[first[q] + (i + 1) % 4] in ends or partner[first[p] + (j + 2) % 4] in ends:
         return False
     # the strand along arc {s, pair(s)} is over at both ends or under at both
     return shadow or (i % 2 == nodes[q].over) == (k % 2 == nodes[p].over)
@@ -510,7 +523,7 @@ def enumerate_moves(
                 for i in range(deg):
                     for over in overs:
                         found.append((v, i, over))
-        found.sort(key=lambda p: str(p))
+        found.sort(key=str)
         sites.extend(MoveSite(kind, p) for p in found)
     return sites
 
@@ -531,10 +544,9 @@ def _build(d: Diagram, site: MoveSite, shadow: bool) -> Diagram:
     return _KINDS[site.kind][2](d, site.params, shadow)
 
 
-def _neighbors(d: Diagram, budget: Budget, shadow: bool, delta: int | None = None):
-    """Each site of ``d`` within the budget, with the diagram it makes;
-    with ``delta``, only the sites of the kinds that change the crossing
-    count by that much.  A kind changes the count by its delta exactly, so
+def _neighbors(d: Diagram, budget: Budget, shadow: bool, kinds=ISOTOPY_KINDS):
+    """Each site of ``kinds`` on ``d`` within the budget, with the diagram
+    it makes.  A kind changes the crossing count by its delta exactly, so
     keeping out the kinds that would pass the cap keeps out every child
     over it, and every site offered applies, so it is built unguarded.
 
@@ -542,11 +554,7 @@ def _neighbors(d: Diagram, budget: Budget, shadow: bool, delta: int | None = Non
     and all three slides make the same map, so only the first of them in
     list order is applied."""
     room = budget.max_crossings - d.crossing_count
-    use = tuple(
-        k
-        for k in ISOTOPY_KINDS
-        if _KINDS[k][0] <= room and delta in (None, _KINDS[k][0])
-    )
+    use = tuple(k for k in kinds if _KINDS[k][0] <= room)
     slid: set[Dart] = set()  # the darts of the triangles already slid
     for site in enumerate_moves(d, use, shadow=shadow):
         if site.kind == "R3":
@@ -563,6 +571,14 @@ def _state_key(shadow: bool):
     return Diagram.shadow_code if shadow else Diagram.canonical_code
 
 
+# The batches of a partial expansion by the crossings their children add:
+# the kinds that add none, then ``R1_add`` and ``R5_twist``, then ``R2_add``.
+_BATCHES = {
+    added: tuple(k for k in ISOTOPY_KINDS if max(_KINDS[k][0], 0) == added)
+    for added in (0, 1, 2)
+}
+
+
 class _Side:
     """One side of a move search, grown from one diagram.
 
@@ -570,34 +586,57 @@ class _Side:
     which is all the path reconstruction needs.  A state waiting to be
     expanded keeps only the diagram it was reached from, shared by its
     siblings, and is rebuilt from it and its site when expanded: most
-    states are never expanded, so this keeps few diagrams alive.  The
-    waiting codes form a heap: least rank first, then first to arrive."""
+    states are never expanded, so this keeps few diagrams alive.
 
-    def __init__(self, d: Diagram, rank, budget: Budget, shadow: bool):
-        self.rank, self.budget, self.shadow = rank, budget, shadow
+    The waiting entries form a heap: least rank first, then first to
+    arrive.  Each entry is a state and the kinds it is to be expanded by.
+    A plain side ranks every state 0 and expands it by every kind at once.
+    A ``partial`` side ranks a state by its crossing count c and expands
+    it in batches (partial expansion, Yoshizumi, Miura and Ishida, AAAI
+    2000): first by the kinds that add no crossing, then, pushed back with
+    its rebuilt diagram, at rank c + 1 by the kinds that add one and at
+    rank c + 2 by ``R2_add``.  A batch whose children would pass the cap
+    is never pushed.  Most states are met before their growing batches
+    come up, and most of those batches are never popped."""
+
+    def __init__(self, d: Diagram, budget: Budget, shadow: bool, partial: bool):
+        self.budget, self.shadow, self.partial = budget, shadow, partial
         self.key = _state_key(shadow)
+        self.first = _BATCHES[0] if partial else ISOTOPY_KINDS
         code = self.key(d)
         self.record = {code: (None, None)}
         self.pending = {code: d}
-        self.waiting = [(rank(d), 0, code)]
+        self.waiting = [(self.rank(d), 0, code, self.first, None)]
         self.arrivals = count(1)
 
+    def rank(self, d: Diagram) -> int:
+        return d.crossing_count if self.partial else 0
+
     def expand(self):
-        """Pop the least waiting state, rebuild it and yield it with its
-        code; then record each new neighbour within the budget and yield
-        it with its code."""
-        _rank, _arrival, code = heappop(self.waiting)
-        cur = self.pending.pop(code)
-        reached_by = self.record[code][1]
-        if reached_by is not None:
-            cur = _build(cur, reached_by, self.shadow)
+        """Pop the least waiting entry and yield its state with its code;
+        then record each new neighbour its kinds make within the budget and
+        yield it with its code.  A state's first entry rebuilds it and, in a
+        partial side, pushes back its later batches."""
+        _rank, _arrival, code, kinds, cur = heappop(self.waiting)
+        if cur is None:
+            cur = self.pending.pop(code)
+            reached_by = self.record[code][1]
+            if reached_by is not None:
+                cur = _build(cur, reached_by, self.shadow)
+            if self.partial:
+                for added in (1, 2):
+                    rank = cur.crossing_count + added
+                    if rank <= self.budget.max_crossings:
+                        entry = (rank, next(self.arrivals), code, _BATCHES[added], cur)
+                        heappush(self.waiting, entry)
         yield code, cur
-        for site, nd in _neighbors(cur, self.budget, self.shadow):
+        for site, nd in _neighbors(cur, self.budget, self.shadow, kinds):
             ncode = self.key(nd)
             if ncode not in self.record:
                 self.record[ncode] = (code, site)
                 self.pending[ncode] = cur
-                heappush(self.waiting, (self.rank(nd), next(self.arrivals), ncode))
+                entry = (self.rank(nd), next(self.arrivals), ncode, self.first, None)
+                heappush(self.waiting, entry)
                 yield ncode, nd
 
 
@@ -614,8 +653,8 @@ def search_min_crossings(
     budget = budget or Budget()
     if stop_at is not None and d.crossing_count <= stop_at:
         return SearchResult(best=d, exhausted=False, states=1)
-    # one side whose constant rank expands its states in arrival order
-    side = _Side(d, lambda _d: 0, budget, False)
+    # one plain side, whose constant rank expands its states in arrival order
+    side = _Side(d, budget, False, partial=False)
     best, best_code = d, d.canonical_code()
     while side.waiting:
         expansion = side.expand()
@@ -654,7 +693,9 @@ def _recover_step(cur: Diagram, target_code, back: MoveSite, budget, shadow):
     a step changes the crossing count by minus what ``back`` does, so only
     the kinds that do are tried."""
     key = _state_key(shadow)
-    for site, nd in _neighbors(cur, budget, shadow, -_KINDS[back.kind][0]):
+    delta = -_KINDS[back.kind][0]
+    kinds = tuple(k for k in ISOTOPY_KINDS if _KINDS[k][0] == delta)
+    for site, nd in _neighbors(cur, budget, shadow, kinds):
         if key(nd) == target_code:
             return site, nd
     return None
@@ -668,12 +709,16 @@ def equivalent_within(
 ) -> EquivalenceResult:
     """Bidirectional search for a move path ``d1 -> d2``.
 
-    Each side keeps its waiting states in a heap and expands one at a
-    time: the one with the fewest crossings, the first to arrive among
-    equal counts.  The side with fewer waiting states goes next (Pohl's
+    Each side keeps its waiting entries in a heap and expands one at a
+    time: the one of least rank, the first to arrive among equal ranks.  A
+    state of c crossings waits at rank c for the moves that add none, and
+    its moves that add one or two crossings wait at rank c + 1 or c + 2
+    (``_Side``).  The side with fewer waiting entries goes next (Pohl's
     cardinality rule).  The search stops when a side reaches a state the
     other has recorded, so a path it returns joins the two diagrams but is
-    not promised to be a shortest one.
+    not promised to be a shortest one.  Every move a side takes is undone
+    by a move the other side's walk back can take, so ``equivalent=True``
+    comes with a path that ``replay_path`` follows from ``d1`` to ``d2``.
 
     ``equivalent=False`` means the full reachable sets within the crossing
     cap were separated: no path of the moves in ``MOVE_KINDS`` other than
@@ -689,8 +734,8 @@ def equivalent_within(
     key = _state_key(shadow)
     if key(d1) == key(d2):
         return EquivalenceResult(True, (), 2, True)
-    # each side expands its waiting state with the fewest crossings first
-    sides = [_Side(d, lambda nd: nd.crossing_count, budget, shadow) for d in (d1, d2)]
+    # each side expands its entry of least rank first
+    sides = [_Side(d, budget, shadow, partial=True) for d in (d1, d2)]
     records = [sides[0].record, sides[1].record]
     meet = None
     while meet is None and sides[0].waiting and sides[1].waiting:
@@ -716,7 +761,7 @@ def equivalent_within(
     while records[1][code][0] is not None:
         parent, reached_by = records[1][code]
         step = _recover_step(cur, parent, reached_by, budget, shadow)
-        if step is None:
+        if step is None:  # a move without a listed inverse costs the path only
             return EquivalenceResult(True, None, states, True)
         site, cur = step
         path.append(site)

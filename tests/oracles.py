@@ -7,7 +7,7 @@ from collections import deque
 import networkx as nx
 
 from graphknot import Diagram, LaurentPoly, Multigraph, NotALinkError, SizeLimitExceeded
-from graphknot.diagram import extract_sublink
+from graphknot.diagram import extract_sublink, splice_identify
 from graphknot.errors import TopologyError
 from graphknot.invariants import (
     MAX_BRACKET_CROSSINGS,
@@ -18,7 +18,7 @@ from graphknot.invariants import (
     disjoint_cycle_pairs,
     simple_cycles,
 )
-from graphknot.moves import Budget, _neighbors, _state_key
+from graphknot.moves import ISOTOPY_KINDS, Budget, _neighbors, _state_key
 from graphknot.multigraph import AutGroup, Permutation
 
 # the value of one closed loop, -A^2 - A^-2
@@ -351,14 +351,60 @@ def kink(d: Diagram, pair, c: int, s: int) -> bool:
     return d.is_crossing(c) and pair[(c, s)] == (c, (s + 1) % 4)
 
 
-def poke(d: Diagram, pair, s, t, shadow: bool) -> bool:
-    """``moves._poke``: ``s`` and ``t`` bound a bigon face between two
-    crossings whose strands poke instead of clasping, unless ``shadow``."""
+def bigon_pokes(d: Diagram, pair, s, t, shadow: bool) -> bool:
+    """``s`` and ``t`` bound a bigon face between two crossings whose
+    strands poke instead of clasping, unless ``shadow``."""
     q, p = s[0], t[0]
     bigon = _phi(d, pair, s) == t and _phi(d, pair, t) == s and q != p
     if not (bigon and d.is_crossing(q) and d.is_crossing(p)):
         return False
     return shadow or is_over_slot(d, q, s[1]) == is_over_slot(d, p, pair[s][1])
+
+
+def poke(d: Diagram, pair, s, t, shadow: bool) -> bool:
+    """``moves._poke``: ``bigon_pokes``, and no arc joins an outer end of
+    one strand to one of the other."""
+    if not bigon_pokes(d, pair, s, t, shadow):
+        return False
+    # each strand runs along one side of the bigon, and its outer ends are
+    # the slots opposite that side's two ends
+    outer = [
+        {(n, (k + 2) % 4) for n, k in (side, pair[side])} for side in (s, t)
+    ]
+    return not any(pair[x] in outer[1] for x in outer[0])
+
+
+def ungated_neighbours(d: Diagram, budget: Budget, shadow: bool):
+    """Every diagram one isotopy move from ``d`` within the budget, with
+    an R2 removal at every bigon that ``bigon_pokes`` finds, whether or not
+    an ``R2_add`` could undo it.  The other kinds are the searches' own
+    neighbours; the removals are made by the validating splice."""
+    kinds = tuple(k for k in ISOTOPY_KINDS if k != "R2_remove")
+    found = [nd for _site, nd in _neighbors(d, budget, shadow, kinds)]
+    pair = arc_partners(d)
+    for face in d.faces():
+        if len(face) == 2 and bigon_pokes(d, pair, *face, shadow):
+            thru = {}
+            for n, _slot in face:
+                for a, b in ((0, 2), (1, 3)):
+                    thru[(n, a)], thru[(n, b)] = (n, b), (n, a)
+            found.append(splice_identify(d, thru))
+    return found
+
+
+def ungated_reachable(d: Diagram, budget: Budget, shadow: bool) -> set:
+    """The state keys of everything ``ungated_neighbours`` reaches from
+    ``d``, breadth-first."""
+    key = _state_key(shadow)
+    seen = {key(d)}
+    queue = deque([d])
+    while queue:
+        for nd in ungated_neighbours(queue.popleft(), budget, shadow):
+            code = key(nd)
+            if code not in seen:
+                seen.add(code)
+                queue.append(nd)
+    return seen
 
 
 def slides(d: Diagram, pair, s1, shadow: bool) -> bool:

@@ -30,6 +30,7 @@ from graphknot import (
     disjoint_union_diagrams,
     enumerate_moves,
     kauffman_bracket,
+    replay_path,
     section3_crossing_number,
     substitute,
     symmetric_product_orbits,
@@ -335,7 +336,8 @@ def test_descending_diagrams_coincide_up_to_moves():
     """For every multigraph with at most four edges on at most four
     vertices, two independently perturbed routings of the same vertex
     placement become equivalent once both are layered descendingly with the
-    same arc order (verified by bidirectional search)."""
+    same arc order (verified by bidirectional search, whose move path must
+    replay from one shadow to the other)."""
     with scored("descending-diagrams-coincide", 600.0):
         assert len(DESCENDING_GRAPHS) == 1251
         for case in range(1, len(DESCENDING_GRAPHS) + 1):
@@ -347,6 +349,9 @@ def test_descending_diagrams_coincide_up_to_moves():
                 dd1, dd2, Budget(max_crossings=cap, max_states=100_000)
             )
             assert res.equivalent is True, (case, DESCENDING_GRAPHS[case - 1], res)
+            assert res.path is not None, case
+            end = replay_path(dd1, res.path, shadow=True)
+            assert end.canonical_code() == dd2.shadow_code(), case
 
 
 def test_twist_words_classify_by_fraction():

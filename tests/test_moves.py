@@ -28,7 +28,7 @@ from graphknot import (
     search_min_crossings,
     simplify,
 )
-from graphknot.diagram import Crossing, Diagram, parse_diagram, splice_identify
+from graphknot.diagram import Crossing, Diagram, Vertex, parse_diagram, splice_identify
 from graphknot.gallery import (
     figure_eight,
     hopf_link,
@@ -42,9 +42,10 @@ from graphknot.gallery import (
     wheel4,
 )
 from graphknot.layout import base_diagram
-from graphknot.moves import _kink, _neighbors, _poke, _slides, _twisted
+from graphknot.moves import _Side, _kink, _neighbors, _poke, _slides, _twisted
 from oracles import (
     arc_partners,
+    bigon_pokes,
     kink,
     level_order_equivalent,
     mirror_diagram,
@@ -52,6 +53,7 @@ from oracles import (
     queued_search_min_crossings,
     slides,
     twisted,
+    ungated_reachable,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -89,6 +91,40 @@ MOVE_CORPUS = [
     Diagram([Crossing(0)], [((0, 1), (0, 2)), ((0, 3), (0, 0))]),
 ]
 
+# Two bigons whose strands poke, but an arc joins an outer end of one
+# strand to an outer end of the other, so that removing the bigon would
+# leave one arc that no R2_add pokes apart: a Hopf link with a bigon one of
+# whose crossings carries a kink, and an edge between two leaves that pokes
+# itself.  ``enumerate_moves`` offers neither removal.
+GATED_BIGONS = [
+    Diagram(
+        [Crossing(0)] * 4,
+        [((0, 0), (3, 1)), ((0, 1), (1, 0)), ((0, 2), (1, 3)), ((0, 3), (1, 2)),
+         ((1, 1), (3, 2)), ((2, 0), (2, 1)), ((2, 2), (3, 0)), ((2, 3), (3, 3))],
+    ),
+    Diagram(
+        [Vertex("0", 1), Vertex("1", 1), Crossing(0), Crossing(1)],
+        [((0, 0), (2, 3)), ((1, 0), (3, 3)), ((2, 0), (3, 0)), ((2, 1), (3, 2)),
+         ((2, 2), (3, 1))],
+    ),
+]
+
+# Two kink, poke and slide perturbations of the Hopf link on which the
+# search once answered "equivalent" without a path: its backward side
+# removed a kinked bigon, and no R2_add rebuilt it.
+HOPF_KINK_BIGON = [
+    parse_diagram(
+        "diagram\ncrossing 02\ncrossing 02\ncrossing 13\ncrossing 02\ncrossing 02\n"
+        "arc 0.0 1.1\narc 0.1 3.1\narc 0.2 1.3\narc 0.3 4.1\narc 1.0 3.2\narc 1.2 4.0\n"
+        "arc 2.0 4.3\narc 2.1 4.2\narc 2.2 2.3\narc 3.0 3.3\n"
+    ),
+    parse_diagram(
+        "diagram\ncrossing 02\ncrossing 02\ncrossing 13\ncrossing 02\ncrossing 02\n"
+        "arc 0.0 3.2\narc 0.1 1.0\narc 0.2 4.0\narc 0.3 1.2\narc 1.1 3.1\narc 1.3 4.1\n"
+        "arc 2.0 4.3\narc 2.1 4.2\narc 2.2 2.3\narc 3.0 3.3\n"
+    ),
+]
+
 
 @pytest.mark.parametrize("d", [trefoil(), figure_eight(), k5_diagram(), wheel4_d := base_diagram(Multigraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])), *MOVE_CORPUS])
 def test_every_enumerated_move_applies(d):
@@ -119,7 +155,7 @@ def _filtered_candidates(d):
     }
 
 
-@pytest.mark.parametrize("d", MOVE_CORPUS)
+@pytest.mark.parametrize("d", MOVE_CORPUS + GATED_BIGONS)
 def test_a_filtered_candidate_applies_exactly_when_enumerated(d):
     """The converse of ``test_every_enumerated_move_applies``: a candidate
     that ``enumerate_moves`` leaves out is rejected by its move."""
@@ -135,6 +171,35 @@ def test_a_filtered_candidate_applies_exactly_when_enumerated(d):
                     applied = False
                 either = {params, params[::-1]} if kind == "R2_remove" else {params}
                 assert applied == bool(either & listed), (kind, params, shadow)
+
+
+@pytest.mark.parametrize("shadow", [False, True])
+def test_the_gated_bigons_poke_but_offer_no_removal(shadow):
+    for d in GATED_BIGONS:
+        pair = arc_partners(d)
+        bigons = [f for f in d.faces() if len(f) == 2]
+        gated = [f for f in bigons if bigon_pokes(d, pair, *f, shadow)]
+        listed = [s.params for s in enumerate_moves(d, ("R2_remove",), shadow=shadow)]
+        assert [f for f in bigons if poke(d, pair, *f, shadow)] == listed
+        assert set(gated) - set(listed), shadow
+
+
+def _side_reachable(d, budget, shadow):
+    """The state keys that a partial side records when run to the end."""
+    side = _Side(d, budget, shadow, partial=True)
+    while side.waiting:
+        for _ in side.expand():
+            pass
+    return set(side.record)
+
+
+@pytest.mark.parametrize("shadow", [False, True])
+@pytest.mark.parametrize("d", MOVE_CORPUS + HOPF_KINK_BIGON)
+def test_the_gate_keeps_every_reachable_state(d, shadow):
+    """Removing only the bigons an R2_add can rebuild loses no state that
+    every poking bigon's removal reaches, one crossing above the start."""
+    budget = Budget(max_crossings=d.crossing_count + 1)
+    assert _side_reachable(d, budget, shadow) == ungated_reachable(d, budget, shadow)
 
 
 def _site_cases(d, shadow):
@@ -509,9 +574,19 @@ def test_equivalent_within_tests_max_states_after_each_expansion():
         )
         return r.equivalent, r.states, r.exhausted
 
-    assert run(1) == (None, 6, False)  # the first state is always expanded
+    # the first batch is always expanded; it takes the kinds that add no
+    # crossing, which offer the alternating trefoil no site
+    assert run(1) == (None, 2, False)
     assert run(11) == (None, 11, False)
     assert run(12) == (False, 11, True)
+
+
+def test_the_hopf_kink_bigon_perturbations_come_with_a_path():
+    for perturbed in HOPF_KINK_BIGON:
+        budget = Budget(max_crossings=perturbed.crossing_count, max_states=100_000)
+        res = equivalent_within(hopf_link(), perturbed, budget)
+        assert res.equivalent is True
+        assert res.path is not None and _replays(hopf_link(), perturbed, res.path, False)
 
 
 def test_a_shadow_path_replays_to_the_target_shadow():

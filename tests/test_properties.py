@@ -47,6 +47,7 @@ from oracles import (
     monomial,
     shifted,
 )
+from test_moves import GATED_BIGONS, MOVE_CORPUS
 
 
 # -- strategies -------------------------------------------------------------------
@@ -583,6 +584,34 @@ def test_growing_moves_can_be_undone(d, pick):
         for back in enumerate_moves(grown, (GROW_TO_SHRINK[site.kind],))
     }
     assert d.canonical_code() in shrunk
+
+
+@st.composite
+def grown_diagrams(draw):
+    """A move-corpus, link or graph diagram with up to three kinks, pokes,
+    slides or twists added, so that bigons meet kinks, loops and vertices."""
+    d = draw(st.one_of(st.sampled_from(MOVE_CORPUS + GATED_BIGONS), link_diagrams(), graph_diagrams()))
+    for _ in range(draw(st.integers(0, 3))):
+        sites = enumerate_moves(d, ("R1_add", "R2_add", "R3", "R5_twist"))
+        if not sites or d.crossing_count > 8:
+            break
+        d = apply_move(d, sites[draw(st.integers(0, len(sites) - 1))])
+    return d
+
+
+@given(grown_diagrams(), st.booleans())
+@settings(deadline=None, max_examples=150)
+def test_every_listed_r2_removal_has_an_r2_add_inverse(d, shadow):
+    """Some ``R2_add`` of the child, loop pokes included, rebuilds the
+    parent's state key: a search can walk back every removal it takes."""
+    key = Diagram.shadow_code if shadow else Diagram.canonical_code
+    for site in enumerate_moves(d, ("R2_remove",), shadow=shadow):
+        child = apply_move(d, site, shadow=shadow)
+        rebuilt = {
+            key(apply_move(child, back, shadow=shadow))
+            for back in enumerate_moves(child, ("R2_add",), shadow=shadow)
+        }
+        assert key(d) in rebuilt, site
 
 
 def isotopy_neighbours(d, image=lambda nd: nd):
