@@ -178,10 +178,10 @@ def test_the_gated_bigons_poke_but_offer_no_removal(shadow):
     for d in GATED_BIGONS:
         pair = arc_partners(d)
         bigons = [f for f in d.faces() if len(f) == 2]
-        gated = [f for f in bigons if bigon_pokes(d, pair, *f, shadow)]
+        poking = [f for f in bigons if bigon_pokes(d, pair, *f, shadow)]
         listed = [s.params for s in enumerate_moves(d, ("R2_remove",), shadow=shadow)]
         assert [f for f in bigons if poke(d, pair, *f, shadow)] == listed
-        assert set(gated) - set(listed), shadow
+        assert set(poking) - set(listed), shadow
 
 
 def _side_reachable(d, budget, shadow):
@@ -582,11 +582,12 @@ def test_equivalent_within_tests_max_states_after_each_expansion():
 
 
 def test_the_hopf_kink_bigon_perturbations_come_with_a_path():
+    hopf = hopf_link()
     for perturbed in HOPF_KINK_BIGON:
         budget = Budget(max_crossings=perturbed.crossing_count, max_states=100_000)
-        res = equivalent_within(hopf_link(), perturbed, budget)
+        res = equivalent_within(hopf, perturbed, budget)
         assert res.equivalent is True
-        assert res.path is not None and _replays(hopf_link(), perturbed, res.path, False)
+        assert res.path is not None and _replays(hopf, perturbed, res.path, False)
 
 
 def test_a_shadow_path_replays_to_the_target_shadow():

@@ -590,7 +590,8 @@ def test_growing_moves_can_be_undone(d, pick):
 def grown_diagrams(draw):
     """A move-corpus, link or graph diagram with up to three kinks, pokes,
     slides or twists added, so that bigons meet kinks, loops and vertices."""
-    d = draw(st.one_of(st.sampled_from(MOVE_CORPUS + GATED_BIGONS), link_diagrams(), graph_diagrams()))
+    corpus = st.sampled_from(MOVE_CORPUS + GATED_BIGONS)
+    d = draw(st.one_of(corpus, link_diagrams(), graph_diagrams()))
     for _ in range(draw(st.integers(0, 3))):
         sites = enumerate_moves(d, ("R1_add", "R2_add", "R3", "R5_twist"))
         if not sites or d.crossing_count > 8:
