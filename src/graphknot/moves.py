@@ -596,8 +596,8 @@ class _Side:
     2000): first by the kinds that add no crossing, then, pushed back with
     its rebuilt diagram, at rank c + 1 by the kinds that add one and at
     rank c + 2 by ``R2_add``.  A batch whose children would pass the cap
-    is never pushed.  Most states are met before their growing batches
-    come up, and most of those batches are never popped."""
+    is never pushed.  The sides usually meet before most growing batches
+    come up, so most ``R2_add`` children are never built."""
 
     def __init__(self, d: Diagram, budget: Budget, shadow: bool, partial: bool):
         self.budget, self.shadow, self.partial = budget, shadow, partial
