@@ -1,12 +1,11 @@
-"""Crossing numbers of small graphs via assignment search.
+"""Crossing numbers of small graphs via one search over shadows.
 
 Prints the computed value per graph beside its published crossing number,
-together with its number of subproblems (the crossing assignments of its
-one layered drawing) and the move-search states they took, then checks
-additivity over disjoint and one-point unions.  The layered drawings of
-K3,4, K6 and the one-point union K5.K5 already have as many crossings as
-the graph's block bound (``Multigraph.crossing_lower_bound``) demands, so
-they close with no search.
+together with the states of the search from its layered drawing, then
+checks additivity over disjoint and one-point unions.  The layered
+drawings of K3,4, K6 and the one-point union K5.K5 already have as many
+crossings as the graph's block bound (``Multigraph.crossing_lower_bound``)
+demands, so they close with no search.
 
     python scripts/crossing_numbers.py
 """
@@ -49,16 +48,15 @@ UNIONS = [
 def main():
     print(
         f"{'graph':<14} {'cr':>3} {'published':>10} {'closed':>7} "
-        f"{'subproblems':>12} {'states':>7} {'time':>8}"
+        f"{'states':>7} {'time':>8}"
     )
     for name, g, published in GRAPHS:
         t0 = time.monotonic()
         report = section3_crossing_number(g)
         dt = time.monotonic() - t0
-        states = sum(s.report.states for s in report.subproblems)
         print(
             f"{name:<14} {report.value:>3} {published:>10} {str(report.closed):>7} "
-            f"{len(report.subproblems):>12} {states:>7} {dt:>7.2f}s"
+            f"{report.search.states:>7} {dt:>7.2f}s"
         )
 
     print()

@@ -200,7 +200,7 @@ def _cmd_crossing_number(args) -> int:
         lines = ["crossing number: inconclusive"]
     else:
         lines = [f"crossing number: {report.value}"]
-    lines.append(f"subproblems: {len(report.subproblems)}")
+    lines.append(f"states: {report.search.states}")
     lines.extend(report.notes)
     _emit("\n".join(lines), args.out)
     return 0
@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_criterion)
 
     s = subs.add_parser(
-        "crossing-number", help="minimum crossings over the assignments of one drawing"
+        "crossing-number",
+        help="least crossings reachable from one drawing by moves and crossing changes",
     )
     s.add_argument("input", help="graph file, or - for stdin")
     _add_common(s, budget=True)

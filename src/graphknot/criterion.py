@@ -1,5 +1,5 @@
-"""Non-planarity certificates from knotted diagrams, and crossing-number
-drivers that sweep a graph's labelled drawings.
+"""Non-planarity certificates from knotted diagrams, and a crossing-number
+driver that searches from a graph's layered drawing.
 
 The certificate machinery is one-sided: a ``NonPlanarCertificate`` proves
 the underlying graph of a diagram is non-planar (given that the graph is
@@ -27,16 +27,21 @@ keep that map's projection, cycles, cycle pairs and sublinks in an
 ``ObstructionScan``; a crossing assignment is a parity update of the map
 (``Diagram.with_parities``) that costs only the linking numbers and
 brackets of parity vectors its sublinks have not met yet, walked in the
-same order as a fresh scan would walk it.  ``section3_crossing_number``
-likewise shares one scan across the assignments of its drawing.
+same order as a fresh scan would walk it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram, crossing_assignments, diagram_to_text, parse_diagram
-from .errors import FormatError, TopologyError, WrongDegreeError
+from .diagram import (
+    MAX_ASSIGNED_CROSSINGS,
+    Diagram,
+    crossing_assignments,
+    diagram_to_text,
+    parse_diagram,
+)
+from .errors import FormatError, SizeLimitExceeded, TopologyError, WrongDegreeError
 from .invariants import (
     Obstruction,
     ObstructionScan,
@@ -466,19 +471,7 @@ def verify_certificate(cert: NonPlanarCertificate | dict) -> VerifyReport:
     return VerifyReport(True, tuple(notes))
 
 
-# -- the enumeration driver for graph crossing numbers ---------------------------
-
-
-@dataclass(frozen=True)
-class Section3Subproblem:
-    assignment: tuple[int, ...]
-    report: CrossingNumberReport
-
-    def to_json(self):
-        return {
-            "assignment": list(self.assignment),
-            "report": self.report.to_json(),
-        }
+# -- the driver for graph crossing numbers ---------------------------------------
 
 
 @dataclass(frozen=True)
@@ -486,7 +479,7 @@ class Section3Report:
     value: int | None
     closed: bool
     base_texts: tuple[str, ...]
-    subproblems: tuple[Section3Subproblem, ...]
+    search: CrossingNumberReport
     notes: tuple[str, ...]
 
     def to_json(self):
@@ -494,7 +487,7 @@ class Section3Report:
             "value": self.value,
             "closed": self.closed,
             "bases": list(self.base_texts),
-            "subproblems": [s.to_json() for s in self.subproblems],
+            "search": self.search.to_json(),
             "notes": list(self.notes),
         }
 
@@ -504,66 +497,50 @@ def section3_crossing_number(
     budget: Budget | None = None,
     edge_order: list[int] | None = None,
 ) -> Section3Report:
-    """Minimum crossing number over the crossing assignments of one drawing.
+    """The least crossing count reachable from one drawing of ``g`` by
+    moves and crossing changes.
 
-    A base drawing is laid out greedily and layered descendingly, and every
-    crossing assignment of it is driven through the bounded exact
-    crossing-number search; all of them share the drawing's map, and so one
-    ``ObstructionScan``, and an assignment whose mirror image (every bit
-    switched) came first is given that one's report.  The reported value is
-    the minimum, and it is withheld (``None``) if any subproblem's bounds
-    fail to close.
+    A base drawing is laid out greedily and layered descendingly, and one
+    bounded search over its shadows (``crossing_number`` with ``shadow``)
+    looks for fewer crossings.  G is minimalizable when a minimal diagram
+    can be reached from any diagram of G by crossing changes, so the
+    relation searched is isotopy together with crossing changes.
 
-    A subproblem closes when a lower bound meets the least crossing count
-    its search found, or when the search exhausts its crossing cap (noted
-    as such).  The latter is relative to the moves in ``MOVE_KINDS`` other
-    than crossing changes, which have no move that passes a strand across
-    a graph vertex, and to the cap: its value is the least crossing count
-    those moves reach, an upper bound on the least over every diagram of
-    that spatial graph, not that least itself.
+    The lower bounds are the ones that hold for every drawing of ``g``:
+    non-planarity and the block bound (``Multigraph.crossing_lower_bound``).
+    Where the block bound already reaches the drawing's crossing count, as
+    on K3,4, K6 and K5.K5, the value closes with no search.  Otherwise it
+    closes when the search meets the bound, or when it exhausts its
+    crossing cap (noted as such).  The latter is relative to the moves in
+    ``MOVE_KINDS``, which have no move that passes a strand across a graph
+    vertex, and to the cap: it is the least crossing count those moves
+    reach, an upper bound on cr(G), not cr(G) itself.  When neither
+    happens within the state budget the value is withheld (``None``).
 
-    The graph-wide bounds of ``lower_bound_obstructions`` come first,
-    non-planarity and then the block bound
-    (``Multigraph.crossing_lower_bound``): they hold for every drawing, so
-    for every assignment, and the shared scan computes them once.  Where
-    the block bound already reaches the drawing's crossing count, as on
-    K3,4, K6 and K5.K5, every assignment closes with no cycle scan and no
-    search.
+    No search starts from a drawing with more than
+    ``MAX_ASSIGNED_CROSSINGS`` crossings: it raises ``SizeLimitExceeded``.
     """
-    notes = []
     layered = descending_diagram(
         base_diagram(g, edge_order=edge_order).underlying_graph(), edge_order
     )
-    scan = ObstructionScan(layered)
-    reports: dict[tuple[int, ...], CrossingNumberReport] = {}
-    subproblems: list[Section3Subproblem] = []
-    best: int | None = None
-    closed = True
-    crossings = layered.crossings()
-    for bits in crossing_assignments(layered):
-        assigned = layered.with_parities(dict(zip(crossings, bits)))
-        sub_budget = budget or Budget(
-            max_crossings=assigned.crossing_count + 1, max_states=200_000
+    if layered.crossing_count > MAX_ASSIGNED_CROSSINGS:
+        raise SizeLimitExceeded(
+            f"the layered drawing has {layered.crossing_count} crossings; the "
+            f"crossing-number search starts from at most {MAX_ASSIGNED_CROSSINGS}"
         )
-        mirror = reports.get(tuple(1 - b for b in bits))
-        report = reports[bits] = crossing_number(assigned, sub_budget, scan, mirror)
-        subproblems.append(Section3Subproblem(bits, report))
-        if not report.conclusive:
-            closed = False
-        else:
-            if report.cap_relative:
-                notes.append(
-                    f"assignment {list(bits)} closed only relative to the "
-                    f"{report.crossing_cap}-crossing cap"
-                )
-            if best is None or report.value < best:
-                best = report.value
+    budget = budget or Budget(
+        max_crossings=layered.crossing_count + 1, max_states=200_000
+    )
+    report = crossing_number(layered, budget, shadow=True)
+    notes = ()
+    if report.cap_relative:
+        notes = (f"closed only relative to the {report.crossing_cap}-crossing cap",)
     return Section3Report(
-        value=best if closed else None,
-        closed=closed,
+        value=report.value,
+        closed=report.conclusive,
         base_texts=(diagram_to_text(layered),),
-        subproblems=tuple(subproblems),
-        notes=tuple(notes),
+        search=report,
+        notes=notes,
     )
 
 

@@ -737,7 +737,8 @@ def connected_sum_diagrams(
     return Diagram(d1.nodes + d2.nodes, arcs, d1.free_loops + d2.free_loops)
 
 
-# crossing_assignments refuses diagrams with more crossings
+# crossing_assignments refuses diagrams with more crossings, and
+# section3_crossing_number drawings with more
 MAX_ASSIGNED_CROSSINGS = 16
 
 

@@ -12,7 +12,7 @@ circle is traversed starting from its smallest entry dart.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .diagram import Diagram, GraphProjection, extract_sublink, sublink_crossings
 from .errors import (
@@ -652,7 +652,7 @@ class CrossingNumberReport:
 
 
 def lower_bound_obstructions(
-    d: Diagram, stop_when: int | None = None, scan: ObstructionScan | None = None
+    d: Diagram, stop_when: int | None = None, shadow: bool = False
 ) -> tuple[int, tuple[Obstruction, ...]]:
     """Every obstruction of ``d``: non-planarity of its graph, then the
     graph's block bound (``ObstructionScan.graph_bound``, listed only when
@@ -660,15 +660,15 @@ def lower_bound_obstructions(
     stopping at the first that reaches ``stop_when``.
 
     The graph-wide bounds come first because they hold for every drawing
-    of the graph and cost one pass over the map, computed once per scan,
-    while the scan enumerates cycles and computes brackets for every
-    crossing assignment: where the block bound already reaches the
-    drawing's crossing count, as on K3,4, K6 and K5.K5, the scan is not
-    run.
+    of the graph and cost one pass over the map, while the scan enumerates
+    cycles and computes brackets: where the block bound already reaches
+    the drawing's crossing count, as on K3,4, K6 and K5.K5, the scan is
+    not run.
 
-    ``scan`` is the scan of ``d``'s map (a fresh one by default); diagrams
-    sharing the map share it."""
-    scan = scan or ObstructionScan(d)
+    With ``shadow`` only the graph-wide bounds are listed.  The scan's
+    linked cycles and sublink spans bound the one spatial graph ``d``
+    draws, and crossing changes leave its isotopy class."""
+    scan = ObstructionScan(d)
     obstructions: list[Obstruction] = []
 
     def best() -> int:
@@ -681,7 +681,7 @@ def lower_bound_obstructions(
         obstructions.append(Obstruction("nonplanar-graph", 1))
         if below_stop() and scan.graph_bound > 1:
             obstructions.append(Obstruction("block-euler-girth", scan.graph_bound))
-    if below_stop():
+    if below_stop() and not shadow:
         for o, _signed in scan.obstructions(d):
             obstructions.append(o)
             if stop_when is not None and o.bound >= stop_when:
@@ -690,40 +690,25 @@ def lower_bound_obstructions(
 
 
 def crossing_number(
-    d: Diagram,
-    budget: Budget | None = None,
-    scan: ObstructionScan | None = None,
-    mirror: CrossingNumberReport | None = None,
+    d: Diagram, budget: Budget | None = None, shadow: bool = False
 ) -> CrossingNumberReport:
-    """Minimal crossings over diagrams move-equivalent to ``d``.
+    """Minimal crossings over diagrams move-equivalent to ``d``; with
+    ``shadow``, over diagrams reachable from ``d`` by moves and crossing
+    changes, found by one search over shadows (``search_min_crossings``).
 
     The answer is conclusive when the search's upper bound meets a lower
     bound, or (flagged ``cap_relative``) when the whole reachable set under
-    the crossing cap was exhausted without meeting it.  ``scan`` is the
-    scan of ``d``'s map, as in ``lower_bound_obstructions``.
-
-    ``mirror`` is a report on ``d``'s mirror image.  The moves at a mirror
-    image are the mirror images of the moves, so the two reachable sets are
-    mirror images, of one size and one set of crossing counts: a search the
-    mirror exhausted under this crossing cap, within this state budget, is
-    not run again.
+    the crossing cap was exhausted without meeting it.  With ``shadow`` the
+    lower bounds are the graph-wide ones alone (``lower_bound_obstructions``).
     """
     budget = budget or Budget()
     ub = d.crossing_count
-    lb, obstructions = lower_bound_obstructions(d, stop_when=ub, scan=scan)
-    if (
-        mirror is not None
-        and mirror.cap_relative
-        and mirror.lower_bound == lb
-        and mirror.crossing_cap == budget.max_crossings
-        and mirror.states < budget.max_states
-    ):
-        return replace(mirror, obstructions=obstructions)
+    lb, obstructions = lower_bound_obstructions(d, stop_when=ub, shadow=shadow)
     if ub <= lb:
         found, states, exhausted = ub, 0, False
         note = "diagram already meets its lower bound; no search needed"
     else:
-        result = search_min_crossings(d, budget, stop_at=lb)
+        result = search_min_crossings(d, budget, stop_at=lb, shadow=shadow)
         found, states, exhausted = result.best.crossing_count, result.states, result.exhausted
         if found <= lb:
             note = "search met the lower bound"

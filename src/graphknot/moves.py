@@ -644,18 +644,23 @@ def search_min_crossings(
     d: Diagram,
     budget: Budget | None = None,
     stop_at: int | None = None,
+    shadow: bool = False,
 ) -> SearchResult:
     """Breadth-first search of everything reachable without exceeding the
     crossing cap.  ``exhausted`` reports whether the cap-bounded reachable
     set was fully explored before the state budget ran out.  With
     ``stop_at`` the search returns as soon as a diagram with that few
-    crossings turns up (then ``exhausted`` only reflects how far it got)."""
+    crossings turns up (then ``exhausted`` only reflects how far it got).
+
+    ``best`` has the fewest crossings, ties broken by the least state key:
+    ``canonical_code``, or with ``shadow`` ``shadow_code``, whose states
+    are shadows, so that crossing changes come free."""
     budget = budget or Budget()
     if stop_at is not None and d.crossing_count <= stop_at:
         return SearchResult(best=d, exhausted=False, states=1)
     # one plain side, whose constant rank expands its states in arrival order
-    side = _Side(d, budget, False, partial=False)
-    best, best_code = d, d.canonical_code()
+    side = _Side(d, budget, shadow, partial=False)
+    best, best_code = d, side.key(d)
     while side.waiting:
         expansion = side.expand()
         code, cur = next(expansion)

@@ -7,18 +7,27 @@ from collections import deque
 import networkx as nx
 
 from graphknot import Diagram, LaurentPoly, Multigraph, NotALinkError, SizeLimitExceeded
-from graphknot.diagram import extract_sublink, splice_identify
+from graphknot.diagram import crossing_assignments, extract_sublink, splice_identify
 from graphknot.errors import TopologyError
 from graphknot.invariants import (
     MAX_BRACKET_CROSSINGS,
     Obstruction,
+    ObstructionScan,
     _bracket_span,
     _signed_linking,
     component_span_lower_bound,
     disjoint_cycle_pairs,
     simple_cycles,
 )
-from graphknot.moves import ISOTOPY_KINDS, Budget, _neighbors, _state_key
+from graphknot.layout import base_diagram
+from graphknot.moves import (
+    ISOTOPY_KINDS,
+    Budget,
+    _neighbors,
+    _state_key,
+    descending_diagram,
+    search_min_crossings,
+)
 from graphknot.multigraph import AutGroup, Permutation
 
 # the value of one closed loop, -A^2 - A^-2
@@ -216,27 +225,27 @@ def mirror_diagram(d: Diagram) -> Diagram:
     return d.with_parities({n: 1 - d.nodes[n].over for n in d.crossings()})
 
 
-def queued_search_min_crossings(d: Diagram, budget: Budget, stop_at: int | None = None):
+def queued_search_min_crossings(
+    d: Diagram, budget: Budget, stop_at: int | None = None, shadow: bool = False
+):
     """``search_min_crossings`` as a breadth-first search that queues whole
     diagrams: the best diagram, the state count and the ``exhausted`` flag.
-    The same neighbours, ``best`` tie-break, ``stop_at`` and soft
-    ``max_states`` rule, tested before each expansion."""
-    seen = {d.canonical_code()}
+    The same state keys, neighbours, ``best`` tie-break, ``stop_at`` and
+    soft ``max_states`` rule, tested before each expansion."""
+    key = _state_key(shadow)
+    seen = {key(d)}
     queue = deque([d])
     best = d
     if stop_at is not None and best.crossing_count <= stop_at:
         return best, 1, False
     while queue:
         cur = queue.popleft()
-        if (cur.crossing_count, cur.canonical_code()) < (
-            best.crossing_count,
-            best.canonical_code(),
-        ):
+        if (cur.crossing_count, key(cur)) < (best.crossing_count, key(best)):
             best = cur
         if len(seen) >= budget.max_states:
             return best, len(seen), False
-        for _site, nd in _neighbors(cur, budget, False):
-            code = nd.canonical_code()
+        for _site, nd in _neighbors(cur, budget, shadow):
+            code = key(nd)
             if code in seen:
                 continue
             seen.add(code)
@@ -244,6 +253,63 @@ def queued_search_min_crossings(d: Diagram, budget: Budget, stop_at: int | None 
                 return nd, len(seen), False
             queue.append(nd)
     return best, len(seen), True
+
+
+def _assignment_bound(d: Diagram, scan: ObstructionScan) -> int:
+    """The lower bound of one crossing assignment ``d``: the graph-wide
+    bounds, then the obstructions of ``d``'s own spatial graph until one
+    reaches ``d``'s crossing count."""
+    bound = 0 if scan.planar else max(1, scan.graph_bound)
+    if bound < d.crossing_count:
+        for o, _signed in scan.obstructions(d):
+            bound = max(bound, o.bound)
+            if bound >= d.crossing_count:
+                break
+    return bound
+
+
+def assignment_crossing_number(
+    g: Multigraph, budget: Budget | None = None, edge_order=None
+) -> tuple[int | None, bool]:
+    """The value and ``closed`` of ``section3_crossing_number`` computed
+    assignment by assignment: one isotopy search per crossing assignment
+    of the same layered drawing, each closed by its own lower bound or by
+    exhausting its cap, and the least value, withheld unless every
+    assignment closed.
+
+    The assignments share one ``ObstructionScan``.  An assignment's mirror
+    image (every bit switched) reaches the mirror images of its diagrams,
+    so when the mirror's search exhausted the same cap within the state
+    budget and stopped above the same lower bound, its value is taken and
+    no search is run."""
+    layered = descending_diagram(
+        base_diagram(g, edge_order=edge_order).underlying_graph(), edge_order
+    )
+    scan = ObstructionScan(layered)
+    exhausted: dict[tuple[int, ...], tuple[int, int]] = {}  # bits -> (bound, value)
+    best, closed = None, True
+    for bits in crossing_assignments(layered):
+        d = layered.with_parities(dict(zip(layered.crossings(), bits)))
+        sub_budget = budget or Budget(
+            max_crossings=d.crossing_count + 1, max_states=200_000
+        )
+        bound = _assignment_bound(d, scan)
+        mirror = exhausted.get(tuple(1 - b for b in bits))
+        if mirror is not None and mirror[0] == bound:
+            found, conclusive = mirror[1], True
+        elif d.crossing_count <= bound:
+            found, conclusive = d.crossing_count, True
+        else:
+            r = search_min_crossings(d, sub_budget, stop_at=bound)
+            found = r.best.crossing_count
+            conclusive = found <= bound or r.exhausted
+            if found > bound and r.exhausted and r.states < sub_budget.max_states:
+                exhausted[bits] = (bound, found)
+        if not conclusive:
+            closed = False
+        elif best is None or found < best:
+            best = found
+    return (best if closed else None), closed
 
 
 def level_order_equivalent(d1: Diagram, d2: Diagram, budget: Budget, shadow: bool = False):

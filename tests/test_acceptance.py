@@ -263,20 +263,16 @@ def test_bracket_contraction_matches_the_state_sum():
 
 
 def test_crossing_number_driver():
-    """The crossing-assignment driver settles K4 at zero and K5 at one,
-    with the one-crossing answers certified by a non-planarity bound."""
+    """The crossing-number driver settles K4 at zero and K5 at one, with
+    the one-crossing answer certified by a non-planarity bound."""
     with scored("crossing-number-driver", 120.0):
         r4 = section3_crossing_number(complete_graph(4))
         assert r4.value == 0 and r4.closed
 
         r5 = section3_crossing_number(complete_graph(5))
         assert r5.value == 1 and r5.closed
-        winners = [s for s in r5.subproblems if s.report.value == 1]
-        assert winners
-        for s in winners:
-            assert any(
-                o.kind == "nonplanar-graph" for o in s.report.obstructions
-            )
+        assert r5.search.value == 1 and r5.search.lower_bound == 1
+        assert any(o.kind == "nonplanar-graph" for o in r5.search.obstructions)
 
 
 def test_crossing_number_additivity():

@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from graphknot import Multigraph, diagram_to_text, graph_to_text, complete_graph
+from graphknot import (
+    Multigraph,
+    complete_bipartite,
+    complete_graph,
+    diagram_to_text,
+    disjoint_union,
+    graph_to_text,
+)
 from graphknot.cli import main
 from graphknot.diagram import Diagram
 from graphknot.gallery import hopf_link, k5_diagram, kinked_unknot
@@ -135,6 +142,25 @@ def test_crossing_number_of_a_large_grid_exits_two(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("budget exceeded:")
 
 
+K46 = complete_bipartite(4, 6)
+
+
+@pytest.mark.parametrize(
+    "g, code",
+    # K4,6 is drawn with 16 crossings, the most the driver searches from;
+    # with K3,3 beside it the drawing has 17
+    [(K46, 0), (disjoint_union(K46, complete_bipartite(3, 3)), 2)],
+    ids=["K4,6", "K4,6+K3,3"],
+)
+def test_crossing_number_size_guard_at_its_edge(capsys, tmp_path, g, code):
+    path = tmp_path / "g.graph"
+    path.write_text(graph_to_text(g))
+    argv = ["crossing-number", str(path), "--budget-crossings", "17", "--budget-states", "50"]
+    assert main(argv) == code
+    if code:
+        assert capsys.readouterr().err.startswith("budget exceeded:")
+
+
 def test_simplify_removes_kinks(capsys, tmp_path):
     path = tmp_path / "kinks.diagram"
     path.write_text(diagram_to_text(kinked_unknot(3)))
@@ -256,9 +282,7 @@ def test_zero_budget_is_not_the_default(capsys, k5_graph_file):
         capsys, "crossing-number", k5_graph_file, "--budget-crossings", "0", "--json"
     )
     assert code == 0
-    subproblems = json.loads(out)["subproblems"]
-    assert subproblems
-    assert all(sp["report"]["crossing_cap"] == 0 for sp in subproblems)
+    assert json.loads(out)["search"]["crossing_cap"] == 0
 
 
 @pytest.mark.parametrize("flag", ["--budget-crossings", "--budget-states"])

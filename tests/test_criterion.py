@@ -1,8 +1,10 @@
 """The non-planarity certificate machinery and the crossing-number driver."""
 
+import importlib.util
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -45,7 +47,12 @@ from graphknot.gallery import (
     wheel4,
 )
 from graphknot.layout import base_diagram
-from oracles import atlas_graphs, full_obstructions, small_crossing_number
+from oracles import (
+    assignment_crossing_number,
+    atlas_graphs,
+    full_obstructions,
+    small_crossing_number,
+)
 
 
 def degree_four_vertices(d):
@@ -302,10 +309,8 @@ def test_driver_on_k5():
     report = section3_crossing_number(complete_graph(5))
     assert report.value == 1 and report.closed
     # the lower bound is certified, not just searched out
-    ones = [s for s in report.subproblems if s.report.value == 1]
-    assert ones
-    for s in ones:
-        assert any(o.kind == "nonplanar-graph" for o in s.report.obstructions)
+    assert report.search.value == 1 and report.search.lower_bound == 1
+    assert any(o.kind == "nonplanar-graph" for o in report.search.obstructions)
 
 
 def test_driver_never_goes_below_the_planarity_bound():
@@ -335,46 +340,70 @@ def test_additivity_rejects_unknown_kind():
 )
 def test_the_block_bound_closes_drawings_that_meet_it(g, cr):
     """Each layered drawing already has cr(G) crossings, which the graph's
-    block bound reaches: every assignment closes with no search, by proof
-    rather than relative to the crossing cap."""
+    block bound reaches: the value closes with no search, by proof rather
+    than relative to the crossing cap."""
     assert g.crossing_lower_bound() == cr
     report = section3_crossing_number(g)
     assert report.value == cr and report.closed
-    for s in report.subproblems:
-        assert s.report.states == 0
-        assert s.report.notes[0].endswith("no search needed")
-        assert Obstruction("block-euler-girth", cr) in s.report.obstructions
+    assert report.search.states == 0
+    assert report.search.notes[0].endswith("no search needed")
+    assert Obstruction("block-euler-girth", cr) in report.search.obstructions
     assert not any("closed only relative" in note for note in report.notes)
 
 
 GRAPH_WIDE = ("nonplanar-graph", "block-euler-girth")
 
 
+def _edge_orders(g, drawings):
+    """The default edge order, then ``drawings`` seeded shuffles of it."""
+    m = g.edge_count
+    return [None] + [random.Random(seed).sample(range(m), m) for seed in range(drawings)]
+
+
 def _lower_bound_faults():
     """Where a graph-wide lower bound exceeds the exact crossing number, or
     a closed value falls below it, over every connected graph with at most
-    six vertices.  The knot-theoretic obstructions bound the crossings of
-    one spatial graph, which may exceed cr(G), so they are not checked."""
+    six vertices, each drawn by its default edge order and two seeded
+    others.  Only graph-wide bounds close the driver's value; a
+    knot-theoretic obstruction bounds the crossings of one spatial graph,
+    which may exceed cr(G)."""
     faults = []
     for g in atlas_graphs():
         cr = small_crossing_number(g)
         assert cr is not None
         if g.crossing_lower_bound() > cr:
             faults.append((g, "crossing_lower_bound"))
-        report = section3_crossing_number(g)
-        if any(
-            o.kind in GRAPH_WIDE and o.bound > cr
-            for s in report.subproblems
-            for o in s.report.obstructions
-        ):
-            faults.append((g, "obstruction"))
-        if report.closed and report.value < cr:
-            faults.append((g, "value"))
+        for order in _edge_orders(g, 2):
+            report = section3_crossing_number(g, edge_order=order)
+            assert all(o.kind in GRAPH_WIDE for o in report.search.obstructions)
+            if any(o.bound > cr for o in report.search.obstructions):
+                faults.append((g, "obstruction"))
+            if report.closed and report.value < cr:
+                faults.append((g, "value"))
     return faults
 
 
 def test_no_lower_bound_exceeds_the_exact_crossing_number():
     assert _lower_bound_faults() == []
+
+
+def _table_graphs():
+    """The graphs of ``scripts/crossing_numbers.py``."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "crossing_numbers.py"
+    spec = importlib.util.spec_from_file_location("crossing_numbers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [g for _name, g, _published in module.GRAPHS]
+
+
+def test_driver_matches_the_assignment_oracle():
+    """One search over shadows gives the value and ``closed`` that one
+    isotopy search per crossing assignment gives, on every connected graph
+    with at most six vertices and on the graphs of the crossing-number
+    table."""
+    for g in [*atlas_graphs(), *_table_graphs()]:
+        report = section3_crossing_number(g)
+        assert (report.value, report.closed) == assignment_crossing_number(g), g.edges
 
 
 def test_a_block_bound_one_too_high_is_caught(monkeypatch):
@@ -389,7 +418,7 @@ def test_a_block_bound_one_too_high_is_caught(monkeypatch):
 
 
 # K6 - e labelled as atlas G207: its layered drawing has 3 crossings, one
-# more than its block bound, so its assignments still search
+# more than its block bound, so it still searches
 K6_MINUS_E = Multigraph(6, tuple(e for e in complete_graph(6).edges if e != (0, 3)))
 
 
@@ -400,32 +429,30 @@ K6_MINUS_E = Multigraph(6, tuple(e for e in complete_graph(6).edges if e != (0, 
         (complete_bipartite(3, 4), 0),
         (complete_graph(6), 0),
         (one_point_union(complete_graph(5), 0, complete_graph(5), 0), 0),
-        (K6_MINUS_E, 3),
+        (K6_MINUS_E, 1),
     ],
     ids=["K3,4", "K6", "K5.K5", "K6-e"],
 )
 def test_driver_reports_what_a_fresh_crossing_number_reports(g, searches, monkeypatch):
-    """The driver's subproblems share one scan, and an assignment's mirror
-    image shares its exhausted search; each report still equals
-    ``crossing_number`` run on its assignment alone."""
+    """The driver runs at most one search, over shadows, and its report
+    equals ``crossing_number`` with ``shadow`` run on the layered drawing
+    alone."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(kwargs["shadow"])
         return search_min_crossings(*args, **kwargs)
 
     monkeypatch.setattr(invariants, "search_min_crossings", counted)
     report = section3_crossing_number(g)
     monkeypatch.undo()
-    # half of the assignments that need a search are mirrors of the other half
-    assert len(calls) == searches
+    assert calls == [True] * searches
     (text,) = report.base_texts
     layered = parse_diagram(text)
     budget = Budget(max_crossings=layered.crossing_count + 1, max_states=200_000)
-    assert len(report.subproblems) == 1 << layered.crossing_count
-    for s in report.subproblems:
-        assigned = layered.with_parities(dict(zip(layered.crossings(), s.assignment)))
-        assert s.report.to_json() == crossing_number(assigned, budget).to_json()
+    fresh = crossing_number(layered, budget, shadow=True)
+    assert report.search.to_json() == fresh.to_json()
+    assert (report.value, report.closed) == (fresh.value, fresh.conclusive)
 
 
 def test_a_shared_scan_finds_what_a_fresh_scan_finds():

@@ -42,7 +42,7 @@ from graphknot.gallery import (
     wheel4,
 )
 from graphknot.layout import base_diagram
-from graphknot.moves import _Side, _kink, _neighbors, _poke, _slides, _twisted
+from graphknot.moves import _Side, _kink, _neighbors, _poke, _slides, _state_key, _twisted
 from oracles import (
     arc_partners,
     bigon_pokes,
@@ -535,18 +535,29 @@ def test_max_states_stops_expansion_at_the_cap():
     assert run(7) == (6, True)
 
 
-@pytest.mark.parametrize("d", [*MOVE_CORPUS, parse_diagram((DATA / "k5.diagram").read_text())])
-def test_search_matches_the_diagram_queue_oracle(d):
+ORACLE_SEARCHES = [*MOVE_CORPUS, parse_diagram((DATA / "k5.diagram").read_text())]
+
+
+@pytest.mark.parametrize(
+    "d, shadow",
+    [(d, False) for d in ORACLE_SEARCHES] + [(d, True) for d in ORACLE_SEARCHES],
+    ids=[f"d{i}" for i in range(len(ORACLE_SEARCHES))]
+    + [f"d{i}-shadow" for i in range(len(ORACLE_SEARCHES))],
+)
+def test_search_matches_the_diagram_queue_oracle(d, shadow):
     # from a state cap that stops the search before its first expansion
     # up to caps that let the smaller searches run out of states
+    key = _state_key(shadow)
     for cap in (d.crossing_count, d.crossing_count + 2):
         for max_states in (1, 2, 6, 7, 50, 500):
             for stop_at in (None, 0):
                 budget = Budget(max_crossings=cap, max_states=max_states)
-                r = search_min_crossings(d, budget, stop_at)
-                best, states, exhausted = queued_search_min_crossings(d, budget, stop_at)
-                assert (r.best.canonical_code(), r.states, r.exhausted) == (
-                    best.canonical_code(),
+                r = search_min_crossings(d, budget, stop_at, shadow)
+                best, states, exhausted = queued_search_min_crossings(
+                    d, budget, stop_at, shadow
+                )
+                assert (key(r.best), r.states, r.exhausted) == (
+                    key(best),
                     states,
                     exhausted,
                 ), (cap, max_states, stop_at)
