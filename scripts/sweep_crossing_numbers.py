@@ -59,7 +59,8 @@ def main():
             drawings += 1
             states += report.search.states
             value = "-" if report.value is None else report.value
-            cells.append(f"{value}/{'closed' if report.closed else 'open'}/{report.search.states}")
+            closed = "closed" if report.closed else "open"
+            cells.append(f"{value}/{closed}/{report.search.states}")
             if report.value is None:
                 withheld += 1
             elif exact is not None and report.value < exact:
@@ -68,7 +69,8 @@ def main():
             elif exact is not None and report.value > exact:
                 above += 1
         shown = "-" if exact is None else exact
-        print(f"G{i:<5} {g.vertex_count:>2} {m:>3} {shown:>2} {verdict:<17} {'  '.join(cells)}")
+        row = f"G{i:<5} {g.vertex_count:>2} {m:>3} {shown:>2} {verdict:<17}"
+        print(row, "  ".join(cells))
     dt = time.monotonic() - t0
     print(
         f"{graphs} graphs, {drawings} drawings, {states} states: "

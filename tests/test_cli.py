@@ -155,8 +155,8 @@ K46 = complete_bipartite(4, 6)
 def test_crossing_number_size_guard_at_its_edge(capsys, tmp_path, g, code):
     path = tmp_path / "g.graph"
     path.write_text(graph_to_text(g))
-    argv = ["crossing-number", str(path), "--budget-crossings", "17", "--budget-states", "50"]
-    assert main(argv) == code
+    budget = ["--budget-crossings", "17", "--budget-states", "50"]
+    assert main(["crossing-number", str(path), *budget]) == code
     if code:
         assert capsys.readouterr().err.startswith("budget exceeded:")
 
