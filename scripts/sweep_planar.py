@@ -29,7 +29,7 @@ from graphknot.layout import base_diagram
 
 
 def atlas(max_vertices):
-    for G in nx.graph_atlas_g()[1:209]:
+    for G in nx.graph_atlas_g():
         n = G.number_of_nodes()
         if 0 < n <= max_vertices and nx.is_connected(G):
             yield Multigraph(n, tuple(sorted(tuple(sorted(e)) for e in G.edges())))

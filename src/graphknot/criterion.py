@@ -1,5 +1,5 @@
 """Non-planarity certificates from knotted diagrams, and a crossing-number
-driver that searches from a graph's layered drawing.
+driver that searches from a graph's base drawing.
 
 The certificate machinery is one-sided: a ``NonPlanarCertificate`` proves
 the underlying graph of a diagram is non-planar (given that the graph is
@@ -51,7 +51,7 @@ from .invariants import (
     simple_cycles,
 )
 from .layout import base_diagram
-from .moves import Budget, descending_diagram
+from .moves import Budget
 from .multigraph import Multigraph, disjoint_union, one_point_union
 from .tangle import RationalTangle, VertexOrientation, substitute
 
@@ -500,9 +500,10 @@ def section3_crossing_number(
     """The least crossing count reachable from one drawing of ``g`` by
     moves and crossing changes.
 
-    A base drawing is laid out greedily and layered descendingly, and one
-    bounded search over its shadows (``crossing_number`` with ``shadow``)
-    looks for fewer crossings.  G is minimalizable when a minimal diagram
+    A base drawing is laid out greedily (``base_diagram``, which routes
+    each edge under every earlier one), and one bounded search over its
+    shadows (``crossing_number`` with ``shadow``) looks for fewer
+    crossings.  G is minimalizable when a minimal diagram
     can be reached from any diagram of G by crossing changes, so the
     relation searched is isotopy together with crossing changes.
 
@@ -520,25 +521,23 @@ def section3_crossing_number(
     No search starts from a drawing with more than
     ``MAX_ASSIGNED_CROSSINGS`` crossings: it raises ``SizeLimitExceeded``.
     """
-    layered = descending_diagram(
-        base_diagram(g, edge_order=edge_order).underlying_graph(), edge_order
-    )
-    if layered.crossing_count > MAX_ASSIGNED_CROSSINGS:
+    base = base_diagram(g, edge_order=edge_order)
+    if base.crossing_count > MAX_ASSIGNED_CROSSINGS:
         raise SizeLimitExceeded(
-            f"the layered drawing has {layered.crossing_count} crossings; the "
+            f"the base drawing has {base.crossing_count} crossings; the "
             f"crossing-number search starts from at most {MAX_ASSIGNED_CROSSINGS}"
         )
     budget = budget or Budget(
-        max_crossings=layered.crossing_count + 1, max_states=200_000
+        max_crossings=base.crossing_count + 1, max_states=200_000
     )
-    report = crossing_number(layered, budget, shadow=True)
+    report = crossing_number(base, budget, shadow=True)
     notes = ()
     if report.cap_relative:
         notes = (f"closed only relative to the {report.crossing_cap}-crossing cap",)
     return Section3Report(
         value=report.value,
         closed=report.conclusive,
-        base_texts=(diagram_to_text(layered),),
+        base_texts=(diagram_to_text(base),),
         search=report,
         notes=notes,
     )
@@ -566,7 +565,7 @@ def additivity_check(
 
     ``kind`` is ``"disjoint"`` or ``"one-point"`` (gluing vertex 0 to
     vertex 0).  The union's base drawing routes all of ``g1``'s edges
-    before ``g2``'s, so the layered start has every left-graph arc passing
+    before ``g2``'s, so the base drawing has every left-graph arc passing
     over every right-graph arc.
     """
     if kind == "disjoint":

@@ -75,9 +75,12 @@ class Diagram:
     builds the flat dart arrays ``_darts``, the one arc map, which
     ``partner`` reads.  Every other diagram is derived from a validated one
     through the private ``_trusted``, which stores dart arrays as given:
-    ``with_parities`` shares its map, the growing and sliding moves of
-    ``moves`` edit a copy of its arrays locally, and ``splice_out`` rebuilds
-    them without the crossings that the removing moves delete.  ``arcs``
+    ``with_parities`` shares its map; ``_grown`` and ``_join`` edit a copy
+    of its arrays locally (the growing and sliding moves of ``moves``, and
+    the twists of ``tangle``); ``_union`` sets two maps side by side; and
+    ``splice``, the one function that deletes nodes and rejoins strands,
+    serves the removing moves, tangle closures and substitution.
+    ``split_components`` cuts the arrays one component at a time.  ``arcs``
     lists each arc once, at its lesser end, in dart order; a trusted
     diagram derives it from the arrays on first use.  ``canonical_code``
     and ``shadow_code`` hold one flat tuple per component (see
@@ -490,8 +493,10 @@ class Diagram:
         for comp in self.components():
             order = sorted(comp)
             darts, _passed = _rejoin(self, order, {})
-            out.append(Diagram([self.nodes[n] for n in order], _arcs_of(darts), 0))
-        out.extend(Diagram([], [], 1) for _ in range(self.free_loops))
+            nodes = tuple(self.nodes[n] for n in order)
+            crossings = sum(type(node) is Crossing for node in nodes)
+            out.append(Diagram._trusted(nodes, darts, 0, crossings))
+        out.extend(Diagram._trusted((), ([], [0], []), 1, 0) for _ in range(self.free_loops))
         return out
 
     # -- simple rewrites ----------------------------------------------------------
@@ -630,39 +635,42 @@ def _rejoin(d: Diagram, keep, thru: dict[Dart, Dart]):
     passed: set[Dart] = set()
     for n in keep:
         for end in partner[first[n]:first[n + 1]]:
-            while new_index[end[0]] < 0:
+            m = new_index[end[0]]
+            while m < 0:
                 out = thru.get(end)
                 if out is None:
                     raise TopologyError("strand leaves the selected cycles")
                 passed.add(end)
                 passed.add(out)
                 end = partner[first[out[0]] + out[1]]
-            m = new_index[end[0]]
+                m = new_index[end[0]]
             new_partner.append(end if m == end[0] else (m, end[1]))
     return (new_deg, list(accumulate(new_deg, initial=0)), new_partner), passed
 
 
-def splice_identify(d: Diagram, thru: dict[Dart, Dart]) -> Diagram:
+def splice(d: Diagram, thru: dict[Dart, Dart]) -> Diagram:
     """Delete the nodes named in ``thru``, rejoining strands through it.
 
     ``thru`` is a fixed-point-free involution covering every slot of every
-    node it mentions (connections may run between different removed nodes).
-    Strands are re-routed through those identifications, and any circle that
-    closes up entirely inside the removed nodes becomes a free loop.
+    node it mentions (connections may run between different removed
+    nodes).  The kept nodes keep their order, strands are re-routed through
+    the identifications, and each circle that closes up entirely inside the
+    removed nodes becomes a free loop.  This is an edit of ``d``'s dart
+    arrays, taken on trust: the caller checked that strands rejoined this
+    way keep every component on its sphere.
     """
-    removed = {n for n, _ in thru}
-    slots_needed = {(n, s) for n in removed for s in range(d.degree_of(n))}
-    if set(thru) != slots_needed:
-        raise FormatError("identifications must cover each removed slot once")
-    for a, b in thru.items():
-        if a == b or thru.get(b) != a:
-            raise FormatError("identifications must form an involution")
-    keep = [n for n in range(len(d.nodes)) if n not in removed]
+    nodes = d.nodes
+    removed = {n for n, _s in thru}
+    keep = [n for n in range(len(nodes)) if n not in removed]
     darts, passed = _rejoin(d, keep, thru)
-    return Diagram(
-        [d.nodes[n] for n in keep],
-        _arcs_of(darts),
-        d.free_loops + _trapped_loops(d, thru, passed),
+    # the strands pass darts of ``thru`` only, so unless they pass them all
+    # some circle is trapped
+    loops = _trapped_loops(d, thru, passed) if len(passed) < len(thru) else 0
+    return Diagram._trusted(
+        tuple([nodes[n] for n in keep]),
+        darts,
+        d.free_loops + loops,
+        d.crossing_count - len([n for n in removed if type(nodes[n]) is Crossing]),
     )
 
 
@@ -684,37 +692,53 @@ def _trapped_loops(d: Diagram, thru: dict[Dart, Dart], passed: set[Dart]) -> int
     return loops
 
 
-def splice_out(d: Diagram, matchings: dict[int, tuple[tuple[int, int], ...]]) -> Diagram:
-    """Delete crossings, rejoining each one's slots internally as prescribed.
+_CROSSINGS = (Crossing(0), Crossing(1))
 
-    ``matchings[n]`` pairs up the four slots of crossing ``n``.  This is a
-    local edit of ``d``'s dart arrays, taken on trust: the caller checked
-    that strands rejoined this way keep every component on its sphere, as
-    the removing moves of ``moves`` do.  The kept nodes keep their order,
-    and each circle that closes up inside the deleted crossings becomes a
-    free loop, as in ``splice_identify``.
-    """
-    thru: dict[Dart, Dart] = {}
-    for n, pairs in matchings.items():
-        for s, t in pairs:
-            thru[(n, s)] = (n, t)
-            thru[(n, t)] = (n, s)
-    keep = [n for n in range(len(d.nodes)) if n not in matchings]
-    darts, passed = _rejoin(d, keep, thru)
+
+def _grown(d: Diagram, overs):
+    """The nodes and a copy of the dart arrays of ``d`` with one more
+    crossing per entry of ``overs``, over at that parity.  Their darts come
+    last and are joined by the caller."""
+    deg, first, partner = d._darts
+    added = len(overs)
+    nodes = d.nodes + tuple(_CROSSINGS[o] for o in overs)
+    darts = (
+        deg + [4] * added,
+        first + [first[-1] + 4 * k for k in range(1, added + 1)],
+        partner + [None] * (4 * added),
+    )
+    return nodes, darts
+
+
+def _join(darts, a: Dart, b: Dart) -> None:
+    """Make ``a`` and ``b`` the two ends of one arc in ``darts``."""
+    _deg, first, partner = darts
+    partner[first[a[0]] + a[1]] = b
+    partner[first[b[0]] + b[1]] = a
+
+
+def _union(d1: Diagram, d2: Diagram) -> Diagram:
+    """``d1`` and ``d2`` side by side, ``d2``'s nodes numbered after
+    ``d1``'s, on trust: the union of two maps is a map, though its vertex
+    labels need not be distinct."""
+    (deg1, first1, partner1), (deg2, first2, partner2) = d1._darts, d2._darts
+    shift, base = len(d1.nodes), first1[-1]
+    darts = (
+        deg1 + deg2,
+        first1 + [base + i for i in first2[1:]],
+        partner1 + [(n + shift, s) for n, s in partner2],
+    )
+    free_loops = d1.free_loops + d2.free_loops
     return Diagram._trusted(
-        tuple(d.nodes[n] for n in keep),
-        darts,
-        d.free_loops + _trapped_loops(d, thru, passed),
-        d.crossing_count - len(matchings),
+        d1.nodes + d2.nodes, darts, free_loops, d1.crossing_count + d2.crossing_count
     )
 
 
 def disjoint_union_diagrams(d1: Diagram, d2: Diagram) -> Diagram:
-    shift = len(d1.nodes)
-    arcs = list(d1.arcs) + [
-        (((a[0] + shift), a[1]), ((b[0] + shift), b[1])) for a, b in d2.arcs
-    ]
-    return Diagram(d1.nodes + d2.nodes, arcs, d1.free_loops + d2.free_loops)
+    """``d1`` and ``d2`` side by side, ``d2``'s nodes numbered after
+    ``d1``'s; validated, so their vertex labels must be distinct."""
+    union = _union(d1, d2)
+    return Diagram(union.nodes, union.arcs, union.free_loops)
 
 
 def connected_sum_diagrams(

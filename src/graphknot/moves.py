@@ -15,15 +15,16 @@ condition of a removing move or an R3 slide is one predicate (``_kink``,
 when it applies; the predicates read the dart arrays ``Diagram._darts``.
 Every listed removal can be undone by a listed growing move: ``_poke``
 offers a bigon only where its two strands stay two arcs once it is gone.
-The build makes the child from the parent's dart arrays
-by a local edit and ``Diagram._trusted``, with no global re-check: the
-growing and sliding moves (``R1_add``, ``R2_add``, ``R3``, ``R5_twist``)
-and crossing changes edit a copy where the move acts, and the removing
-moves (``R1_remove``, ``R2_remove``, ``R5_untwist``) splice their crossings
-out with ``splice_out``.  ``apply_move`` runs the guard and then the build;
-the searches build the listed sites alone, so a child costs its local edit
-and its key.  ``Diagram._validate`` stays the one definition of a valid
-map; the tests hold every move result to it.
+The build takes the guard's parameters alone and makes the child from the
+parent's dart arrays by a local edit and ``Diagram._trusted``, with no
+global re-check: the growing and sliding moves (``R1_add``, ``R2_add``,
+``R3``, ``R5_twist``) edit a copy where the move acts with ``_grown`` and
+``_join``, crossing changes share the map, and the removing moves
+(``R1_remove``, ``R2_remove``, ``R5_untwist``) delete their crossings with
+``splice``.  ``apply_move`` runs the guard and then the build; the
+searches build the listed sites alone, so a child costs its local edit and
+its key.  ``Diagram._validate`` stays the one definition of a valid map;
+the tests hold every move result to it.
 
 ``shadow=True`` runs the same machinery on shadows: over/under data is
 ignored, conditions that only exist to protect over/under consistency are
@@ -47,10 +48,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
 
-from .diagram import Crossing, Dart, Diagram, GraphProjection, splice_out
+from .diagram import Crossing, Dart, Diagram, GraphProjection, _grown, _join, splice
 from .errors import FormatError, MoveNotApplicable
-
-_THROUGH = ((0, 2), (1, 3))
 
 
 @dataclass(frozen=True)
@@ -111,29 +110,10 @@ def _bit(x) -> int:
     return x
 
 
-_CROSSINGS = (Crossing(0), Crossing(1))
-
-
-def _grown(d: Diagram, overs):
-    """The nodes and a copy of the dart arrays of ``d`` with one more
-    crossing per entry of ``overs``, over at that parity.  Their darts come
-    last and are joined by the caller."""
-    deg, first, partner = d._darts
-    added = len(overs)
-    nodes = d.nodes + tuple(_CROSSINGS[o] for o in overs)
-    darts = (
-        deg + [4] * added,
-        first + [first[-1] + 4 * k for k in range(1, added + 1)],
-        partner + [None] * (4 * added),
-    )
-    return nodes, darts
-
-
-def _join(darts, a: Dart, b: Dart) -> None:
-    """Make ``a`` and ``b`` the two ends of one arc in ``darts``."""
-    _deg, first, partner = darts
-    partner[first[a[0]] + a[1]] = b
-    partner[first[b[0]] + b[1]] = a
+def _straight(c: int) -> dict[Dart, Dart]:
+    """The ``splice`` map that runs both strands straight through crossing
+    ``c``."""
+    return {(c, 0): (c, 2), (c, 2): (c, 0), (c, 1): (c, 3), (c, 3): (c, 1)}
 
 
 def _kink(d: Diagram, c: int, s: int) -> bool:
@@ -148,8 +128,8 @@ def _check_r1_remove(d: Diagram, params, shadow: bool):
     return c, s
 
 
-def _r1_remove(d: Diagram, params, shadow: bool) -> Diagram:
-    return splice_out(d, {params[0]: _THROUGH})
+def _r1_remove(d: Diagram, params) -> Diagram:
+    return splice(d, _straight(params[0]))
 
 
 def _check_r1_add(d: Diagram, params, shadow: bool):
@@ -162,7 +142,7 @@ def _check_r1_add(d: Diagram, params, shadow: bool):
     return arc_index, _bit(over), _bit(flip)
 
 
-def _r1_add(d: Diagram, params, shadow: bool) -> Diagram:
+def _r1_add(d: Diagram, params) -> Diagram:
     c = len(d.nodes)
     if params[0] == "loop":
         nodes, darts = _grown(d, (params[1],))
@@ -212,9 +192,11 @@ def _check_r2_remove(d: Diagram, params, shadow: bool):
     return s, t
 
 
-def _r2_remove(d: Diagram, params, shadow: bool) -> Diagram:
+def _r2_remove(d: Diagram, params) -> Diagram:
     s, t = params
-    return splice_out(d, {s[0]: _THROUGH, t[0]: _THROUGH})
+    thru = _straight(s[0])
+    thru.update(_straight(t[0]))
+    return splice(d, thru)
 
 
 def _check_r2_add(d: Diagram, params, shadow: bool):
@@ -243,7 +225,7 @@ def _check_r2_add(d: Diagram, params, shadow: bool):
     return ("loop" if u1 is None else u1), ("loop" if u2 is None else u2), over
 
 
-def _r2_add(d: Diagram, params, shadow: bool) -> Diagram:
+def _r2_add(d: Diagram, params) -> Diagram:
     """Poke the strand at dart ``u1`` across the one at ``u2``, making a
     bigon of two new crossings ``c1`` and ``c2``; ``"loop"`` in place of a
     dart pokes a free loop."""
@@ -304,7 +286,7 @@ def _check_r3(d: Diagram, params, shadow: bool):
     return (s1,)
 
 
-def _r3(d: Diagram, params, shadow: bool) -> Diagram:
+def _r3(d: Diagram, params) -> Diagram:
     (s1,) = params
     s2 = d.phi(s1)
     s3 = d.phi(s2)
@@ -350,7 +332,7 @@ def _check_crossing_change(d: Diagram, params, shadow: bool):
     return (c,)
 
 
-def _crossing_change(d: Diagram, params, shadow: bool) -> Diagram:
+def _crossing_change(d: Diagram, params) -> Diagram:
     (c,) = params
     return d.with_parities({c: 1 - d.nodes[c].over})
 
@@ -363,7 +345,7 @@ def _check_r5_twist(d: Diagram, params, shadow: bool):
     return v, i, _bit(over)
 
 
-def _r5_twist(d: Diagram, params, shadow: bool) -> Diagram:
+def _r5_twist(d: Diagram, params) -> Diagram:
     (v, i, over) = params
     deg, first, partner = d._darts
     a = (v, i)
@@ -403,19 +385,21 @@ def _check_r5_untwist(d: Diagram, params, shadow: bool):
     return v, i
 
 
-def _r5_untwist(d: Diagram, params, shadow: bool) -> Diagram:
+def _r5_untwist(d: Diagram, params) -> Diagram:
     (v, i) = params
     _deg, first, partner = d._darts
     c, k = partner[first[v] + i]
-    matching = (((k, (k + 1) % 4)), (((k + 2) % 4, (k + 3) % 4)))
-    return splice_out(d, {c: matching})
+    # the slots fed by the vertex rejoin, and so do the other two
+    w, x, y, z = (c, k), (c, (k + 1) % 4), (c, (k + 2) % 4), (c, (k + 3) % 4)
+    return splice(d, {w: x, x: w, y: z, z: y})
 
 
 # Every move kind, in the order ``enumerate_moves`` lists them, with its
 # change in the crossing count, its guard and its build.  The guard takes a
 # caller's parameters, types them and checks that the site applies, or
 # raises ``MoveNotApplicable``; it returns the parameters in the form that
-# ``enumerate_moves`` lists, which the build turns into the child.
+# ``enumerate_moves`` lists, which the build turns into the child.  Only
+# the guards read ``shadow``.
 _KINDS = {
     "R1_remove": (-1, _check_r1_remove, _r1_remove),
     "R2_remove": (-2, _check_r2_remove, _r2_remove),
@@ -442,7 +426,7 @@ def apply_move(d: Diagram, site: MoveSite, shadow: bool = False) -> Diagram:
         raise MoveNotApplicable(f"unknown move kind {site.kind!r}")
     _delta, check, build = _KINDS[site.kind]
     try:
-        return build(d, check(d, site.params, shadow), shadow)
+        return build(d, check(d, site.params, shadow))
     except (TypeError, ValueError, KeyError, IndexError):
         raise MoveNotApplicable(
             f"malformed parameters {site.params!r} for {site.kind}"
@@ -538,10 +522,10 @@ class SearchResult:
     states: int
 
 
-def _build(d: Diagram, site: MoveSite, shadow: bool) -> Diagram:
+def _build(d: Diagram, site: MoveSite) -> Diagram:
     """The diagram made by a site that ``enumerate_moves`` listed for
     ``d``: such a site applies, so only its kind's build runs."""
-    return _KINDS[site.kind][2](d, site.params, shadow)
+    return _KINDS[site.kind][2](d, site.params)
 
 
 def _neighbors(d: Diagram, budget: Budget, shadow: bool, kinds=ISOTOPY_KINDS):
@@ -563,7 +547,7 @@ def _neighbors(d: Diagram, budget: Budget, shadow: bool, kinds=ISOTOPY_KINDS):
                 continue
             second = d.phi(anchor)
             slid.update((anchor, second, d.phi(second)))
-        yield site, _build(d, site, shadow)
+        yield site, _build(d, site)
 
 
 def _state_key(shadow: bool):
@@ -622,7 +606,7 @@ class _Side:
             cur = self.pending.pop(code)
             reached_by = self.record[code][1]
             if reached_by is not None:
-                cur = _build(cur, reached_by, self.shadow)
+                cur = _build(cur, reached_by)
             if self.partial:
                 for added in (1, 2):
                     rank = cur.crossing_count + added

@@ -17,14 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .diagram import (
-    Crossing,
-    Dart,
-    Diagram,
-    Vertex,
-    disjoint_union_diagrams,
-    splice_identify,
-)
+from .diagram import Dart, Diagram, Vertex, _grown, _join, _union, splice
 from .errors import FormatError, WrongDegreeError
 from .multigraph import parse_int
 
@@ -176,7 +169,8 @@ def _twist(d: Diagram, kind: str, sign: int) -> Diagram:
     A horizontal twist hangs the crossing off the right side (old ``b``/``c``
     attachments move to NW/SW, the markers re-attach at NE/SE); a vertical
     twist hangs it off the bottom (old ``d``/``c`` to NW/NE, markers at
-    SW/SE).  Positive twists put the slot-(0,2) strand on top.
+    SW/SE).  Positive twists put the slot-(0,2) strand on top.  Like a
+    growing move, this is a local edit of the dart arrays, taken on trust.
     """
     if kind == "h":
         first, second = _end_dart(d, _B), _end_dart(d, _C)
@@ -191,18 +185,17 @@ def _twist(d: Diagram, kind: str, sign: int) -> Diagram:
     else:
         raise FormatError(f"unknown twist kind {kind!r}")
     x = len(d.nodes)
-    over = 0 if sign > 0 else 1
     p_first = d.partner(first)
     p_second = d.partner(second)
-    arcs = [a for a in d.arcs if first not in a and second not in a]
+    nodes, darts = _grown(d, (0 if sign > 0 else 1,))
     if p_first == second:
-        arcs.append(((x, cap[0]), (x, cap[1])))
+        _join(darts, (x, cap[0]), (x, cap[1]))
     else:
-        arcs.append((p_first, (x, attach_slots[0])))
-        arcs.append((p_second, (x, attach_slots[1])))
-    arcs.append((first, (x, marker_slots[0])))
-    arcs.append((second, (x, marker_slots[1])))
-    return Diagram(list(d.nodes) + [Crossing(over)], arcs, d.free_loops)
+        _join(darts, p_first, (x, attach_slots[0]))
+        _join(darts, p_second, (x, attach_slots[1]))
+    _join(darts, first, (x, marker_slots[0]))
+    _join(darts, second, (x, marker_slots[1]))
+    return Diagram._trusted(nodes, darts, d.free_loops, d.crossing_count + 1)
 
 
 def fragment_from_twists(twists, start: Fraction2 = ZERO) -> Diagram:
@@ -219,12 +212,12 @@ def fragment_from_twists(twists, start: Fraction2 = ZERO) -> Diagram:
 
 
 def _close(d: Diagram, pairs) -> Diagram:
+    """Glue the markers of each pair of labels, deleting all four."""
     thru: dict[Dart, Dart] = {}
     for la, lb in pairs:
         u, v = _end_dart(d, la), _end_dart(d, lb)
-        thru[u] = v
-        thru[v] = u
-    return splice_identify(d, thru)
+        thru[u], thru[v] = v, u
+    return splice(d, thru)
 
 
 def closure_n(fragment: Diagram) -> Diagram:
@@ -255,7 +248,10 @@ def substitute(
 
     ``where.a_slot`` orients the box: corner ``a`` lands on that slot, and
     since box corners a, d, c, b run counter-clockwise, ``d``, ``c``, ``b``
-    land on the next three slots counter-clockwise.
+    land on the next three slots counter-clockwise.  A ``Diagram`` tangle
+    must be a fragment as this module builds them: the result is spliced on
+    trust.  Its markers are looked up in it alone, so ``d`` may use their
+    labels too.
     """
     vertex, a_slot = where.vertex, where.a_slot
     if d.is_crossing(vertex) or d.degree_of(vertex) != 4:
@@ -264,16 +260,10 @@ def substitute(
         raise FormatError("slot for corner a must be 0..3")
     fragment = tangle.fragment() if isinstance(tangle, RationalTangle) else tangle
     shift = len(d.nodes)
-    union = disjoint_union_diagrams(d, fragment)
-    corner_slots = {
-        _A: a_slot,
-        _D: (a_slot + 1) % 4,
-        _C: (a_slot + 2) % 4,
-        _B: (a_slot + 3) % 4,
-    }
     thru: dict[Dart, Dart] = {}
-    for label, slot in corner_slots.items():
+    for k, label in enumerate((_A, _D, _C, _B)):
+        slot = (vertex, (a_slot + k) % 4)
         marker = (fragment.vertex_index(label) + shift, 0)
-        thru[(vertex, slot)] = marker
-        thru[marker] = (vertex, slot)
-    return splice_identify(union, thru)
+        thru[slot], thru[marker] = marker, slot
+    return splice(_union(d, fragment), thru)
+

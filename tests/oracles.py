@@ -3,12 +3,13 @@ compare against.  Not a test module: pytest collects nothing here."""
 
 import itertools
 from collections import deque
+from math import gcd
 
 import networkx as nx
 
 from graphknot import Diagram, LaurentPoly, Multigraph, NotALinkError, SizeLimitExceeded
-from graphknot.diagram import crossing_assignments, extract_sublink, splice_identify
-from graphknot.errors import TopologyError
+from graphknot.diagram import crossing_assignments, extract_sublink
+from graphknot.errors import FormatError, TopologyError
 from graphknot.invariants import (
     MAX_BRACKET_CROSSINGS,
     Obstruction,
@@ -29,6 +30,7 @@ from graphknot.moves import (
     search_min_crossings,
 )
 from graphknot.multigraph import AutGroup, Permutation
+from graphknot.tangle import normalize_fraction, tangle_from_fraction
 
 # the value of one closed loop, -A^2 - A^-2
 DELTA = LaurentPoly({2: -1, -2: -1})
@@ -41,6 +43,44 @@ def arc_partners(d: Diagram) -> dict:
         pair[a] = b
         pair[b] = a
     return pair
+
+
+def splice_identify(d: Diagram, thru: dict) -> Diagram:
+    """``diagram.splice`` the slow way, with its input checked and its
+    result validated: delete the nodes named in ``thru``, rejoining strands
+    through it, walking an arc dict instead of the dart arrays.
+
+    ``thru`` must be a fixed-point-free involution covering every slot of
+    every node it mentions.  Each circle that closes up entirely inside the
+    removed nodes becomes a free loop."""
+    removed = {n for n, _ in thru}
+    if set(thru) != {(n, s) for n in removed for s in range(d.degree_of(n))}:
+        raise FormatError("identifications must cover each removed slot once")
+    for a, b in thru.items():
+        if a == b or thru.get(b) != a:
+            raise FormatError("identifications must form an involution")
+    keep = [n for n in range(len(d.nodes)) if n not in removed]
+    new_index = {n: i for i, n in enumerate(keep)}
+    pair = arc_partners(d)
+    arcs = set()
+    used = set()  # removed darts some rejoined strand runs through
+    for n in keep:
+        for s in range(d.degree_of(n)):
+            end = pair[(n, s)]
+            while end[0] in removed:
+                used.update((end, thru[end]))
+                end = pair[thru[end]]
+            arcs.add(tuple(sorted([(new_index[n], s), (new_index[end[0]], end[1])])))
+    loops = 0
+    for start in sorted(set(thru) - used):
+        if start in used:
+            continue
+        loops += 1
+        x = start
+        while x not in used:  # alternate thru and arc steps round the circle
+            used.update((x, thru[x]))
+            x = pair[thru[x]]
+    return Diagram([d.nodes[n] for n in keep], arcs, d.free_loops + loops)
 
 
 def monomial(coeff: int, exp: int) -> LaurentPoly:
@@ -88,6 +128,27 @@ def is_reduced(d: Diagram) -> bool:
             g.add_edge(n1, n2)
     cuts = set(nx.articulation_points(g))
     return not any(n in cuts for n in d.crossings())
+
+
+def normal_forms(lo, hi):
+    """Every reduced twist-sequence normal form with lo <= crossings <= hi.
+
+    A form with c crossings is a continued fraction p/q whose terms sum to
+    c, and |p| and q are largest when every term is 1, so |p|, q <=
+    F(c + 1), the Fibonacci number: with that bound ``normal_forms(0, 9)``
+    yields all 1024 forms with up to 9 crossings.
+    """
+    forms = {}
+    bound, after = 1, 1  # F(1), F(2)
+    for _ in range(hi):
+        bound, after = after, bound + after
+    for p in range(-bound, bound + 1):
+        for q in range(0, bound + 1):
+            if (p or q) and gcd(abs(p), q) == 1:
+                t = tangle_from_fraction(normalize_fraction(p, q))
+                if lo <= t.minimal_crossings() <= hi:
+                    forms[t.conway] = t
+    return [forms[k] for k in sorted(forms)]
 
 
 def bracket_state_sum(d: Diagram) -> LaurentPoly:
@@ -179,7 +240,7 @@ def group_elements(aut: AutGroup) -> set[Permutation]:
 def atlas_graphs(max_vertices=6):
     """All connected simple graphs with up to ``max_vertices`` vertices, in
     networkx atlas order."""
-    for G in nx.graph_atlas_g()[1:209]:
+    for G in nx.graph_atlas_g():
         n = G.number_of_nodes()
         if 0 < n <= max_vertices and nx.is_connected(G):
             yield Multigraph(n, tuple(sorted(tuple(sorted(e)) for e in G.edges())))

@@ -52,7 +52,13 @@ from graphknot.tangle import (
     tangle_from_fraction,
     zero_tangle,
 )
-from oracles import atlas_graphs, bracket_state_sum, is_alternating, is_reduced
+from oracles import (
+    atlas_graphs,
+    bracket_state_sum,
+    is_alternating,
+    is_reduced,
+    normal_forms,
+)
 
 
 @contextmanager
@@ -68,27 +74,6 @@ def scored(name, limit):
         print(f"[FAIL] {name} ({elapsed:.1f}s, over the {limit:.0f}s limit)")
         raise AssertionError(f"{name} took {elapsed:.1f}s, limit {limit:.0f}s")
     print(f"[PASS] {name} ({elapsed:.1f}s, limit {limit:.0f}s)")
-
-
-def normal_forms(lo, hi):
-    """Every reduced twist-sequence normal form with lo <= crossings <= hi.
-
-    A form with c crossings is a continued fraction p/q whose terms sum to
-    c, and |p| and q are largest when every term is 1, so |p|, q <=
-    F(c + 1), the Fibonacci number: with that bound ``normal_forms(0, 9)``
-    yields all 1024 forms with up to 9 crossings.
-    """
-    forms = {}
-    bound, after = 1, 1  # F(1), F(2)
-    for _ in range(hi):
-        bound, after = after, bound + after
-    for p in range(-bound, bound + 1):
-        for q in range(0, bound + 1):
-            if (p or q) and gcd(abs(p), q) == 1:
-                t = tangle_from_fraction(normalize_fraction(p, q))
-                if lo <= t.minimal_crossings() <= hi:
-                    forms[t.conway] = t
-    return [forms[k] for k in sorted(forms)]
 
 
 def test_k5_certificates_at_every_vertex():

@@ -68,6 +68,25 @@ def test_criterion_reproduces_the_stored_k5_certificate(capsys):
     assert out == (DATA / "k5_certificate.json").read_text()
 
 
+def test_criterion_takes_a_vertex_labelled_like_a_tangle_marker(capsys, tmp_path):
+    # substitution joins the diagram to a tangle fragment whose four corner
+    # markers carry labels like this one
+    text = (DATA / "k5.diagram").read_text()
+    assert text.count("vertex 0 4\n") == 1
+    path = tmp_path / "k5-marker.diagram"
+    path.write_text(text.replace("vertex 0 4\n", "vertex __end_a 4\n"))
+    code, out = run(capsys, "criterion", str(path), "--json")
+    assert code == 0
+    got = json.loads(out)
+    want = json.loads((DATA / "k5_certificate.json").read_text())
+    assert got.pop("diagram") == path.read_text()
+    del want["diagram"]
+    assert got == want  # the same verdict, from the same 2 assignments
+    code, out = run(capsys, "criterion", str(path))
+    assert code == 0
+    assert out.startswith("non-planar: certificate at vertex 0 (label __end_a), 2 ")
+
+
 def test_criterion_inconclusive_is_success(capsys, tmp_path):
     from graphknot.gallery import wheel4
     from graphknot.layout import base_diagram

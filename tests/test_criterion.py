@@ -55,6 +55,9 @@ from oracles import (
 )
 
 
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
 def degree_four_vertices(d):
     return [n for n in d.vertices() if d.nodes[n].degree == 4]
 
@@ -191,6 +194,22 @@ def test_verifier_rejects_search_only_evidence():
 
     report = verify_certificate(tampered(cert, fake_search_kind))
     assert not report.ok
+
+
+def test_verifier_rejects_cycles_that_extract_off_the_sphere():
+    """Two edge-disjoint cycles that share a vertex, with interleaved slots
+    there on the r = -1 map: the sublink they cut out is no sphere map, and
+    only ``extract_sublink``'s validation of it rejects the record."""
+    data = json.loads((DATA / "k5_certificate.json").read_text())
+    rec = data["assignments"][0]
+    rec["certificate"] = {
+        "kind": "sublink-span", "bound": 2, "cycles": [[1, 2], [0, 5, 3]], "value": -1,
+    }
+    rec["linking"] = []
+    report = verify_certificate(data)
+    assert not report.ok
+    assert "cycles do not extract to a sublink" in report.notes[0]
+    assert "not a sphere diagram" in report.notes[0]
 
 
 # -- condition (ii) against its per-assignment oracle -------------------------------
@@ -352,6 +371,15 @@ def test_the_block_bound_closes_drawings_that_meet_it(g, cr):
 
 
 GRAPH_WIDE = ("nonplanar-graph", "block-euler-girth")
+
+
+def test_atlas_graphs_filter_the_whole_atlas():
+    # the atlas holds every graph with up to 7 vertices
+    small = list(atlas_graphs())
+    assert len(small) == 143
+    seven = list(atlas_graphs(7))
+    assert len(seven) == 996 and seven[:143] == small
+    assert max(g.vertex_count for g in seven) == 7
 
 
 def _lower_bound_faults():

@@ -34,10 +34,10 @@ from graphknot.gallery import (
     unlink,
     wheel4,
 )
-from graphknot.diagram import splice_identify
+from graphknot.diagram import splice
 from graphknot.invariants import CIRCLE_POLY, LaurentPoly, cycle_vertices
 from graphknot.layout import base_diagram
-from oracles import mirror_diagram, monomial
+from oracles import mirror_diagram, monomial, splice_identify
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -214,6 +214,12 @@ def test_split_components_of_a_union():
     d = disjoint_union_diagrams(hopf_link(), trefoil())
     parts = d.split_components()
     assert sorted(p.crossing_count for p in parts) == [2, 3]
+    # the parts are cut from the dart arrays on trust; free loops come last
+    parts = disjoint_union_diagrams(d, unlink(2)).split_components()
+    assert [(len(p.nodes), p.free_loops) for p in parts] == [(2, 0), (3, 0), (0, 1), (0, 1)]
+    for p in parts:
+        full = Diagram(p.nodes, p.arcs, p.free_loops)
+        assert (p._darts, p.crossing_count) == (full._darts, full.crossing_count)
 
 
 def test_crossing_assignments_enumerate_all_bit_patterns():
@@ -298,17 +304,19 @@ RATIONAL_CLOSURES = [
 
 
 def smoothed(d, a_smoothing):
-    """``splice_identify`` of the crossings ``n`` in ``a_smoothing`` by the
+    """``splice`` of the crossings ``n`` in ``a_smoothing`` by the
     A-smoothing where it maps ``n`` to True and the B-smoothing elsewhere:
     over at parity ``o``, A joins slots (o+1, o+2) and (o+3, o), and B joins
-    (o, o+1) and (o+2, o+3)."""
+    (o, o+1) and (o+2, o+3); the validating ``splice_identify`` agrees."""
     thru = {}
     for n, a in a_smoothing.items():
         o = d.nodes[n].over
         for s, t in ((o + 1, o + 2), (o + 3, o)) if a else ((o, o + 1), (o + 2, o + 3)):
             thru[(n, s % 4)] = (n, t % 4)
             thru[(n, t % 4)] = (n, s % 4)
-    return splice_identify(d, thru)
+    out = splice(d, thru)
+    assert out == splice_identify(d, thru)
+    return out
 
 
 def states(d):

@@ -28,7 +28,7 @@ from graphknot import (
     search_min_crossings,
     simplify,
 )
-from graphknot.diagram import Crossing, Diagram, Vertex, parse_diagram, splice_identify
+from graphknot.diagram import Crossing, Diagram, Vertex, parse_diagram
 from graphknot.gallery import (
     figure_eight,
     hopf_link,
@@ -52,6 +52,7 @@ from oracles import (
     poke,
     queued_search_min_crossings,
     slides,
+    splice_identify,
     twisted,
     ungated_reachable,
 )
@@ -286,9 +287,9 @@ REMOVALS = ("R1_remove", "R2_remove", "R5_untwist")
 
 @pytest.mark.parametrize("d", MOVE_CORPUS)
 def test_removal_moves_match_the_validating_splice(d):
-    """Removal moves edit their parent's dart arrays and count trapped
-    circles themselves; ``splice_identify`` validates its result and is
-    their oracle."""
+    """Removal moves delete their crossings with the trusted ``splice``;
+    the validating ``splice_identify``, which walks an arc dict, is their
+    oracle."""
     for shadow in (False, True):
         for site in enumerate_moves(d, REMOVALS, shadow=shadow):
             r = apply_move(d, site, shadow=shadow)

@@ -14,15 +14,18 @@ from graphknot import (
     substitute,
 )
 from graphknot import complete_graph
-from graphknot.gallery import trefoil, wheel4
+from graphknot.diagram import Diagram, disjoint_union_diagrams
+from graphknot.gallery import k5_diagram, trefoil, wheel4
 from graphknot.invariants import LaurentPoly
 from graphknot.layout import base_diagram
 from graphknot.tangle import (
+    END_LABELS,
     infinity_tangle,
     normalize_fraction,
     tangle_from_fraction,
     zero_tangle,
 )
+from oracles import normal_forms, splice_identify
 
 
 def test_conway_oracle():
@@ -175,3 +178,70 @@ def test_substitution_respects_the_orientation_slot():
         for s in range(4)
     }
     assert len(codes) == 2  # slots two apart give the same smoothing
+
+
+# -- the trusted builds against the validating splice ----------------------------
+
+A, B, C, D = END_LABELS
+
+
+def end_dart(d, shift, end):
+    """``end``, or the dart of the marker it labels in ``d``, numbered as
+    in a diagram where ``d``'s nodes follow ``shift`` others."""
+    return (d.vertex_index(end) + shift, 0) if isinstance(end, str) else end
+
+
+def glued(d, shift, pairs):
+    """The ``splice`` map that glues the two ends of each pair."""
+    thru = {}
+    for x, y in pairs:
+        x, y = end_dart(d, shift, x), end_dart(d, shift, y)
+        thru[x], thru[y] = y, x
+    return thru
+
+
+def assert_same_map(got, want):
+    assert got.nodes == want.nodes and got.arcs == want.arcs
+    assert got._darts == want._darts
+    assert got.free_loops == want.free_loops
+    assert got.crossing_count == want.crossing_count
+
+
+def test_closures_match_the_validating_splice():
+    """Twists and closures edit dart arrays on trust; each fragment of up
+    to 8 crossings is a map that full validation accepts, and each closure
+    is what the validating ``splice_identify`` makes of it."""
+    for t in normal_forms(0, 8):
+        f = t.fragment()
+        assert_same_map(f, Diagram(f.nodes, f.arcs, f.free_loops))
+        assert_same_map(t.closure_n(), splice_identify(f, glued(f, 0, [(A, B), (D, C)])))
+        assert_same_map(t.closure_d(), splice_identify(f, glued(f, 0, [(A, D), (B, C)])))
+
+
+def test_substitution_matches_the_validating_splice():
+    d = k5_diagram()
+    for t in normal_forms(0, 3):
+        f = t.fragment()
+        union = disjoint_union_diagrams(d, f)  # validated: the labels differ
+        for v in d.vertices():
+            for a_slot in range(4):
+                # box corners a, d, c, b run counter-clockwise from a_slot
+                corners = [((v, (a_slot + k) % 4), m) for k, m in enumerate((A, D, C, B))]
+                want = splice_identify(union, glued(f, len(d.nodes), corners))
+                assert_same_map(substitute(d, VertexOrientation(v, a_slot), t), want)
+
+
+def test_a_fragment_is_validated_once(monkeypatch):
+    """Only the 0- or infinity tangle a fragment starts from is validated,
+    not each twist, closure or substitution."""
+    d = k5_diagram()
+    calls = []
+    validate = Diagram._validate
+    monkeypatch.setattr(Diagram, "_validate", lambda self: calls.append(1) or validate(self))
+    t = RationalTangle((3, 2, 4, 2))
+    t.closure_n()
+    assert len(calls) == 1
+    t.closure_d()
+    assert len(calls) == 2
+    substitute(d, VertexOrientation(0, 0), t)
+    assert len(calls) == 3
