@@ -93,10 +93,12 @@ class RationalTangle:
         return fragment_from_twists(self.twist_word(), self.start_fraction())
 
     def closure_n(self) -> Diagram:
-        return closure_n(self.fragment())
+        """Numerator closure: glue ``a - b`` and ``d - c``."""
+        return _close(self.fragment(), [(_A, _B), (_D, _C)])
 
     def closure_d(self) -> Diagram:
-        return closure_d(self.fragment())
+        """Denominator closure: glue ``a - d`` and ``b - c``."""
+        return _close(self.fragment(), [(_A, _D), (_B, _C)])
 
     # -- text ----------------------------------------------------------------
 
@@ -212,22 +214,13 @@ def fragment_from_twists(twists, start: Fraction2 = ZERO) -> Diagram:
 
 
 def _close(d: Diagram, pairs) -> Diagram:
-    """Glue the markers of each pair of labels, deleting all four."""
+    """Glue the markers of each pair of labels in the fragment ``d``,
+    deleting all four."""
     thru: dict[Dart, Dart] = {}
     for la, lb in pairs:
         u, v = _end_dart(d, la), _end_dart(d, lb)
         thru[u], thru[v] = v, u
     return splice(d, thru)
-
-
-def closure_n(fragment: Diagram) -> Diagram:
-    """Numerator closure: glue ``a - b`` and ``d - c``."""
-    return _close(fragment, [(_A, _B), (_D, _C)])
-
-
-def closure_d(fragment: Diagram) -> Diagram:
-    """Denominator closure: glue ``a - d`` and ``b - c``."""
-    return _close(fragment, [(_A, _D), (_B, _C)])
 
 
 # -- substitution into a diagram ------------------------------------------------
@@ -248,10 +241,11 @@ def substitute(
 
     ``where.a_slot`` orients the box: corner ``a`` lands on that slot, and
     since box corners a, d, c, b run counter-clockwise, ``d``, ``c``, ``b``
-    land on the next three slots counter-clockwise.  A ``Diagram`` tangle
-    must be a fragment as this module builds them: the result is spliced on
-    trust.  Its markers are looked up in it alone, so ``d`` may use their
-    labels too.
+    land on the next three slots counter-clockwise.  A rational tangle's
+    fragment is spliced in on trust.  A ``Diagram`` given as the tangle is
+    a fragment with the four markers, but a caller's diagram need not be a
+    tangle, so what it makes is validated.  The markers are looked up in
+    the fragment alone, so ``d`` may use their labels too.
     """
     vertex, a_slot = where.vertex, where.a_slot
     if d.is_crossing(vertex) or d.degree_of(vertex) != 4:
@@ -262,8 +256,13 @@ def substitute(
     shift = len(d.nodes)
     thru: dict[Dart, Dart] = {}
     for k, label in enumerate((_A, _D, _C, _B)):
-        slot = (vertex, (a_slot + k) % 4)
-        marker = (fragment.vertex_index(label) + shift, 0)
+        m = fragment.vertex_index(label)
+        if fragment.degree_of(m) != 1:
+            raise WrongDegreeError(f"tangle marker {label} must have degree 1")
+        slot, marker = (vertex, (a_slot + k) % 4), (m + shift, 0)
         thru[slot], thru[marker] = marker, slot
-    return splice(_union(d, fragment), thru)
+    out = splice(_union(d, fragment), thru)
+    if fragment is tangle:  # a caller's diagram: check that it was a tangle
+        return Diagram(out.nodes, out.arcs, out.free_loops)
+    return out
 

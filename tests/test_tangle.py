@@ -5,6 +5,7 @@ import pytest
 from graphknot import (
     FormatError,
     RationalTangle,
+    TopologyError,
     Vertex,
     VertexOrientation,
     WrongDegreeError,
@@ -167,6 +168,27 @@ def test_substituting_one_crossing_tangles():
         sub = substitute(d, VertexOrientation(v, 0), RationalTangle(word))
         assert sub.crossing_count == d.crossing_count + 1
         assert len(sub.vertices()) == len(d.vertices()) - 1
+
+
+def test_substituting_a_diagram_that_is_no_tangle_is_rejected():
+    # a caller's diagram is checked: its markers must end strands, and
+    # strands joining opposite corners would have to cross in the box
+    d = k5_diagram()
+    a, b, c, e = END_LABELS
+    crossed = Diagram([Vertex(x, 1) for x in END_LABELS], [((0, 0), (2, 0)), ((1, 0), (3, 0))])
+    with pytest.raises(TopologyError):
+        substitute(d, VertexOrientation(0, 0), crossed)
+    star = Diagram(
+        [Vertex(a, 3), Vertex(b, 1), Vertex(c, 1), Vertex(e, 1)],
+        [((0, 0), (1, 0)), ((0, 1), (2, 0)), ((0, 2), (3, 0))],
+    )
+    bare = Diagram(
+        [Vertex(a, 1), Vertex(b, 1), Vertex(c, 2), Vertex(e, 0)],
+        [((0, 0), (2, 0)), ((1, 0), (2, 1))],
+    )
+    for fragment in (star, bare):
+        with pytest.raises(WrongDegreeError, match="marker"):
+            substitute(d, VertexOrientation(0, 0), fragment)
 
 
 def test_substitution_respects_the_orientation_slot():
