@@ -28,6 +28,8 @@ from graphknot.tangle import (
 )
 from oracles import normal_forms, splice_identify
 
+A, B, C, D = END_LABELS
+
 
 def test_conway_oracle():
     # worked by hand: 1 + 1/(2 + 1/(2 + 1/2)) = 17/12
@@ -174,16 +176,15 @@ def test_substituting_a_diagram_that_is_no_tangle_is_rejected():
     # a caller's diagram is checked: its markers must end strands, and
     # strands joining opposite corners would have to cross in the box
     d = k5_diagram()
-    a, b, c, e = END_LABELS
     crossed = Diagram([Vertex(x, 1) for x in END_LABELS], [((0, 0), (2, 0)), ((1, 0), (3, 0))])
     with pytest.raises(TopologyError):
         substitute(d, VertexOrientation(0, 0), crossed)
     star = Diagram(
-        [Vertex(a, 3), Vertex(b, 1), Vertex(c, 1), Vertex(e, 1)],
+        [Vertex(A, 3), Vertex(B, 1), Vertex(C, 1), Vertex(D, 1)],
         [((0, 0), (1, 0)), ((0, 1), (2, 0)), ((0, 2), (3, 0))],
     )
     bare = Diagram(
-        [Vertex(a, 1), Vertex(b, 1), Vertex(c, 2), Vertex(e, 0)],
+        [Vertex(A, 1), Vertex(B, 1), Vertex(C, 2), Vertex(D, 0)],
         [((0, 0), (2, 0)), ((1, 0), (2, 1))],
     )
     for fragment in (star, bare):
@@ -203,8 +204,6 @@ def test_substitution_respects_the_orientation_slot():
 
 
 # -- the trusted builds against the validating splice ----------------------------
-
-A, B, C, D = END_LABELS
 
 
 def end_dart(d, shift, end):
