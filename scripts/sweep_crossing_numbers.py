@@ -22,21 +22,10 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-import networkx as nx
-
-from graphknot import Multigraph, minimalizability, section3_crossing_number
-from oracles import small_crossing_number
+from graphknot import minimalizability, section3_crossing_number
+from oracles import atlas_graphs, small_crossing_number
 
 DRAWINGS = 3  # seeded edge orders per graph, besides the default one
-
-
-def atlas(max_vertices):
-    """Each connected atlas graph with at most ``max_vertices`` vertices,
-    with its atlas index."""
-    for i, G in enumerate(nx.graph_atlas_g()):
-        n = G.number_of_nodes()
-        if 0 < n <= max_vertices and nx.is_connected(G):
-            yield i, Multigraph(n, tuple(sorted(tuple(sorted(e)) for e in G.edges())))
 
 
 def main():
@@ -46,7 +35,7 @@ def main():
 
     t0 = time.monotonic()
     graphs = drawings = states = unsound = above = unknown = withheld = 0
-    for i, g in atlas(args.max_vertices):
+    for i, g in atlas_graphs(args.max_vertices):
         graphs += 1
         exact = small_crossing_number(g)
         unknown += exact is None

@@ -12,12 +12,10 @@ import pathlib
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
-import networkx as nx
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from graphknot import (
-    Multigraph,
     VertexOrientation,
     apply_move,
     automorphisms,
@@ -26,13 +24,7 @@ from graphknot import (
     symmetric_product_orbits,
 )
 from graphknot.layout import base_diagram
-
-
-def atlas(max_vertices):
-    for G in nx.graph_atlas_g():
-        n = G.number_of_nodes()
-        if 0 < n <= max_vertices and nx.is_connected(G):
-            yield Multigraph(n, tuple(sorted(tuple(sorted(e)) for e in G.edges())))
+from oracles import atlas_graphs
 
 
 def main():
@@ -43,7 +35,7 @@ def main():
 
     t0 = time.monotonic()
     graphs = skipped = cases = hits = 0
-    for g in atlas(args.max_vertices):
+    for _i, g in atlas_graphs(args.max_vertices):
         if not g.is_planar():
             continue
         if symmetric_product_orbits(automorphisms(g)) is None:

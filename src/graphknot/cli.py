@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .criterion import (
     NonPlanarCertificate,
+    _default_budget,
     certificate_from_json,
     check_nonplanar,
     section3_crossing_number,
@@ -29,6 +30,7 @@ from .criterion import (
 from .diagram import Diagram, Vertex, diagram_to_text, parse_diagram
 from .errors import FormatError, GraphKnotError, SizeLimitExceeded
 from .invariants import MAX_BRACKET_CROSSINGS, kauffman_bracket, linking_numbers, writhe
+from .layout import base_diagram
 from .moves import Budget, simplify
 from .multigraph import Minimalizability, minimalizability, parse_graph
 from .tangle import VertexOrientation, parse_conway
@@ -60,14 +62,16 @@ def _dump(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def _budget(args) -> Budget | None:
+def _budget(args, default=Budget) -> Budget | None:
+    """None when no budget flag is given; otherwise the flags given, each
+    missing one taken from the command's own default budget ``default()``."""
     if args.budget_crossings is None and args.budget_states is None:
         return None
-    defaults = Budget()
     crossings, states = args.budget_crossings, args.budget_states
     for flag, value in (("--budget-crossings", crossings), ("--budget-states", states)):
         if value is not None and value < 0:
             raise FormatError(f"{flag} must be non-negative, got {value}")
+    defaults = default()
     return Budget(
         max_crossings=defaults.max_crossings if crossings is None else crossings,
         max_states=defaults.max_states if states is None else states,
@@ -192,7 +196,8 @@ def _cmd_criterion(args) -> int:
 
 def _cmd_crossing_number(args) -> int:
     g = parse_graph(_read(args.input))
-    report = section3_crossing_number(g, budget=_budget(args))
+    budget = _budget(args, lambda: _default_budget(base_diagram(g)))
+    report = section3_crossing_number(g, budget=budget)
     if args.json:
         _emit(_dump(report.to_json()), args.out)
         return 0

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from .diagram import (
     MAX_ASSIGNED_CROSSINGS,
     Diagram,
+    GraphProjection,
     crossing_assignments,
     diagram_to_text,
     parse_diagram,
@@ -87,6 +88,13 @@ class ConditionOneWitness:
         }
 
 
+def _rotation_pairs(projection: GraphProjection, v: int) -> tuple[tuple[int, int], ...]:
+    """The graph edges at each rotation-neighbouring slot pair ``(s, s+1)``
+    of the degree-4 vertex node ``v``."""
+    slot_edges = [projection.edge_at_slot((v, s)) for s in range(4)]
+    return tuple((slot_edges[s], slot_edges[(s + 1) % 4]) for s in range(4))
+
+
 def condition_i(d: Diagram, vertex: int) -> ConditionOneWitness | None:
     """Search exhaustively for a condition-(i) witness at ``vertex``."""
     if d.is_crossing(vertex) or d.degree_of(vertex) != 4:
@@ -94,8 +102,7 @@ def condition_i(d: Diagram, vertex: int) -> ConditionOneWitness | None:
     projection = d.underlying_graph()
     g = projection.graph
     gv = projection.node_of_vertex.index(vertex)
-    slot_edges = tuple(projection.edge_at_slot((vertex, s)) for s in range(4))
-    pairs = tuple((slot_edges[s], slot_edges[(s + 1) % 4]) for s in range(4))
+    pairs = _rotation_pairs(projection, vertex)
     cycles = simple_cycles(g)
     # each cycle through a pair, with its vertex set
     through: list[list[tuple[list[int], set[int]]]] = []
@@ -313,27 +320,6 @@ class VerifyReport:
         return {"ok": self.ok, "notes": list(self.notes)}
 
 
-def _is_simple_cycle(g: Multigraph, cycle: tuple[int, ...]) -> bool:
-    if not cycle or len(set(cycle)) != len(cycle):
-        return False
-    if any(not 0 <= e < g.edge_count for e in cycle):
-        return False
-    degree: dict[int, int] = {}
-    for e in cycle:
-        u, v = g.endpoints(e)
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    if any(c != 2 for c in degree.values()):
-        return False
-    # connectivity of the cycle edges as their own little graph
-    verts = sorted(degree)
-    index = {v: i for i, v in enumerate(verts)}
-    sub = Multigraph(
-        len(verts), tuple((index[u], index[v]) for u, v in map(g.endpoints, cycle))
-    )
-    return sub.is_connected()
-
-
 _REPLAYABLE = ("linked-cycles", "sublink-span")
 
 
@@ -342,7 +328,7 @@ def _map_problem(scan: ObstructionScan, kind, cycles) -> str | None:
     (none of it depends on over/under); None when nothing is."""
     g = scan.projection.graph
     for c in cycles:
-        if not _is_simple_cycle(g, c):
+        if not g.is_simple_cycle(c):
             return f"certificate cycle {list(c)} is not a simple cycle"
     if kind == "linked-cycles":
         if len(cycles) != 2:
@@ -428,13 +414,12 @@ def verify_certificate(cert: NonPlanarCertificate | dict) -> VerifyReport:
     gv = projection.node_of_vertex.index(v)
     if cert.witness.graph_vertex != gv:
         return VerifyReport(False, ("witness names the wrong graph vertex",))
-    slot_edges = tuple(projection.edge_at_slot((v, s)) for s in range(4))
-    pairs = tuple((slot_edges[s], slot_edges[(s + 1) % 4]) for s in range(4))
+    pairs = _rotation_pairs(projection, v)
     if cert.witness.pair_edges != pairs:
         return VerifyReport(False, ("witness pairs disagree with the rotation at v",))
     for s in range(4):
         cyc = cert.witness.cycles[s]
-        if not _is_simple_cycle(g, cyc):
+        if not g.is_simple_cycle(cyc):
             return VerifyReport(False, (f"witness cycle {s} is not a simple cycle",))
         if not set(pairs[s]) <= set(cyc):
             return VerifyReport(False, (f"witness cycle {s} misses its edge pair",))
@@ -492,6 +477,12 @@ class Section3Report:
         }
 
 
+def _default_budget(base: Diagram) -> Budget:
+    """``section3_crossing_number``'s budget for the drawing ``base``: a cap
+    one crossing above it, and 200,000 states."""
+    return Budget(max_crossings=base.crossing_count + 1, max_states=200_000)
+
+
 def section3_crossing_number(
     g: Multigraph,
     budget: Budget | None = None,
@@ -511,12 +502,12 @@ def section3_crossing_number(
     non-planarity and the block bound (``Multigraph.crossing_lower_bound``).
     Where the block bound already reaches the drawing's crossing count, as
     on K3,4, K6 and K5.K5, the value closes with no search.  Otherwise it
-    closes when the search meets the bound, or when it exhausts its
-    crossing cap (noted as such).  The latter is relative to the moves in
-    ``MOVE_KINDS``, which have no move that passes a strand across a graph
-    vertex, and to the cap: it is the least crossing count those moves
-    reach, an upper bound on cr(G), not cr(G) itself.  When neither
-    happens within the state budget the value is withheld (``None``).
+    closes when the search meets the bound, or when it exhausts a crossing
+    cap that the drawing is within (noted as such).  The latter is relative
+    to the moves in ``MOVE_KINDS``, which have no move that passes a strand
+    across a graph vertex, and to the cap: it is the least crossing count
+    those moves reach, an upper bound on cr(G), not cr(G) itself.  Failing
+    both within the state budget, the value is withheld (``None``).
 
     No search starts from a drawing with more than
     ``MAX_ASSIGNED_CROSSINGS`` crossings: it raises ``SizeLimitExceeded``.
@@ -527,9 +518,7 @@ def section3_crossing_number(
             f"the base drawing has {base.crossing_count} crossings; the "
             f"crossing-number search starts from at most {MAX_ASSIGNED_CROSSINGS}"
         )
-    budget = budget or Budget(
-        max_crossings=base.crossing_count + 1, max_states=200_000
-    )
+    budget = budget or _default_budget(base)
     report = crossing_number(base, budget, shadow=True)
     notes = ()
     if report.cap_relative:

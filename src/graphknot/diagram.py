@@ -793,91 +793,45 @@ def extract_sublink(
 ) -> Diagram:
     """Restrict a diagram to edge-disjoint graph cycles, as a link diagram.
 
-    Each cycle is a list of edge indices of ``projection.graph`` forming a
-    closed walk without repeated vertices (a single loop edge or a pair of
-    parallel edges are the short cases).  Vertices are smoothed the way each
-    cycle runs through them, crossings met by one surviving strand are passed
-    straight through, and crossings where two surviving strands meet are kept
-    with their over/under intact.  A cycle that meets no kept crossing runs
-    as one free loop.
+    Each cycle lists the edge indices of a simple cycle of
+    ``projection.graph`` (``Multigraph.is_simple_cycle``) in any order.  At
+    each vertex a cycle's two strand ends there are joined, crossings met by
+    one surviving strand are passed straight through, and crossings where
+    two surviving strands meet are kept with their over/under intact.  A
+    cycle that meets no kept crossing closes up as one free loop.  The
+    result is validated: cycles that share a vertex can cut out a map that
+    is not on a sphere.
     """
-    d = projection.diagram
     g = projection.graph
-    used_edges: set[int] = set()
-    for cycle in cycles:
-        for e in cycle:
-            if e in used_edges:
-                raise FormatError(f"edge {e} appears in two cycles")
-            used_edges.add(e)
-
-    # how strands run on through the nodes not kept: through vertices the
-    # way the cycles do, and straight through crossings (added below)
+    strands = projection.strands
+    # how strands run on through the nodes not kept: through a vertex the
+    # way its cycle does, and straight through a crossing
     thru: dict[Dart, Dart] = {}
-
-    def strand_oriented(e: int, from_vertex: int) -> StrandPath:
-        s = projection.strands[e]
-        u, v = g.endpoints(e)
-        if u == v:
-            # loop: orientation choice is irrelevant to the caller
-            return s
-        start_node = projection.node_of_vertex[from_vertex]
-        return s if s.ends[0][0] == start_node else s.reversed()
-
     for cycle in cycles:
-        if not cycle:
-            raise FormatError("empty cycle")
-        # walk the cycle, picking the vertex sequence
-        if len(cycle) == 1:
-            e = cycle[0]
-            u, v = g.endpoints(e)
-            if u != v:
-                raise FormatError(f"cycle [{e}] is not a loop edge")
-            path = projection.strands[e]
-            thru[path.ends[0]] = path.ends[1]
-            thru[path.ends[1]] = path.ends[0]
-            continue
-        u0, v0 = g.endpoints(cycle[0])
-        second = g.endpoints(cycle[1])
-        if u0 in second and v0 in second and u0 != v0:
-            # ambiguous start of a 2-cycle; orient edge 0 from its low end
-            at = v0
-            start = u0
-        elif v0 in second:
-            at = v0
-            start = u0
-        elif u0 in second:
-            at = u0
-            start = v0
-        else:
-            raise FormatError("consecutive cycle edges share no vertex")
-        visited = [start]
-        prev_end: Dart | None = None
+        if not g.is_simple_cycle(cycle):
+            raise FormatError(f"cycle {list(cycle)} is not a simple cycle")
+        # the cycle meets each of its vertices at two strand ends
+        ends: dict[int, Dart] = {}
         for e in cycle:
-            path = strand_oriented(e, visited[-1])
-            if prev_end is not None:
-                thru[prev_end] = path.ends[0]
-                thru[path.ends[0]] = prev_end
-            nxt = g.other_end(e, visited[-1])
-            visited.append(nxt)
-            prev_end = path.ends[1]
-        if visited[-1] != visited[0]:
-            raise FormatError("cycle does not close up")
-        if len(set(visited[:-1])) != len(visited) - 1:
-            raise FormatError("cycle repeats a vertex")
-        first = strand_oriented(cycle[0], visited[0])
-        thru[prev_end] = first.ends[0]
-        thru[first.ends[0]] = prev_end
-
+            for end in strands[e].ends:
+                other = ends.pop(end[0], None)
+                if other is None:
+                    ends[end[0]] = end
+                else:
+                    thru[end], thru[other] = other, end
+    edges = [e for cycle in cycles for e in cycle]
+    if len(set(edges)) != len(edges):
+        raise FormatError("an edge appears in two cycles")
     kept = sublink_crossings(projection, cycles)
-    free_loops = 0  # cycles that pass no kept crossing, which no strand meets
-    for cycle in cycles:
-        passed = {n for e in cycle for n, _ in projection.strands[e].passages}
-        free_loops += passed.isdisjoint(kept)
-    for n in set(d.crossings()).difference(kept):
-        for s in range(4):
-            thru[(n, s)] = (n, (s + 2) % 4)
-    darts, _passed = _rejoin(d, kept, thru)
-    return Diagram([d.nodes[n] for n in kept], _arcs_of(darts), free_loops)
+    keep = set(kept)
+    for e in edges:
+        for n, s in strands[e].passages:
+            if n not in keep:
+                thru[(n, s)], thru[(n, (s + 2) % 4)] = (n, (s + 2) % 4), (n, s)
+    d = projection.diagram
+    darts, passed = _rejoin(d, kept, thru)
+    loops = _trapped_loops(d, thru, passed) if len(passed) < len(thru) else 0
+    return Diagram([d.nodes[n] for n in kept], _arcs_of(darts), loops)
 
 
 # -- serialization -------------------------------------------------------------

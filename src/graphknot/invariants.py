@@ -697,9 +697,10 @@ def crossing_number(
     changes, found by one search over shadows (``search_min_crossings``).
 
     The answer is conclusive when the search's upper bound meets a lower
-    bound, or (flagged ``cap_relative``) when the whole reachable set under
-    the crossing cap was exhausted without meeting it.  With ``shadow`` the
-    lower bounds are the graph-wide ones alone (``lower_bound_obstructions``).
+    bound, or (flagged ``cap_relative``) when ``d`` is within the crossing
+    cap and the whole reachable set under the cap was exhausted without
+    meeting it.  With ``shadow`` the lower bounds are the graph-wide ones
+    alone (``lower_bound_obstructions``).
     """
     budget = budget or Budget()
     ub = d.crossing_count
@@ -709,13 +710,20 @@ def crossing_number(
         note = "diagram already meets its lower bound; no search needed"
     else:
         result = search_min_crossings(d, budget, stop_at=lb, shadow=shadow)
-        found, states, exhausted = result.best.crossing_count, result.states, result.exhausted
+        found, states = result.best.crossing_count, result.states
+        # exhausting the cap closes nothing unless ``d`` is within the cap
+        exhausted = result.exhausted and ub <= budget.max_crossings
         if found <= lb:
             note = "search met the lower bound"
         elif exhausted:
             note = (
                 f"exhausted every diagram reachable with at most "
                 f"{budget.max_crossings} crossings"
+            )
+        elif result.exhausted:
+            note = (
+                f"the drawing's {ub} crossings exceed the {budget.max_crossings}-"
+                "crossing cap, so exhausting the cap closes nothing"
             )
         else:
             note = "state budget exhausted before the search finished"

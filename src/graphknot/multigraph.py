@@ -88,6 +88,30 @@ class Multigraph:
                 out.add(u)
         return out
 
+    def is_simple_cycle(self, edges) -> bool:
+        """Whether the edge indices ``edges``, in any order, are the edges
+        of one cycle without repeated vertices: a loop alone and two
+        parallel edges are the short ones."""
+        if not edges or len(set(edges)) != len(edges):
+            return False
+        if any(not 0 <= e < self.edge_count for e in edges):
+            return False
+        near: dict[int, list[int]] = {}  # each vertex's ends across its edges
+        for e in edges:
+            u, v = self.edges[e]
+            near.setdefault(u, []).append(v)
+            near.setdefault(v, []).append(u)
+        if any(len(ws) != 2 for ws in near.values()):
+            return False
+        # each vertex met twice: one circle if one vertex reaches them all
+        reached, frontier = set(), [next(iter(near))]
+        while frontier:
+            x = frontier.pop()
+            if x not in reached:
+                reached.add(x)
+                frontier += near[x]
+        return len(reached) == len(near)
+
     def _check_vertex(self, vertex: int) -> None:
         if not (0 <= vertex < self.vertex_count):
             raise InvalidVertexError(f"no vertex {vertex}")

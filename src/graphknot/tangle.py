@@ -54,7 +54,11 @@ class RationalTangle:
     conway: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "conway", tuple(int(x) for x in self.conway))
+        conway = tuple(self.conway)
+        # ``int`` would take a float, a bool or a string of digits
+        if any(type(a) is not int for a in conway):
+            raise FormatError(f"twist counts must be ints, got {conway!r}")
+        object.__setattr__(self, "conway", conway)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -186,6 +190,8 @@ def _twist(d: Diagram, kind: str, sign: int) -> Diagram:
         attach_slots = (1, 0)  # old d attachment at NW, old c at NE
     else:
         raise FormatError(f"unknown twist kind {kind!r}")
+    if type(sign) is not int or sign not in (1, -1):
+        raise FormatError(f"twist sign must be the int 1 or -1, got {sign!r}")
     x = len(d.nodes)
     p_first = d.partner(first)
     p_second = d.partner(second)
@@ -201,7 +207,8 @@ def _twist(d: Diagram, kind: str, sign: int) -> Diagram:
 
 
 def fragment_from_twists(twists, start: Fraction2 = ZERO) -> Diagram:
-    """Build a fragment by twisting up from the 0- or infinity tangle."""
+    """Build a fragment by twisting up from the 0- or infinity tangle, one
+    twist per ``(kind, sign)``: kind ``"h"`` or ``"v"``, sign 1 or -1."""
     if start == ZERO:
         d = zero_tangle()
     elif start == INFINITY:

@@ -8,7 +8,16 @@ from math import gcd
 import networkx as nx
 
 from graphknot import Diagram, LaurentPoly, Multigraph, NotALinkError, SizeLimitExceeded
-from graphknot.diagram import crossing_assignments, extract_sublink
+from graphknot.diagram import (
+    Dart,
+    GraphProjection,
+    StrandPath,
+    _arcs_of,
+    _rejoin,
+    crossing_assignments,
+    extract_sublink,
+    sublink_crossings,
+)
 from graphknot.errors import FormatError, TopologyError
 from graphknot.invariants import (
     MAX_BRACKET_CROSSINGS,
@@ -81,6 +90,91 @@ def splice_identify(d: Diagram, thru: dict) -> Diagram:
             used.update((x, thru[x]))
             x = pair[thru[x]]
     return Diagram([d.nodes[n] for n in keep], arcs, d.free_loops + loops)
+
+
+def walked_sublink(projection: GraphProjection, cycles) -> Diagram:
+    """``diagram.extract_sublink`` the slow way: each cycle is walked in its
+    listed order, which must be a closed walk without repeated vertices, and
+    its strands are oriented along the walk; vertices are smoothed the way
+    the walk runs through them, every crossing not kept is passed straight
+    through, and a cycle that passes no kept crossing counts as one free
+    loop.  A cycle listed out of walk order raises ``FormatError``, and an
+    edge index out of range or off the walk can raise ``IndexError`` or
+    ``InvalidVertexError``."""
+    d = projection.diagram
+    g = projection.graph
+    used_edges: set[int] = set()
+    for cycle in cycles:
+        for e in cycle:
+            if e in used_edges:
+                raise FormatError(f"edge {e} appears in two cycles")
+            used_edges.add(e)
+
+    # how strands run on through the nodes not kept: through vertices the
+    # way the cycles do, and straight through crossings (added below)
+    thru: dict[Dart, Dart] = {}
+
+    def strand_oriented(e: int, from_vertex: int) -> StrandPath:
+        s = projection.strands[e]
+        u, v = g.endpoints(e)
+        if u == v:
+            # loop: orientation choice is irrelevant to the caller
+            return s
+        start_node = projection.node_of_vertex[from_vertex]
+        return s if s.ends[0][0] == start_node else s.reversed()
+
+    for cycle in cycles:
+        if not cycle:
+            raise FormatError("empty cycle")
+        # walk the cycle, picking the vertex sequence
+        if len(cycle) == 1:
+            e = cycle[0]
+            u, v = g.endpoints(e)
+            if u != v:
+                raise FormatError(f"cycle [{e}] is not a loop edge")
+            path = projection.strands[e]
+            thru[path.ends[0]] = path.ends[1]
+            thru[path.ends[1]] = path.ends[0]
+            continue
+        u0, v0 = g.endpoints(cycle[0])
+        second = g.endpoints(cycle[1])
+        if u0 in second and v0 in second and u0 != v0:
+            # ambiguous start of a 2-cycle; orient edge 0 from its low end
+            start = u0
+        elif v0 in second:
+            start = u0
+        elif u0 in second:
+            start = v0
+        else:
+            raise FormatError("consecutive cycle edges share no vertex")
+        visited = [start]
+        prev_end: Dart | None = None
+        for e in cycle:
+            path = strand_oriented(e, visited[-1])
+            if prev_end is not None:
+                thru[prev_end] = path.ends[0]
+                thru[path.ends[0]] = prev_end
+            nxt = g.other_end(e, visited[-1])
+            visited.append(nxt)
+            prev_end = path.ends[1]
+        if visited[-1] != visited[0]:
+            raise FormatError("cycle does not close up")
+        if len(set(visited[:-1])) != len(visited) - 1:
+            raise FormatError("cycle repeats a vertex")
+        first = strand_oriented(cycle[0], visited[0])
+        thru[prev_end] = first.ends[0]
+        thru[first.ends[0]] = prev_end
+
+    kept = sublink_crossings(projection, cycles)
+    free_loops = 0  # cycles that pass no kept crossing, which no strand meets
+    for cycle in cycles:
+        passed = {n for e in cycle for n, _ in projection.strands[e].passages}
+        free_loops += passed.isdisjoint(kept)
+    for n in set(d.crossings()).difference(kept):
+        for s in range(4):
+            thru[(n, s)] = (n, (s + 2) % 4)
+    darts, _passed = _rejoin(d, kept, thru)
+    return Diagram([d.nodes[n] for n in kept], _arcs_of(darts), free_loops)
 
 
 def monomial(coeff: int, exp: int) -> LaurentPoly:
@@ -239,11 +333,11 @@ def group_elements(aut: AutGroup) -> set[Permutation]:
 
 def atlas_graphs(max_vertices=6):
     """All connected simple graphs with up to ``max_vertices`` vertices, in
-    networkx atlas order."""
-    for G in nx.graph_atlas_g():
+    networkx atlas order, each with its atlas index: ``(i, graph)``."""
+    for i, G in enumerate(nx.graph_atlas_g()):
         n = G.number_of_nodes()
         if 0 < n <= max_vertices and nx.is_connected(G):
-            yield Multigraph(n, tuple(sorted(tuple(sorted(e)) for e in G.edges())))
+            yield i, Multigraph(n, tuple(sorted(tuple(sorted(e)) for e in G.edges())))
 
 
 def small_crossing_number(g: Multigraph) -> int | None:

@@ -103,7 +103,7 @@ def test_soundness_sweep_on_small_planar_graphs():
     diagrams with at most two crossings."""
     with scored("soundness-sweep-planar-graphs", 600.0):
         cases = 0
-        for g in atlas_graphs():
+        for _i, g in atlas_graphs():
             if not g.is_planar():
                 continue
             if symmetric_product_orbits(automorphisms(g)) is None:
@@ -376,7 +376,7 @@ def test_vertex_substitutions_stay_small():
             RationalTangle((-1,)),
         )
         diagrams = []
-        for g in atlas_graphs():
+        for _i, g in atlas_graphs():
             d = base_diagram(g)
             if d.crossing_count == 0 and any(
                 d.nodes[v].degree == 4 for v in d.vertices()

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from graphknot import (
+    Budget,
     Multigraph,
     complete_bipartite,
     complete_graph,
@@ -14,6 +15,7 @@ from graphknot import (
     disjoint_union,
     graph_to_text,
 )
+from graphknot import cli
 from graphknot.cli import main
 from graphknot.diagram import Diagram
 from graphknot.gallery import hopf_link, k5_diagram, kinked_unknot
@@ -304,6 +306,21 @@ def test_zero_budget_is_not_the_default(capsys, k5_graph_file):
     assert json.loads(out)["search"]["crossing_cap"] == 0
 
 
+def test_one_budget_flag_keeps_the_commands_default_for_the_other(capsys, k5_graph_file):
+    # crossing-number's default cap is one above its drawing's crossing
+    # count, 2 for K5, and its default state budget 200,000
+    code, out = run(capsys, "crossing-number", k5_graph_file, "--budget-states", "5", "--json")
+    assert code == 0
+    assert json.loads(out)["search"]["crossing_cap"] == 2
+    args = cli.build_parser().parse_args(
+        ["crossing-number", k5_graph_file, "--budget-crossings", "3"]
+    )
+    assert cli._budget(args, lambda: Budget(2, 200_000)) == Budget(3, 200_000)
+    # simplify's default is the search's own, ``Budget()``
+    args = cli.build_parser().parse_args(["simplify", k5_graph_file, "--budget-crossings", "3"])
+    assert cli._budget(args) == Budget(3, Budget().max_states)
+
+
 @pytest.mark.parametrize("flag", ["--budget-crossings", "--budget-states"])
 def test_negative_budget_is_an_input_error(capsys, k5_graph_file, flag):
     code = main(["crossing-number", k5_graph_file, flag, "-1"])
@@ -585,7 +602,7 @@ def test_one_parser_serves_every_call(
             ["criterion", k5_diagram_file, "--vertex", "2", "--json"],
         ),
         (
-            ["crossing-number", k5_graph_file, "--budget-states", "50", "--json"],
+            ["crossing-number", k5_graph_file, "--budget-crossings", "0", "--json"],
             ["crossing-number", k5_graph_file, "--json"],
         ),
         (

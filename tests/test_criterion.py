@@ -1,16 +1,21 @@
 """The non-planarity certificate machinery and the crossing-number driver."""
 
 import importlib.util
+import itertools
 import json
 import random
 import time
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from graphknot import (
     Budget,
+    FormatError,
+    InvalidVertexError,
     Multigraph,
+    TopologyError,
     VertexOrientation,
     WrongDegreeError,
     additivity_check,
@@ -20,10 +25,12 @@ from graphknot import (
     complete_graph,
     crossing_number,
     cycle_graph,
+    diagram_to_text,
     disjoint_union,
     one_point_union,
     parse_diagram,
     section3_crossing_number,
+    simple_cycles,
     verify_certificate,
 )
 from graphknot import apply_move, enumerate_moves, extract_sublink, linking_numbers
@@ -52,6 +59,7 @@ from oracles import (
     atlas_graphs,
     full_obstructions,
     small_crossing_number,
+    walked_sublink,
 )
 
 
@@ -212,6 +220,100 @@ def test_verifier_rejects_cycles_that_extract_off_the_sphere():
     assert "not a sphere diagram" in report.notes[0]
 
 
+def test_verifier_takes_an_obstruction_cycle_in_any_edge_order():
+    """A 4-cycle of the K5 certificate's r = +1 map, listed so that its
+    first two edges share no vertex, passes the map checks and extracts to
+    the sublink of its walk order; the walk rejected such a listing."""
+    data = json.loads((DATA / "k5_certificate.json").read_text())
+    where = VertexOrientation(data["vertex"], data["a_slot"])
+    d = substitute(parse_diagram(data["diagram"]), where, TANGLE_PLUS)
+    scan = ObstructionScan(d)
+    ordered = next(c for c in scan.cycles() if len(c) == 4)
+    shuffled = [ordered[0], ordered[2], ordered[1], ordered[3]]
+    with pytest.raises(FormatError, match="share no vertex"):
+        walked_sublink(scan.projection, [shuffled])
+    assert criterion._map_problem(scan, "sublink-span", (tuple(shuffled),)) is None
+    assert scan.sublink([shuffled], d) == scan.sublink([ordered], d)
+
+
+# -- extract_sublink against the walk it replaced ------------------------------------
+
+
+def sublink_cases(d):
+    """``d``'s projection, and every simple cycle and every edge-disjoint
+    pair of cycles of its graph (pairs that share a vertex included)."""
+    projection = d.underlying_graph()
+    cycles = simple_cycles(projection.graph)
+    pairs = [[a, b] for a, b in itertools.combinations(cycles, 2) if not set(a) & set(b)]
+    return projection, [[c] for c in cycles] + pairs
+
+
+def extracted(extract, projection, cycles):
+    """The text of the sublink, or the type of the ``TopologyError`` raised."""
+    try:
+        return diagram_to_text(extract(projection, cycles))
+    except TopologyError as exc:
+        return type(exc)
+
+
+def small_multigraphs():
+    """Every multigraph on four vertices with at most four edges, loops
+    and parallel edges included."""
+    pairs = [(u, v) for u in range(4) for v in range(u, 4)]
+    for m in range(1, 5):
+        for edges in itertools.combinations_with_replacement(pairs, m):
+            yield Multigraph(4, edges)
+
+
+def test_extract_sublink_matches_the_walk_on_small_multigraphs():
+    sizes = set()
+    for g in small_multigraphs():
+        projection, cases = sublink_cases(base_diagram(g))
+        for cycles in cases:
+            got = extracted(extract_sublink, projection, cycles)
+            assert got == extracted(walked_sublink, projection, cycles), (g.edges, cycles)
+            sizes.add(len(cycles))
+    assert sizes == {1, 2}
+
+
+def test_extract_sublink_ignores_the_edge_order():
+    rng = random.Random(7)
+    out_of_walk_order = 0
+    for d in (k5_diagram(), base_diagram(complete_graph(6))):
+        projection, cases = sublink_cases(d)
+        for cycles in cases:
+            want = extracted(extract_sublink, projection, cycles)
+            shuffled = [rng.sample(c, len(c)) for c in cycles]
+            assert extracted(extract_sublink, projection, shuffled) == want
+            try:
+                walked_sublink(projection, shuffled)
+            except (FormatError, IndexError, InvalidVertexError):
+                out_of_walk_order += 1
+            except TopologyError:
+                pass
+    assert out_of_walk_order > 100
+
+
+def test_extract_sublink_matches_the_walk_on_k5_maps():
+    """The K5 certificate's two substituted maps and K5 routings with 2-6
+    crossings: among their cycle pairs that share a vertex are some that
+    cut out no sphere map, and both extractions reject those alike."""
+    data = json.loads((DATA / "k5_certificate.json").read_text())
+    where = VertexOrientation(data["vertex"], data["a_slot"])
+    d = parse_diagram(data["diagram"])
+    maps = [substitute(d, where, t) for t in (TANGLE_PLUS, TANGLE_MINUS)]
+    rng = random.Random(27)
+    maps += [k5_routing(c, rng) for c in range(2, 7)]
+    outcomes = set()
+    for d in maps:
+        projection, cases = sublink_cases(d)
+        for cycles in cases:
+            got = extracted(extract_sublink, projection, cycles)
+            assert got == extracted(walked_sublink, projection, cycles), cycles
+            outcomes.add(got if got is TopologyError else len(cycles))
+    assert outcomes == {1, 2, TopologyError}
+
+
 # -- condition (ii) against its per-assignment oracle -------------------------------
 
 
@@ -337,6 +439,22 @@ def test_driver_never_goes_below_the_planarity_bound():
     assert report.value >= 1
 
 
+def test_a_drawing_above_the_cap_closes_no_value():
+    # K4,6 is drawn with 16 crossings and its block bound is 8: a search
+    # capped at 10 crossings has nowhere to go, which proves nothing
+    report = section3_crossing_number(
+        complete_bipartite(4, 6), Budget(max_crossings=10, max_states=1000)
+    )
+    assert (report.value, report.closed, report.search.cap_relative) == (None, False, False)
+    assert report.search.notes == (
+        "the drawing's 16 crossings exceed the 10-crossing cap, so exhausting "
+        "the cap closes nothing",
+    )
+    # a drawing above the cap still closes where it meets the lower bound
+    report = section3_crossing_number(complete_graph(5), Budget(max_crossings=0))
+    assert (report.value, report.closed) == (1, True)
+
+
 def test_additivity_of_triangles():
     report = additivity_check(cycle_graph(3), cycle_graph(3), "disjoint")
     assert report.holds is True
@@ -379,7 +497,10 @@ def test_atlas_graphs_filter_the_whole_atlas():
     assert len(small) == 143
     seven = list(atlas_graphs(7))
     assert len(seven) == 996 and seven[:143] == small
-    assert max(g.vertex_count for g in seven) == 7
+    assert max(g.vertex_count for _i, g in seven) == 7
+    # each graph comes with its own atlas index
+    for i, g in seven[::50]:
+        assert sorted(tuple(sorted(e)) for e in nx.graph_atlas(i).edges()) == list(g.edges)
 
 
 def _lower_bound_faults():
@@ -390,7 +511,7 @@ def _lower_bound_faults():
     knot-theoretic obstruction bounds the crossings of one spatial graph,
     which may exceed cr(G)."""
     faults = []
-    for g in atlas_graphs():
+    for _i, g in atlas_graphs():
         cr = small_crossing_number(g)
         assert cr is not None
         if g.crossing_lower_bound() > cr:
@@ -425,7 +546,7 @@ def test_driver_matches_the_assignment_oracle():
     isotopy search per crossing assignment gives, on every connected graph
     with at most six vertices and on the graphs of the crossing-number
     table."""
-    for g in [*atlas_graphs(), *_table_graphs()]:
+    for g in [g for _i, g in atlas_graphs()] + _table_graphs():
         report = section3_crossing_number(g)
         assert (report.value, report.closed) == assignment_crossing_number(g), g.edges
 

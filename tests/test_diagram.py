@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,47 @@ def test_extract_sublink_without_a_kept_crossing_is_one_circle_per_cycle():
     assert {len(cs) for cs in passing} == {1, 2}
     for cs in free:
         assert extract_sublink(projection, cs) == Diagram([], [], len(cs))
+
+
+@pytest.mark.parametrize(
+    "cycles",
+    [
+        [[]],
+        [[99]],
+        [[-1]],
+        [[0]],  # one edge that is no loop
+        [[0, 1]],  # an open path
+        [[0, 14]],  # two edges that share no vertex
+        [[0, 1, 5, 99]],
+        [[0, 1, 5], [5, 9, 12]],  # two cycles that share an edge
+        [[0, 1, 5, 0]],
+        [[0, 1, 5, 12, 13, 14]],  # two triangles listed as one cycle
+        [[0, 1, 5], [0]],
+    ],
+)
+def test_extract_sublink_rejects_malformed_cycles(cycles):
+    # K6: edge i joins the i-th vertex pair in order, so 0, 1, 5 is the
+    # triangle 012 and 12, 13, 14 the triangle 345
+    projection = base_diagram(complete_graph(6)).underlying_graph()
+    assert projection.graph.edges[5] == (1, 2) and projection.graph.edges[14] == (4, 5)
+    with pytest.raises(FormatError):
+        extract_sublink(projection, cycles)
+
+
+def test_extract_sublink_raises_format_errors_on_edge_index_lists():
+    # K5's ten edges, with indices out of range on both sides: a list that
+    # is no simple cycle raises FormatError, never IndexError
+    projection = k5_diagram().underlying_graph()
+    rng = random.Random(3)
+    extracted = 0
+    for _ in range(2000):
+        cycle = [rng.randint(-2, 12) for _ in range(rng.randint(0, 5))]
+        try:
+            extract_sublink(projection, [cycle])
+            extracted += 1
+        except FormatError:
+            assert not projection.graph.is_simple_cycle(cycle)
+    assert extracted > 0
 
 
 def test_base_diagram_places_vertices_in_graph_order():

@@ -1,5 +1,6 @@
 """Multigraphs, automorphisms, and the symmetric-product decomposition."""
 
+import itertools
 import time
 
 import networkx as nx
@@ -23,6 +24,7 @@ from graphknot import (
     one_point_union,
     parse_graph,
     path_graph,
+    simple_cycles,
     symmetric_product_orbits,
 )
 from oracles import brute_force_automorphisms, group_elements
@@ -160,6 +162,31 @@ def test_components_and_connectivity():
     assert complete_graph(3).is_connected()
     # isolated vertices count as their own components
     assert len(Multigraph(3, [(0, 1)]).components()) == 2
+
+
+def test_is_simple_cycle_agrees_with_simple_cycles():
+    """Every edge subset of small multigraphs, in two orders, is a simple
+    cycle exactly when ``simple_cycles`` lists its edges."""
+    pairs = [(u, v) for u in range(4) for v in range(u, 4)]
+    shapes = set()
+    for m in range(1, 5):
+        for edges in itertools.combinations_with_replacement(pairs, m):
+            g = Multigraph(4, edges)
+            cycles = {frozenset(c) for c in simple_cycles(g)}
+            for k in range(1, m + 1):
+                for subset in itertools.combinations(range(m), k):
+                    want = frozenset(subset) in cycles
+                    assert g.is_simple_cycle(subset) == want
+                    assert g.is_simple_cycle(subset[::-1]) == want
+                    shapes.add((k, want))
+    assert shapes == {(k, w) for k in range(1, 5) for w in (True, False)}
+
+
+def test_is_simple_cycle_rejects_malformed_edge_lists():
+    g = Multigraph(3, [(0, 0), (0, 1), (0, 2), (1, 2)])  # a loop, then a triangle
+    assert g.is_simple_cycle([3, 1, 2]) and g.is_simple_cycle([0])
+    for edges in ([], [1, 1, 2, 3], [1, 2], [0, 1, 2, 3], [4], [-1, 1, 2], [1, 2, 3, 9]):
+        assert not g.is_simple_cycle(edges), edges
 
 
 def test_multiplicity_and_loops():

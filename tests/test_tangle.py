@@ -21,6 +21,7 @@ from graphknot.invariants import LaurentPoly
 from graphknot.layout import base_diagram
 from graphknot.tangle import (
     END_LABELS,
+    fragment_from_twists,
     infinity_tangle,
     normalize_fraction,
     tangle_from_fraction,
@@ -99,6 +100,18 @@ def test_parse_conway_errors():
 def test_parse_conway_reads_only_ascii_integers(token):
     with pytest.raises(FormatError, match="bad twist sequence"):
         parse_conway(f"2 {token}")
+
+
+@pytest.mark.parametrize("conway", [(1.7, True), ("3",), (True,), (2, 2.0)])
+def test_twist_counts_must_be_ints(conway):
+    with pytest.raises(FormatError, match="twist counts must be ints"):
+        RationalTangle(conway)
+
+
+@pytest.mark.parametrize("sign", [0, 2, -3, 1.0, True])
+def test_twist_signs_must_be_one_or_minus_one(sign):
+    with pytest.raises(FormatError, match="twist sign"):
+        fragment_from_twists([("h", 1), ("v", sign)])
 
 
 def test_zero_and_infinity_closures():
