@@ -469,10 +469,9 @@ class Diagram:
         records = []
         for path in open_paths:
             (n1, _s1), (n2, _s2) = path.ends
+            # a strand starts at its lesser (node, slot) end, and vertices are
+            # numbered in node order, so u <= v
             u, v = vertex_of_node[n1], vertex_of_node[n2]
-            if u > v:
-                u, v = v, u
-                path = path.reversed()
             records.append(((u, v), path))
         records.sort(key=lambda r: (r[0], r[1].ends))
         graph = Multigraph(len(verts), tuple(r[0] for r in records))
@@ -523,11 +522,6 @@ class StrandPath:
 
     ends: tuple[Dart, Dart]
     passages: tuple[Dart, ...]
-
-    def reversed(self) -> "StrandPath":
-        # entry dart of a reversed passage is the old exit slot
-        back = tuple((n, (s + 2) % 4) for n, s in reversed(self.passages))
-        return StrandPath((self.ends[1], self.ends[0]), back)
 
 
 @dataclass(frozen=True)

@@ -3,28 +3,30 @@
 The move set: kink insertion/removal (R1), pokes (R2), triangle slides (R3),
 twisting a pair of rotation-adjacent edges at a graph vertex into a crossing
 and back (R5), and crossing changes.  Each kind is one entry of the table
-``_KINDS``, which gives its change in the crossing count, its guard and its
-build; ``MOVE_KINDS`` lists the kinds in table order, which is the order of
+``_KINDS``, which gives its change in the crossing count and its build;
+``MOVE_KINDS`` lists the kinds in table order, which is the order of
 ``enumerate_moves``.  Every move is a rewrite of the rotation system in two
-parts.  The guard checks a site where it enters: darts must be pairs of
-plain ints, an over or flip parameter must be 0 or 1, and the ``_require``
-checks must hold, or ``apply_move`` raises ``MoveNotApplicable``.  The
-condition of a removing move or an R3 slide is one predicate (``_kink``,
-``_poke``, ``_twisted``, ``_slides``) that the guard requires and
-``enumerate_moves`` filters its candidates by, so a site is listed exactly
-when it applies; the predicates read the dart arrays ``Diagram._darts``.
-Every listed removal can be undone by a listed growing move: ``_poke``
-offers a bigon only where its two strands stay two arcs once it is gone.
-The build takes the guard's parameters alone and makes the child from the
-parent's dart arrays by a local edit and ``Diagram._trusted``, with no
-global re-check: the growing and sliding moves (``R1_add``, ``R2_add``,
-``R3``, ``R5_twist``) edit a copy where the move acts with ``_grown`` and
-``_join``, crossing changes share the map, and the removing moves
-(``R1_remove``, ``R2_remove``, ``R5_untwist``) delete their crossings with
-``splice``.  ``apply_move`` runs the guard and then the build; the
-searches build the listed sites alone, so a child costs its local edit and
-its key.  ``Diagram._validate`` stays the one definition of a valid map;
-the tests hold every move result to it.
+parts.  Where a move applies has one definition, the listing ``_listed``:
+``enumerate_moves`` sorts it, and ``apply_move`` applies a site exactly
+when the listing holds its parameters, spelled as the listing spells them
+(plain ints, strings and pairs of plain ints), or raises
+``MoveNotApplicable``; an ``R2_remove`` may name its bigon's two darts in
+either order.  The condition of a removing move or an R3 slide is one
+predicate (``_kink``, ``_poke``, ``_twisted``, ``_slides``) that the
+listing filters its candidates by; the predicates read the dart arrays
+``Diagram._darts``.  Every listed removal can be undone by a listed
+growing move: ``_poke`` offers a bigon only where its two strands stay two
+arcs once it is gone.  The build takes a listed site's parameters alone
+and makes the child from the parent's dart arrays by a local edit and
+``Diagram._trusted``, with no global re-check: the growing and sliding
+moves (``R1_add``, ``R2_add``, ``R3``, ``R5_twist``) edit a copy where the
+move acts with ``_grown`` and ``_join``, crossing changes share the map,
+and the removing moves (``R1_remove``, ``R2_remove``, ``R5_untwist``)
+delete their crossings with ``splice``.  The searches build the sites
+they list with ``_build`` alone, so a child costs its local edit and its
+key; ``apply_move`` lists the sites of its kind on every call.
+``Diagram._validate`` stays the one definition of a valid map; the tests
+hold every move result to it.
 
 ``shadow=True`` runs the same machinery on shadows: over/under data is
 ignored, conditions that only exist to protect over/under consistency are
@@ -44,6 +46,7 @@ once the search has reached their crossing count.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
@@ -86,28 +89,7 @@ def normalize_shadow(d: Diagram) -> Diagram:
     return d.with_parities(d.shadow_parities())
 
 
-# -- applicability and application, one move kind at a time -------------------
-
-
-def _require(cond: bool, why: str) -> None:
-    if not cond:
-        raise MoveNotApplicable(why)
-
-
-def _dart(d: Diagram, x) -> Dart:
-    """``x`` as a dart of ``d``: a pair of plain ints naming one of its
-    slots.  A float or bool would pass a dict lookup, since it hashes equal
-    to its int, and then ride into the child's dart arrays."""
-    x = tuple(x)
-    _require(len(x) == 2 and type(x[0]) is int and type(x[1]) is int, "not a dart")
-    n, s = x
-    _require(0 <= n < len(d.nodes) and 0 <= s < d.nodes[n].degree, "no such dart")
-    return x
-
-
-def _bit(x) -> int:
-    _require(type(x) is int and x in (0, 1), "over and flip must be 0 or 1")
-    return x
+# -- where each move kind applies, and what it builds --------------------------
 
 
 def _straight(c: int) -> dict[Dart, Dart]:
@@ -122,24 +104,8 @@ def _kink(d: Diagram, c: int, s: int) -> bool:
     return type(d.nodes[c]) is Crossing and partner[first[c] + s] == (c, (s + 1) % 4)
 
 
-def _check_r1_remove(d: Diagram, params, shadow: bool):
-    c, s = _dart(d, params)
-    _require(_kink(d, c, s), "no kink at that crossing slot")
-    return c, s
-
-
 def _r1_remove(d: Diagram, params) -> Diagram:
     return splice(d, _straight(params[0]))
-
-
-def _check_r1_add(d: Diagram, params, shadow: bool):
-    if params[0] == "loop":
-        (_, over) = params
-        _require(d.free_loops >= 1, "no free loop to curl")
-        return "loop", _bit(over)
-    (arc_index, over, flip) = params
-    _require(type(arc_index) is int and 0 <= arc_index < len(d.arcs), "no such arc")
-    return arc_index, _bit(over), _bit(flip)
 
 
 def _r1_add(d: Diagram, params) -> Diagram:
@@ -185,44 +151,11 @@ def _poke(d: Diagram, s: Dart, t: Dart, shadow: bool) -> bool:
     return shadow or (i % 2 == nodes[q].over) == (k % 2 == nodes[p].over)
 
 
-def _check_r2_remove(d: Diagram, params, shadow: bool):
-    (s, t) = params
-    s, t = _dart(d, s), _dart(d, t)
-    _require(_poke(d, s, t, shadow), "not a bigon of two crossings that poke")
-    return s, t
-
-
 def _r2_remove(d: Diagram, params) -> Diagram:
     s, t = params
     thru = _straight(s[0])
     thru.update(_straight(t[0]))
     return splice(d, thru)
-
-
-def _check_r2_add(d: Diagram, params, shadow: bool):
-    (d1, d2, over) = params
-    over = _bit(over)
-    u1 = None if d1 == "loop" else _dart(d, d1)
-    u2 = None if d2 == "loop" else _dart(d, d2)
-    loops = (u1 is None) + (u2 is None)
-    _require(d.free_loops >= loops, "not enough free loops to poke")
-    if loops == 0:
-        deg, first, partner = d._darts
-        w1 = partner[first[u1[0]] + u1[1]]
-        w2 = partner[first[u2[0]] + u2[1]]
-        _require(len({u1, w1, u2, w2}) == 4, "darts must sit on two distinct arcs")
-        # within one component both darts must border a common face;
-        # separate components can always be arranged to present any two
-        # faces to each other, since the map does not record their relative
-        # nesting
-        if any(u1[0] in comp and u2[0] in comp for comp in d.components()):
-            start = i = first[u1[0]] + u1[1]
-            target = first[u2[0]] + u2[1]
-            while i != target:
-                m, t = partner[i]
-                i = first[m] + (t + 1) % deg[m]
-                _require(i != start, "darts do not border a common face")
-    return ("loop" if u1 is None else u1), ("loop" if u2 is None else u2), over
 
 
 def _r2_add(d: Diagram, params) -> Diagram:
@@ -279,13 +212,6 @@ def _slides(d: Diagram, s1: Dart, shadow: bool) -> bool:
     )
 
 
-def _check_r3(d: Diagram, params, shadow: bool):
-    (anchor,) = params
-    s1 = _dart(d, anchor)
-    _require(_slides(d, s1, shadow), "not a triangle a strand slides across")
-    return (s1,)
-
-
 def _r3(d: Diagram, params) -> Diagram:
     (s1,) = params
     s2 = d.phi(s1)
@@ -323,26 +249,9 @@ def _r3(d: Diagram, params) -> Diagram:
     return Diagram._trusted(d.nodes, darts, d.free_loops, d.crossing_count)
 
 
-def _check_crossing_change(d: Diagram, params, shadow: bool):
-    (c,) = params
-    _require(not shadow, "crossing changes are invisible on shadows")
-    _require(
-        type(c) is int and 0 <= c < len(d.nodes) and d.is_crossing(c), "not a crossing"
-    )
-    return (c,)
-
-
 def _crossing_change(d: Diagram, params) -> Diagram:
     (c,) = params
     return d.with_parities({c: 1 - d.nodes[c].over})
-
-
-def _check_r5_twist(d: Diagram, params, shadow: bool):
-    (v, i, over) = params
-    v, i = _dart(d, (v, i))
-    _require(not d.is_crossing(v), "not a vertex")
-    _require(d.degree_of(v) >= 2, "twisting needs two adjacent slots")
-    return v, i, _bit(over)
 
 
 def _r5_twist(d: Diagram, params) -> Diagram:
@@ -379,12 +288,6 @@ def _twisted(d: Diagram, v: int, i: int) -> bool:
     )
 
 
-def _check_r5_untwist(d: Diagram, params, shadow: bool):
-    v, i = _dart(d, params)
-    _require(_twisted(d, v, i), "adjacent slots do not feed a twist crossing")
-    return v, i
-
-
 def _r5_untwist(d: Diagram, params) -> Diagram:
     (v, i) = params
     _deg, first, partner = d._darts
@@ -395,20 +298,17 @@ def _r5_untwist(d: Diagram, params) -> Diagram:
 
 
 # Every move kind, in the order ``enumerate_moves`` lists them, with its
-# change in the crossing count, its guard and its build.  The guard takes a
-# caller's parameters, types them and checks that the site applies, or
-# raises ``MoveNotApplicable``; it returns the parameters in the form that
-# ``enumerate_moves`` lists, which the build turns into the child.  Only
-# the guards read ``shadow``.
+# change in the crossing count and its build, which makes the child of a
+# listed site from its parameters alone.  Only the listing reads ``shadow``.
 _KINDS = {
-    "R1_remove": (-1, _check_r1_remove, _r1_remove),
-    "R2_remove": (-2, _check_r2_remove, _r2_remove),
-    "R5_untwist": (-1, _check_r5_untwist, _r5_untwist),
-    "R3": (0, _check_r3, _r3),
-    "CrossingChange": (0, _check_crossing_change, _crossing_change),
-    "R1_add": (1, _check_r1_add, _r1_add),
-    "R2_add": (2, _check_r2_add, _r2_add),
-    "R5_twist": (1, _check_r5_twist, _r5_twist),
+    "R1_remove": (-1, _r1_remove),
+    "R2_remove": (-2, _r2_remove),
+    "R5_untwist": (-1, _r5_untwist),
+    "R3": (0, _r3),
+    "CrossingChange": (0, _crossing_change),
+    "R1_add": (1, _r1_add),
+    "R2_add": (2, _r2_add),
+    "R5_twist": (1, _r5_twist),
 }
 
 MOVE_KINDS = tuple(_KINDS)
@@ -419,97 +319,123 @@ MOVE_KINDS = tuple(_KINDS)
 ISOTOPY_KINDS = tuple(k for k in MOVE_KINDS if k != "CrossingChange")
 
 
+def _listed(d: Diagram, kind: str, shadow: bool) -> list[tuple]:
+    """The parameters of every site of ``kind`` on ``d``, unsorted: the one
+    definition of where a move of that kind applies."""
+    overs = (0,) if shadow else (0, 1)
+    if kind == "R1_remove":
+        return [(c, s) for c in d.crossings() for s in range(4) if _kink(d, c, s)]
+    if kind == "R2_remove":
+        # a face starts at its least dart, so a bigon's two are sorted
+        return [f for f in d.faces() if len(f) == 2 and _poke(d, *f, shadow)]
+    if kind == "R5_untwist":
+        return [
+            (v, i) for v in d.vertices() for i in range(d.degree_of(v)) if _twisted(d, v, i)
+        ]
+    if kind == "R3":
+        return [
+            (anchor,)
+            for face in d.faces()
+            if len(face) == 3 and _slides(d, face[0], shadow)
+            for anchor in face
+        ]
+    if kind == "CrossingChange":
+        return [] if shadow else [(c,) for c in d.crossings()]
+    found: list[tuple] = []
+    if kind == "R1_add":
+        for i in range(len(d.arcs)):
+            for over in overs:
+                for flip in (0, 1):
+                    found.append((i, over, flip))
+        if d.free_loops >= 1:
+            for over in overs:
+                found.append(("loop", over))
+    elif kind == "R2_add":
+        _deg, first, partner = d._darts
+        for face in d.faces():
+            # on a shadow, (u2, u1) pokes the bigon (u1, u2) does; keep
+            # the twin whose text sorts first, each dart formatted once
+            texts = [str(u) for u in face] if shadow else None
+            for j, u1 in enumerate(face):
+                for k, u2 in enumerate(face):
+                    if u1 == u2 or partner[first[u1[0]] + u1[1]] == u2:
+                        continue
+                    if shadow and texts[k] < texts[j]:
+                        continue
+                    for over in overs:
+                        found.append((u1, u2, over))
+        # darts of separate components need no common face: the components
+        # can always be arranged to present any two faces to each other,
+        # since the map does not record their relative nesting
+        comps = d.components()
+        if len(comps) > 1:
+            comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
+            for u1 in d.darts():
+                for u2 in d.darts():
+                    if comp_of[u1[0]] < comp_of[u2[0]]:
+                        for over in overs:
+                            found.append((u1, u2, over))
+        if d.free_loops >= 1:
+            for dart in d.darts():
+                for over in overs:
+                    found.append(("loop", dart, over))
+                    found.append((dart, "loop", over))
+        if d.free_loops >= 2:
+            for over in overs:
+                found.append(("loop", "loop", over))
+    elif kind == "R5_twist":
+        for v in d.vertices():
+            deg = d.degree_of(v)
+            if deg < 2:
+                continue
+            for i in range(deg):
+                for over in overs:
+                    found.append((v, i, over))
+    return found
+
+
+def _plain(params) -> bool:
+    """``params`` is spelled as the listing spells parameters: a tuple of
+    plain ints, strings and pairs of plain ints.  A float or bool would
+    match a listed int, since it equals and hashes like it, and then ride
+    into the child.  Two levels deep, so no nesting recurses."""
+    return type(params) is tuple and all(
+        type(x) is int
+        or type(x) is str
+        or (type(x) is tuple and len(x) == 2 and type(x[0]) is int and type(x[1]) is int)
+        for x in params
+    )
+
+
 def apply_move(d: Diagram, site: MoveSite, shadow: bool = False) -> Diagram:
-    """The diagram ``site`` makes of ``d``; a site that does not apply, or
-    whose parameters are malformed, raises ``MoveNotApplicable``."""
-    if site.kind not in _KINDS:
-        raise MoveNotApplicable(f"unknown move kind {site.kind!r}")
-    _delta, check, build = _KINDS[site.kind]
-    try:
-        return build(d, check(d, site.params, shadow))
-    except (TypeError, ValueError, KeyError, IndexError):
-        raise MoveNotApplicable(
-            f"malformed parameters {site.params!r} for {site.kind}"
-        ) from None
+    """The diagram ``site`` makes of ``d``.  A site applies exactly when
+    ``enumerate_moves(d, shadow=shadow)`` lists it, up to the order of an
+    ``R2_remove``'s two darts; any other raises ``MoveNotApplicable``."""
+    kind, params = site.kind, site.params
+    if type(kind) is str and kind in _KINDS and _plain(params):
+        found = _listed(d, kind, shadow)
+        if params in found or (kind == "R2_remove" and params[::-1] in found):
+            return _build(d, site)
+    # reprlib cuts the text of a deeply nested or huge input short
+    raise MoveNotApplicable(f"{reprlib.repr(kind)} does not apply at {reprlib.repr(params)}")
 
 
 def enumerate_moves(
     d: Diagram, kinds=MOVE_KINDS, shadow: bool = False
 ) -> list[MoveSite]:
     """All applicable sites, in a fixed deterministic order."""
-    overs = (0,) if shadow else (0, 1)
     sites: list[MoveSite] = []
     for kind in kinds:
-        found: list[tuple] = []
-        if kind == "R1_remove":
-            found = [(c, s) for c in d.crossings() for s in range(4) if _kink(d, c, s)]
-        elif kind == "R2_remove":
-            # a face starts at its least dart, so a bigon's two are sorted
-            found = [f for f in d.faces() if len(f) == 2 and _poke(d, *f, shadow)]
-        elif kind == "R5_untwist":
-            found = [
-                (v, i)
-                for v in d.vertices()
-                for i in range(d.degree_of(v))
-                if _twisted(d, v, i)
-            ]
-        elif kind == "R3":
-            for face in d.faces():
-                if len(face) == 3 and _slides(d, face[0], shadow):
-                    found.extend((anchor,) for anchor in face)
-        elif kind == "CrossingChange":
-            if not shadow:
-                for c in d.crossings():
-                    found.append((c,))
-        elif kind == "R1_add":
-            for i in range(len(d.arcs)):
-                for over in overs:
-                    for flip in (0, 1):
-                        found.append((i, over, flip))
-            if d.free_loops >= 1:
-                for over in overs:
-                    found.append(("loop", over))
-        elif kind == "R2_add":
-            _deg, first, partner = d._darts
-            for face in d.faces():
-                # on a shadow, (u2, u1) pokes the bigon (u1, u2) does; keep
-                # the twin whose text sorts first, each dart formatted once
-                texts = [str(u) for u in face] if shadow else None
-                for j, u1 in enumerate(face):
-                    for k, u2 in enumerate(face):
-                        if u1 == u2 or partner[first[u1[0]] + u1[1]] == u2:
-                            continue
-                        if shadow and texts[k] < texts[j]:
-                            continue
-                        for over in overs:
-                            found.append((u1, u2, over))
-            comps = d.components()
-            if len(comps) > 1:
-                comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
-                for u1 in d.darts():
-                    for u2 in d.darts():
-                        if comp_of[u1[0]] < comp_of[u2[0]]:
-                            for over in overs:
-                                found.append((u1, u2, over))
-            if d.free_loops >= 1:
-                for dart in d.darts():
-                    for over in overs:
-                        found.append(("loop", dart, over))
-                        found.append((dart, "loop", over))
-            if d.free_loops >= 2:
-                for over in overs:
-                    found.append(("loop", "loop", over))
-        elif kind == "R5_twist":
-            for v in d.vertices():
-                deg = d.degree_of(v)
-                if deg < 2:
-                    continue
-                for i in range(deg):
-                    for over in overs:
-                        found.append((v, i, over))
+        found = _listed(d, kind, shadow)
         found.sort(key=str)
         sites.extend(MoveSite(kind, p) for p in found)
     return sites
+
+
+def _build(d: Diagram, site: MoveSite) -> Diagram:
+    """The diagram made by a site that ``_listed`` lists for ``d``: its
+    kind's build alone, with no check."""
+    return _KINDS[site.kind][1](d, site.params)
 
 
 # -- searches -----------------------------------------------------------------
@@ -522,17 +448,12 @@ class SearchResult:
     states: int
 
 
-def _build(d: Diagram, site: MoveSite) -> Diagram:
-    """The diagram made by a site that ``enumerate_moves`` listed for
-    ``d``: such a site applies, so only its kind's build runs."""
-    return _KINDS[site.kind][2](d, site.params)
-
-
 def _neighbors(d: Diagram, budget: Budget, shadow: bool, kinds=ISOTOPY_KINDS):
     """Each site of ``kinds`` on ``d`` within the budget, with the diagram
     it makes.  A kind changes the crossing count by its delta exactly, so
     keeping out the kinds that would pass the cap keeps out every child
-    over it, and every site offered applies, so it is built unguarded.
+    over it.  Every site comes from the listing, so ``_build`` makes it
+    without the look-up ``apply_move`` does.
 
     ``enumerate_moves`` offers an R3 triangle at each of its three darts,
     and all three slides make the same map, so only the first of them in
@@ -744,8 +665,14 @@ def equivalent_within(
         code, site = records[0][code]
         path.append(site)
     path.reverse()
+    # each site of the forward half was listed on the diagram it is built
+    # from here, so it is built unchecked
+    cur = d1
+    for site in path:
+        cur = _build(cur, site)
+    if shadow:
+        cur = normalize_shadow(cur)
     # backward half: walk meet .. d2 recovering the inverse of each stored move
-    cur = replay_path(d1, path, shadow=shadow)
     code = meet
     while records[1][code][0] is not None:
         parent, reached_by = records[1][code]

@@ -121,7 +121,11 @@ def walked_sublink(projection: GraphProjection, cycles) -> Diagram:
             # loop: orientation choice is irrelevant to the caller
             return s
         start_node = projection.node_of_vertex[from_vertex]
-        return s if s.ends[0][0] == start_node else s.reversed()
+        if s.ends[0][0] == start_node:
+            return s
+        # entry dart of a reversed passage is the old exit slot
+        back = tuple((n, (t + 2) % 4) for n, t in reversed(s.passages))
+        return StrandPath((s.ends[1], s.ends[0]), back)
 
     for cycle in cycles:
         if not cycle:

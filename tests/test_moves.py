@@ -142,26 +142,37 @@ def test_every_enumerated_move_applies(d):
             assert full.shadow_code() == r.shadow_code(), site
 
 
-# the candidates of each kind whose sites a predicate filters: every
-# crossing dart, both orders of each bigon's darts, every vertex slot, and
-# every dart as a triangle's anchor
-def _filtered_candidates(d):
+# candidates of every kind, a superset of what any listing offers: every
+# dart as a kink, a twist or a triangle's anchor, both orders of each
+# bigon's darts, every node for a crossing change, every arc and free loop
+# to curl, every ordered pair of darts and free loops to poke, and every
+# slot to twist, each with both parities and flips
+def _candidates(d):
+    darts = d.darts()
+    ends = darts + ["loop"]
     return {
-        "R1_remove": [(c, s) for c in d.crossings() for s in range(4)],
-        "R2_remove": [
-            order for f in d.faces() if len(f) == 2 for order in (f, f[::-1])
+        "R1_remove": darts,
+        "R2_remove": [order for f in d.faces() if len(f) == 2 for order in (f, f[::-1])],
+        "R5_untwist": darts,
+        "R3": [(x,) for x in darts],
+        "CrossingChange": [(n,) for n in range(len(d.nodes))],
+        "R1_add": [
+            *itertools.product(range(len(d.arcs)), (0, 1), (0, 1)),
+            *itertools.product(["loop"], (0, 1)),
         ],
-        "R5_untwist": [(v, i) for v in d.vertices() for i in range(d.degree_of(v))],
-        "R3": [(x,) for x in d.darts()],
+        "R2_add": list(itertools.product(ends, ends, (0, 1))),
+        "R5_twist": [(n, s, over) for n, s in darts for over in (0, 1)],
     }
 
 
 @pytest.mark.parametrize("d", MOVE_CORPUS + GATED_BIGONS)
 def test_a_filtered_candidate_applies_exactly_when_enumerated(d):
-    """The converse of ``test_every_enumerated_move_applies``: a candidate
-    that ``enumerate_moves`` leaves out is rejected by its move."""
+    """The converse of ``test_every_enumerated_move_applies``: with and
+    without ``shadow``, a candidate applies exactly when ``enumerate_moves``
+    lists it (an ``R2_remove`` in either order), and is otherwise rejected
+    by its move."""
     for shadow in (False, True):
-        for kind, candidates in _filtered_candidates(d).items():
+        for kind, candidates in _candidates(d).items():
             listed = {s.params for s in enumerate_moves(d, (kind,), shadow=shadow)}
             assert listed <= set(candidates)
             for params in candidates:
@@ -259,9 +270,9 @@ def removal_thru(d, site):
 
 @pytest.mark.parametrize("d", MOVE_CORPUS)
 def test_unguarded_builds_match_the_guarded_moves(d):
-    """A search builds the sites ``enumerate_moves`` lists without their
-    guards; each child equals what ``apply_move`` makes of the same site,
-    after its guard, and is a map that full validation accepts."""
+    """A search builds the sites ``enumerate_moves`` lists without looking
+    them up in the listing; each child equals what ``apply_move`` makes of
+    the same site, and is a map that full validation accepts."""
     budget = Budget(max_crossings=d.crossing_count + 2)  # room for every kind
     for shadow in (False, True):
         expected, slid = [], set()
@@ -357,6 +368,9 @@ def test_the_three_anchors_of_a_triangle_slide_it_alike(d, shadow):
 
 def test_move_parameters_of_the_wrong_type_are_rejected():
     d = trefoil()
+    deep = ()
+    for _ in range(10_000):  # deeper than any recursion could follow
+        deep = (deep,)
     for site in (
         MoveSite("R1_add", (0, 0.5, 0)),  # an over parity that is no parity
         MoveSite("R1_add", (0, True, 0)),  # a bool would ride into the node
@@ -365,6 +379,11 @@ def test_move_parameters_of_the_wrong_type_are_rejected():
         MoveSite("R3", ((0.0, 0),)),
         MoveSite("CrossingChange", (True,)),
         MoveSite("R1_add", (0, 0)),  # too few parameters
+        MoveSite("R1_add", [0, 0, 0]),  # listed as a tuple, not a list
+        MoveSite("R2_add", ([0, 1], (1, 1), 0)),  # a dart as a list
+        MoveSite("R3", deep),
+        MoveSite("R2_add", (deep, (1, 1), 0)),
+        MoveSite(["R1_add"], (0, 0, 0)),  # an unhashable kind
     ):
         with pytest.raises(MoveNotApplicable):
             apply_move(d, site)
