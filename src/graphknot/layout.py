@@ -1,6 +1,8 @@
 """Construct a concrete diagram of any multigraph by greedy edge insertion.
 
-Edges are inserted one at a time into a growing ``Diagram``.  Each new edge
+Edges are inserted one at a time into a growing ``Diagram``, each by a
+local edit of its dart arrays taken on trust; the finished drawing is
+validated once.  Each new edge
 is routed from a corner at one endpoint to a corner at the other by a
 breadth-first search through the faces, crossing as few existing arcs as
 possible (deterministic tie-breaks).  A crossed arc passes *over* the new
@@ -12,8 +14,9 @@ spheres.
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
 
-from .diagram import Crossing, Dart, Diagram, Vertex
+from .diagram import Crossing, Dart, Diagram, Vertex, _join
 from .errors import FormatError
 from .multigraph import Multigraph
 
@@ -64,42 +67,59 @@ def _route(d: Diagram, u: int, v: int) -> tuple[int, list[Dart], int]:
 
 
 def _insert_edge(d: Diagram, u: int, v: int) -> Diagram:
-    """``d`` with one more edge between its vertices ``u`` and ``v``."""
-    nodes = list(d.nodes)
+    """``d`` with one more edge between its vertices ``u`` and ``v``, on
+    trust: a local edit of ``d``'s dart arrays that opens the new slots,
+    renumbers the slots after them and the arcs that end there, and joins
+    the new edge through one new crossing per arc it crosses."""
     if u == v:
         # a loop nests in the corner before slot 0; never cross anything
-        nodes[u] = Vertex(nodes[u].label, nodes[u].degree + 2)
-        arcs = [
-            tuple((n, s + 2) if n == u else (n, s) for n, s in arc) for arc in d.arcs
-        ]
-        arcs.append(((u, 0), (u, 1)))
-        return Diagram(nodes, arcs, d.free_loops)
-    if any(u in comp and v not in comp for comp in d.components()):
-        # separate spheres: bring them together through any face
-        gap_u, crossed, gap_v = d.degree_of(u), [], d.degree_of(v)
+        gaps, crossed = {u: (0, 2)}, []
     else:
-        gap_u, crossed, gap_v = _route(d, u, v)
+        if any(u in comp and v not in comp for comp in d.components()):
+            # separate spheres: bring them together through any face
+            gap_u, crossed, gap_v = d.degree_of(u), [], d.degree_of(v)
+        else:
+            gap_u, crossed, gap_v = _route(d, u, v)
+        gaps = {u: (gap_u, 1), v: (gap_v, 1)}
+    deg, first, partner = d._darts
 
     def moved(dart: Dart) -> Dart:
         n, s = dart
-        if (n == u and s >= gap_u) or (n == v and s >= gap_v):
-            return (n, s + 1)
+        if n in gaps and s >= gaps[n][0]:
+            return (n, s + gaps[n][1])
         return dart
 
-    cut = set(crossed) | {d.partner(a) for a in crossed}
-    arcs = [(moved(a), moved(b)) for a, b in d.arcs if a not in cut]
+    new_deg = list(deg)
+    new_partner = list(partner)
+    for n in sorted(gaps, reverse=True):  # the later slots first
+        at, k = gaps[n]
+        new_partner[first[n] + at:first[n] + at] = [None] * k
+        new_deg[n] += k
+    new_deg += [4] * len(crossed)
+    new_partner += [None] * (4 * len(crossed))
+    darts = (new_deg, list(accumulate(new_deg, initial=0)), new_partner)
+    for n, (at, _k) in gaps.items():
+        for s in range(at, deg[n]):
+            _join(darts, moved((n, s)), moved(partner[first[n] + s]))
+    nodes = list(d.nodes)
+    for n, (_at, k) in gaps.items():
+        nodes[n] = Vertex(nodes[n].label, nodes[n].degree + k)
+    if u == v:
+        _join(darts, (u, 0), (u, 1))
+        return Diagram._trusted(tuple(nodes), darts, d.free_loops, d.crossing_count)
     prev = (u, gap_u)
     for a in crossed:
         # onward 0, left 1, backward 2, right 3: the old arc keeps the
         # upper strand
         x = len(nodes)
         nodes.append(Crossing(1))
-        arcs += [(moved(a), (x, 1)), (moved(d.partner(a)), (x, 3)), (prev, (x, 2))]
+        _join(darts, moved(a), (x, 1))
+        _join(darts, moved(d.partner(a)), (x, 3))
+        _join(darts, prev, (x, 2))
         prev = (x, 0)
-    arcs.append((prev, (v, gap_v)))
-    for n in (u, v):
-        nodes[n] = Vertex(nodes[n].label, nodes[n].degree + 1)
-    return Diagram(nodes, arcs, d.free_loops)
+    _join(darts, prev, (v, gap_v))
+    count = d.crossing_count + len(crossed)
+    return Diagram._trusted(tuple(nodes), darts, d.free_loops, count)
 
 
 def base_diagram(g: Multigraph, edge_order: list[int] | None = None) -> Diagram:
@@ -108,7 +128,8 @@ def base_diagram(g: Multigraph, edge_order: list[int] | None = None) -> Diagram:
 
     ``edge_order`` controls insertion order (edge indices; default is the
     graph's own edge order).  Later-inserted edges pass under earlier
-    material wherever they cross it.
+    material wherever they cross it.  Each edge is inserted on trust, and
+    the finished drawing is validated once.
     """
     order = list(range(g.edge_count)) if edge_order is None else list(edge_order)
     if sorted(order) != list(range(g.edge_count)):
@@ -116,4 +137,4 @@ def base_diagram(g: Multigraph, edge_order: list[int] | None = None) -> Diagram:
     d = Diagram([Vertex(str(i), 0) for i in range(g.vertex_count)], [])
     for e in order:
         d = _insert_edge(d, *g.endpoints(e))
-    return d
+    return Diagram(d.nodes, d.arcs, d.free_loops)

@@ -41,7 +41,13 @@ Both searches grow sides (``_Side``) that record each state as a parent
 and a site.  ``search_min_crossings`` grows one side breadth-first;
 ``equivalent_within`` grows one from each end, fewest crossings first, by
 partial expansion: a state's children that add crossings are built only
-once the search has reached their crossing count.
+once the search has reached their crossing count.  Every move can be
+undone, and each kind's entry in ``_KINDS`` also names the site that
+undoes a listed one, so the move graph is undirected.  Where the sides
+meet, the path's second half walks the far side's record back by those
+undo sites, each carried onto the diagram the walk has reached by
+matching the least traces of the two (``_carried``); no step lists or
+builds a neighbourhood.
 """
 
 from __future__ import annotations
@@ -297,18 +303,98 @@ def _r5_untwist(d: Diagram, params) -> Diagram:
     return splice(d, {w: x, x: w, y: z, z: y})
 
 
+# -- the way back --------------------------------------------------------------
+#
+# Every move a search takes can be undone (Kauffman, "Invariants of graphs
+# in three-space", Trans. AMS 311, 1989): each kind's undo takes a listed
+# site's parent and parameters and names the site of the child whose build
+# has the parent's state key.  R1_add and R1_remove undo each other, and
+# so do R2_add and R2_remove, and R5_twist and R5_untwist; an R3 slide is
+# undone by the slide of the triangle it leaves.  The child's node numbers
+# follow from the build: ``splice`` keeps the nodes it does not delete in
+# order, and a growing move numbers its crossings after the parent's.  An
+# undo names its site in dart form, which ``_spelled`` turns into the
+# listing's spelling on the child or on any diagram ``_carried`` takes it
+# to: an ``R1_add`` on an arc is ``((x, y), over)``, the darts its new
+# crossing's slots 0 and 1 join, and over parities and the order of two
+# poked darts are as the parent has them.
+
+
+def _kept(n: int, *removed: int) -> int:
+    """The number in the child of node ``n`` once ``splice`` deleted the
+    nodes ``removed``."""
+    return n - sum(m < n for m in removed)
+
+
+def _r1_remove_undo(d: Diagram, params) -> MoveSite:
+    # the kink's far slots c + 2 and c + 3 become slots 0 and 1 of the new
+    # crossing, so its slot t is the old slot t + s + 2
+    c, s = params
+    over = (d.nodes[c].over + s) % 2
+    x, y = d.partner((c, (s + 2) % 4)), d.partner((c, (s + 3) % 4))
+    if x[0] == c:  # both loops of the crossing close up into a free loop
+        return MoveSite("R1_add", ("loop", over))
+    return MoveSite("R1_add", (((_kept(x[0], c), x[1]), (_kept(y[0], c), y[1])), over))
+
+
+def _r1_add_undo(d: Diagram, params) -> MoveSite:
+    return MoveSite("R1_remove", (len(d.nodes), 2))
+
+
+def _r2_remove_undo(d: Diagram, params) -> MoveSite:
+    # the bigon's darts (q, i) and (p, j) become darts (c1, 2) and (c2, 1)
+    # of the poke: (q, i + 1) faces the poked strand's dart u1, and (p, j + 1)
+    # the dart u2 it is poked across; an end that runs back into the bigon
+    # is a free loop once it is gone
+    (q, i), (p, j) = params
+    over = (d.nodes[q].over + i) % 2
+
+    def end(u: Dart):
+        return "loop" if u[0] in (q, p) else (_kept(u[0], q, p), u[1])
+
+    u1, u2 = d.partner((q, (i + 1) % 4)), d.partner((p, (j + 1) % 4))
+    return MoveSite("R2_add", (end(u1), end(u2), over))
+
+
+def _r2_add_undo(d: Diagram, params) -> MoveSite:
+    c1 = len(d.nodes)
+    return MoveSite("R2_remove", ((c1, 2), (c1 + 1, 1)))
+
+
+def _r3_undo(d: Diagram, params) -> MoveSite:
+    # the slide leaves its new triangle at the far slot of each corner
+    ((q, i),) = params
+    return MoveSite("R3", ((q, (i + 2) % 4),))
+
+
+def _crossing_change_undo(d: Diagram, params) -> MoveSite:
+    return MoveSite("CrossingChange", params)
+
+
+def _r5_untwist_undo(d: Diagram, params) -> MoveSite:
+    # the crossing's slot k, fed by (v, i), becomes the new one's slot 2
+    v, i = params
+    c, k = d.partner((v, i))
+    return MoveSite("R5_twist", (_kept(v, c), i, (d.nodes[c].over + k) % 2))
+
+
+def _r5_twist_undo(d: Diagram, params) -> MoveSite:
+    return MoveSite("R5_untwist", params[:2])
+
+
 # Every move kind, in the order ``enumerate_moves`` lists them, with its
-# change in the crossing count and its build, which makes the child of a
-# listed site from its parameters alone.  Only the listing reads ``shadow``.
+# change in the crossing count, its build, which makes the child of a
+# listed site from its parameters alone, and its undo.  Only the listing
+# reads ``shadow``.
 _KINDS = {
-    "R1_remove": (-1, _r1_remove),
-    "R2_remove": (-2, _r2_remove),
-    "R5_untwist": (-1, _r5_untwist),
-    "R3": (0, _r3),
-    "CrossingChange": (0, _crossing_change),
-    "R1_add": (1, _r1_add),
-    "R2_add": (2, _r2_add),
-    "R5_twist": (1, _r5_twist),
+    "R1_remove": (-1, _r1_remove, _r1_remove_undo),
+    "R2_remove": (-2, _r2_remove, _r2_remove_undo),
+    "R5_untwist": (-1, _r5_untwist, _r5_untwist_undo),
+    "R3": (0, _r3, _r3_undo),
+    "CrossingChange": (0, _crossing_change, _crossing_change_undo),
+    "R1_add": (1, _r1_add, _r1_add_undo),
+    "R2_add": (2, _r2_add, _r2_add_undo),
+    "R5_twist": (1, _r5_twist, _r5_twist_undo),
 }
 
 MOVE_KINDS = tuple(_KINDS)
@@ -438,6 +524,78 @@ def _build(d: Diagram, site: MoveSite) -> Diagram:
     return _KINDS[site.kind][1](d, site.params)
 
 
+def _spelled(d: Diagram, site: MoveSite, shadow: bool) -> MoveSite:
+    """The listed site of ``d`` that the dart form ``site`` names.  On a
+    shadow a new crossing is over at parity 0.  Two poked darts of separate
+    components come in component order, and on a shadow two darts of one
+    face in the order of their text, as the listing offers them: poking the
+    other strand across, over at the other parity, makes the same map."""
+    kind, params = site.kind, site.params
+    if kind == "R1_add":
+        ends, over = params
+        over = 0 if shadow else over
+        if ends == "loop":
+            return MoveSite(kind, (ends, over))
+        x, y = ends
+        flip = int(y < x)
+        return MoveSite(kind, (d.arcs.index((y, x) if flip else (x, y)), over, flip))
+    if kind == "R2_add":
+        u1, u2, over = params
+        over = 0 if shadow else over
+        if u1 != "loop" and u2 != "loop":
+            comps = d.components()
+            c1 = next(k for k, comp in enumerate(comps) if u1[0] in comp)
+            if u2[0] in comps[c1]:
+                swap = shadow and str(u2) < str(u1)
+            else:
+                swap = next(k for k, comp in enumerate(comps) if u2[0] in comp) < c1
+            if swap:
+                u1, u2, over = u2, u1, over if shadow else 1 - over
+        return MoveSite(kind, (u1, u2, over))
+    if kind == "R5_twist":
+        return MoveSite(kind, (*params[:2], 0 if shadow else params[2]))
+    if kind == "R2_remove":
+        return MoveSite(kind, tuple(sorted(params)))
+    return site
+
+
+def _carried(src: Diagram, dst: Diagram, site: MoveSite, shadow: bool) -> MoveSite:
+    """The dart form ``site`` of ``src`` carried onto ``dst``, a diagram of
+    the same state key: each component's least trace numbers the nodes and
+    rotates the slots of both alike, so dart ``(n, s)`` of ``src`` is dart
+    ``(n', s - o[n] + o'[n'])`` of ``dst``, where ``n'`` has ``n``'s place in
+    the trace of ``dst``'s component of equal code and ``o``, ``o'`` are the
+    traces' slot origins."""
+    node = [0] * len(src.nodes)
+    turn = [0] * len(src.nodes)
+    for (_code, order, origin), (_same, order2, origin2) in zip(
+        sorted(src._least_traces(shadow), key=lambda p: p[0]),
+        sorted(dst._least_traces(shadow), key=lambda p: p[0]),
+    ):
+        for n, m in zip(order, order2):
+            node[n] = m
+            turn[n] = origin2[m] - origin[n]
+    deg = src._darts[0]
+
+    def to(u):
+        if u == "loop":
+            return u
+        n, s = u
+        return (node[n], (s + turn[n]) % deg[n])
+
+    kind, params = site.kind, site.params
+    if kind in ("R1_remove", "R5_untwist", "R5_twist"):  # a dart, spelled flat
+        params = (*to(params[:2]), *params[2:])
+    elif kind == "R1_add":
+        ends, over = params
+        params = (ends if ends == "loop" else (to(ends[0]), to(ends[1])), over)
+    elif kind == "CrossingChange":
+        params = (node[params[0]],)
+    else:  # darts, "loop" and over parities in place
+        params = tuple(x if type(x) is int else to(x) for x in params)
+    return MoveSite(kind, params)
+
+
 # -- searches -----------------------------------------------------------------
 
 
@@ -488,7 +646,10 @@ class _Side:
     """One side of a move search, grown from one diagram.
 
     The permanent record per visited code is just (parent code, site),
-    which is all the path reconstruction needs.  A state waiting to be
+    which is all the path reconstruction needs: a path replays the sites
+    of one side's record from its start, and walks the other side's back
+    by their undo sites, carried onto the diagram it has reached; it
+    lists no neighbourhood.  A state waiting to be
     expanded keeps only the diagram it was reached from, shared by its
     siblings, and is rebuilt from it and its site when expanded: most
     states are never expanded, so this keeps few diagrams alive.
@@ -592,23 +753,19 @@ def simplify(d: Diagram, budget: Budget | None = None) -> Diagram:
 @dataclass
 class EquivalenceResult:
     equivalent: bool | None  # None: undecided within the state budget
-    path: tuple[MoveSite, ...] | None
+    path: tuple[MoveSite, ...] | None  # given exactly when equivalent is True
     states: int
     exhausted: bool
 
 
-def _recover_step(cur: Diagram, target_code, back: MoveSite, budget, shadow):
-    """The first site of ``cur`` that leads to the state ``target_code``,
-    which ``back`` leads from to ``cur``, with the diagram it makes.  Such
-    a step changes the crossing count by minus what ``back`` does, so only
-    the kinds that do are tried."""
-    key = _state_key(shadow)
-    delta = -_KINDS[back.kind][0]
-    kinds = tuple(k for k in ISOTOPY_KINDS if _KINDS[k][0] == delta)
-    for site, nd in _neighbors(cur, budget, shadow, kinds):
-        if key(nd) == target_code:
-            return site, nd
-    return None
+def _sites_to(record, code) -> list[MoveSite]:
+    """The sites that lead from a side's start to its state ``code``."""
+    sites = []
+    while record[code][0] is not None:
+        code, site = record[code]
+        sites.append(site)
+    sites.reverse()
+    return sites
 
 
 def equivalent_within(
@@ -626,9 +783,13 @@ def equivalent_within(
     (``_Side``).  The side with fewer waiting entries goes next (Pohl's
     cardinality rule).  The search stops when a side reaches a state the
     other has recorded, so a path it returns joins the two diagrams but is
-    not promised to be a shortest one.  Every move a side takes is undone
-    by a move the other side's walk back can take, so ``equivalent=True``
-    comes with a path that ``replay_path`` follows from ``d1`` to ``d2``.
+    not promised to be a shortest one.  ``equivalent=True`` always comes
+    with a path, which ``replay_path`` follows from ``d1`` to ``d2``: the
+    forward half replays the sites the first side recorded, and the
+    backward half rebuilds the second side's lineage from ``d2`` to the
+    meeting state and takes the undo of each of its sites, in reverse,
+    carried onto the diagram the path has reached.  Any other answer has
+    ``path=None``.
 
     ``equivalent=False`` means the full reachable sets within the crossing
     cap were separated: no path of the moves in ``MOVE_KINDS`` other than
@@ -658,30 +819,24 @@ def equivalent_within(
     states = len(records[0]) + len(records[1])
     if meet is None:  # a side ran out of waiting states
         return EquivalenceResult(False, None, states, True)
-    # forward half: d1 .. meet
-    path = []
-    code = meet
-    while records[0][code][0] is not None:
-        code, site = records[0][code]
-        path.append(site)
-    path.reverse()
-    # each site of the forward half was listed on the diagram it is built
-    # from here, so it is built unchecked
+    # each site of either half was listed on the diagram it is built from
+    # here, so it is built unchecked
+    path = _sites_to(records[0], meet)
     cur = d1
     for site in path:
         cur = _build(cur, site)
-    if shadow:
-        cur = normalize_shadow(cur)
-    # backward half: walk meet .. d2 recovering the inverse of each stored move
-    code = meet
-    while records[1][code][0] is not None:
-        parent, reached_by = records[1][code]
-        step = _recover_step(cur, parent, reached_by, budget, shadow)
-        if step is None:  # a move without a listed inverse costs the path only
-            return EquivalenceResult(True, None, states, True)
-        site, cur = step
-        path.append(site)
-        code = parent
+    # backward half: rebuild the lineage d2 .. meet, then walk it back from
+    # cur, a diagram of meet's key, by the undo of each of its sites,
+    # carried from the lineage onto cur
+    back = _sites_to(records[1], meet)
+    lineage = [d2]
+    for site in back:
+        lineage.append(_build(lineage[-1], site))
+    for site, parent, child in reversed(list(zip(back, lineage, lineage[1:]))):
+        undo = _KINDS[site.kind][2](parent, site.params)
+        step = _spelled(cur, _carried(child, cur, undo, shadow), shadow)
+        path.append(step)
+        cur = _build(cur, step)
     return EquivalenceResult(True, tuple(path), states, True)
 
 

@@ -9,9 +9,11 @@ import networkx as nx
 
 from graphknot import Diagram, LaurentPoly, Multigraph, NotALinkError, SizeLimitExceeded
 from graphknot.diagram import (
+    Crossing,
     Dart,
     GraphProjection,
     StrandPath,
+    Vertex,
     _arcs_of,
     _rejoin,
     crossing_assignments,
@@ -29,7 +31,7 @@ from graphknot.invariants import (
     disjoint_cycle_pairs,
     simple_cycles,
 )
-from graphknot.layout import base_diagram
+from graphknot.layout import _route, base_diagram
 from graphknot.moves import (
     ISOTOPY_KINDS,
     Budget,
@@ -342,6 +344,51 @@ def atlas_graphs(max_vertices=6):
         n = G.number_of_nodes()
         if 0 < n <= max_vertices and nx.is_connected(G):
             yield i, Multigraph(n, tuple(sorted(tuple(sorted(e)) for e in G.edges())))
+
+
+def validated_base_diagram(g: Multigraph, edge_order=None) -> Diagram:
+    """``layout.base_diagram`` the slow way: each edge inserted by building,
+    sorting and validating a whole ``Diagram`` from a list of arcs."""
+    order = list(range(g.edge_count)) if edge_order is None else list(edge_order)
+    d = Diagram([Vertex(str(i), 0) for i in range(g.vertex_count)], [])
+    for e in order:
+        d = _validated_insert_edge(d, *g.endpoints(e))
+    return d
+
+
+def _validated_insert_edge(d: Diagram, u: int, v: int) -> Diagram:
+    nodes = list(d.nodes)
+    if u == v:
+        # a loop nests in the corner before slot 0; never cross anything
+        nodes[u] = Vertex(nodes[u].label, nodes[u].degree + 2)
+        arcs = [
+            tuple((n, s + 2) if n == u else (n, s) for n, s in arc) for arc in d.arcs
+        ]
+        arcs.append(((u, 0), (u, 1)))
+        return Diagram(nodes, arcs, d.free_loops)
+    if any(u in comp and v not in comp for comp in d.components()):
+        gap_u, crossed, gap_v = d.degree_of(u), [], d.degree_of(v)
+    else:
+        gap_u, crossed, gap_v = _route(d, u, v)
+
+    def moved(dart):
+        n, s = dart
+        if (n == u and s >= gap_u) or (n == v and s >= gap_v):
+            return (n, s + 1)
+        return dart
+
+    cut = set(crossed) | {d.partner(a) for a in crossed}
+    arcs = [(moved(a), moved(b)) for a, b in d.arcs if a not in cut]
+    prev = (u, gap_u)
+    for a in crossed:
+        x = len(nodes)
+        nodes.append(Crossing(1))
+        arcs += [(moved(a), (x, 1)), (moved(d.partner(a)), (x, 3)), (prev, (x, 2))]
+        prev = (x, 0)
+    arcs.append((prev, (v, gap_v)))
+    for n in (u, v):
+        nodes[n] = Vertex(nodes[n].label, nodes[n].degree + 1)
+    return Diagram(nodes, arcs, d.free_loops)
 
 
 def small_crossing_number(g: Multigraph) -> int | None:

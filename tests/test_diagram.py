@@ -11,6 +11,7 @@ from graphknot import (
     Crossing,
     Diagram,
     FormatError,
+    Multigraph,
     RationalTangle,
     SizeLimitExceeded,
     TopologyError,
@@ -38,7 +39,13 @@ from graphknot.gallery import (
 from graphknot.diagram import splice
 from graphknot.invariants import CIRCLE_POLY, LaurentPoly, cycle_vertices
 from graphknot.layout import base_diagram
-from oracles import mirror_diagram, monomial, splice_identify
+from oracles import (
+    atlas_graphs,
+    mirror_diagram,
+    monomial,
+    splice_identify,
+    validated_base_diagram,
+)
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -330,6 +337,25 @@ def test_base_diagram_places_vertices_in_graph_order():
     assert d.vertices() == [0, 1, 2, 3]
     assert [d.nodes[n].label for n in d.vertices()] == ["0", "1", "2", "3"]
     assert d.crossing_count == 0
+
+
+def test_base_diagram_matches_the_validating_builder():
+    """Edges inserted on trust and the drawing validated once give, byte
+    for byte, the drawing of a builder that validated each intermediate
+    one: on every connected atlas graph with at most seven vertices, by its
+    default edge order and two seeded others, and on multigraphs with
+    loops and parallel edges."""
+    looped = [
+        Multigraph(2, ((0, 0), (0, 1), (1, 1))),
+        Multigraph(3, ((0, 0), (0, 1), (0, 1), (0, 2), (1, 2), (2, 2), (2, 2))),
+        Multigraph(5, tuple(complete_graph(5).edges) + ((3, 3), (1, 4))),
+    ]
+    for g in [g for _i, g in atlas_graphs(max_vertices=7)] + looped:
+        m = g.edge_count
+        shuffled = [random.Random(seed).sample(range(m), m) for seed in (0, 1)]
+        for order in [None, *shuffled]:
+            want = diagram_to_text(validated_base_diagram(g, order))
+            assert diagram_to_text(base_diagram(g, order)) == want, (g, order)
 
 
 def test_base_diagram_of_k5_is_the_stored_drawing():

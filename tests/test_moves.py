@@ -1,6 +1,7 @@
 """Local moves: enumeration, application, inverses, and equivalence search."""
 
 import itertools
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -42,7 +43,18 @@ from graphknot.gallery import (
     wheel4,
 )
 from graphknot.layout import base_diagram
-from graphknot.moves import _Side, _kink, _neighbors, _poke, _slides, _state_key, _twisted
+from graphknot.moves import (
+    _KINDS,
+    _Side,
+    _carried,
+    _kink,
+    _neighbors,
+    _poke,
+    _slides,
+    _spelled,
+    _state_key,
+    _twisted,
+)
 from oracles import (
     arc_partners,
     bigon_pokes,
@@ -194,6 +206,71 @@ def test_the_gated_bigons_poke_but_offer_no_removal(shadow):
         listed = [s.params for s in enumerate_moves(d, ("R2_remove",), shadow=shadow)]
         assert [f for f in bigons if poke(d, pair, *f, shadow)] == listed
         assert set(poking) - set(listed), shadow
+
+
+def _undo_site(d, site, child, shadow):
+    """The site of ``child`` that undoes ``site``, spelled as the listing
+    of ``child`` spells it."""
+    return _spelled(child, _KINDS[site.kind][2](d, site.params), shadow)
+
+
+@pytest.mark.parametrize("shadow", [False, True])
+@pytest.mark.parametrize("d", MOVE_CORPUS + GATED_BIGONS)
+def test_every_listed_site_is_undone_by_its_undo_site(d, shadow):
+    """The undo of every listed isotopy site is listed on the child, and
+    its build has the parent's state key: the move graph is undirected."""
+    key = _state_key(shadow)
+    for site in enumerate_moves(d, ISOTOPY_KINDS, shadow=shadow):
+        child = apply_move(d, site, shadow=shadow)
+        back = _undo_site(d, site, child, shadow)
+        assert back in enumerate_moves(child, (back.kind,), shadow=shadow), (site, back)
+        assert key(apply_move(child, back, shadow=shadow)) == key(d), (site, back)
+
+
+def renumbered(d, rng):
+    """``d`` with its nodes shuffled and every node's slots rotated, by
+    ``rng``: the same map, numbered otherwise."""
+    perm = list(range(len(d.nodes)))
+    rng.shuffle(perm)
+    turn = [rng.randrange(node.degree) if node.degree else 0 for node in d.nodes]
+    nodes = [None] * len(d.nodes)
+    for n, node in enumerate(d.nodes):
+        if type(node) is Crossing:
+            node = Crossing((node.over + turn[n]) % 2)
+        nodes[perm[n]] = node
+
+    def moved(u):
+        n, s = u
+        return (perm[n], (s + turn[n]) % d.nodes[n].degree)
+
+    return Diagram(nodes, [(moved(a), moved(b)) for a, b in d.arcs], d.free_loops)
+
+
+def _dart_form(d, site):
+    """``site`` with an ``R1_add``'s arc named by the two darts its kink
+    joins, as the undos name it."""
+    if site.kind != "R1_add" or site.params[0] == "loop":
+        return site
+    i, over, flip = site.params
+    x, y = d.arcs[i]
+    return MoveSite("R1_add", ((y, x) if flip else (x, y), over))
+
+
+@pytest.mark.parametrize("shadow", [False, True])
+@pytest.mark.parametrize("d", MOVE_CORPUS + GATED_BIGONS)
+def test_a_site_carried_to_a_renumbered_copy_is_listed_there_and_builds_alike(d, shadow):
+    """Carried through the least traces onto ``canonical_form`` and onto
+    two seeded renumberings that also rotate the slots, every listed site
+    is listed on the copy and builds a diagram of the same state key."""
+    key = _state_key(shadow)
+    rng = random.Random(29)
+    for copy in (d.canonical_form(), renumbered(d, rng), renumbered(d, rng)):
+        assert key(copy) == key(d)
+        listed = set(enumerate_moves(copy, ISOTOPY_KINDS, shadow=shadow))
+        for site in enumerate_moves(d, ISOTOPY_KINDS, shadow=shadow):
+            moved = _spelled(copy, _carried(d, copy, _dart_form(d, site), shadow), shadow)
+            assert moved in listed, (site, moved)
+            assert key(apply_move(copy, moved, shadow=shadow)) == key(apply_move(d, site, shadow=shadow))
 
 
 def _side_reachable(d, budget, shadow):
@@ -623,8 +700,8 @@ def test_the_hopf_kink_bigon_perturbations_come_with_a_path():
 
 def test_a_shadow_path_replays_to_the_target_shadow():
     # case 252 of the descending acceptance test, a loop at one of four
-    # vertices: keyed by parity-relative codes, its backward half found no
-    # over-0 R2_add whose code was the stored one
+    # vertices: a shadow search's steps are listed over 0, so the walk back
+    # spells each undo site over 0, whatever the crossing it rebuilds had
     from test_acceptance import descending_pair
 
     dd1, dd2 = descending_pair(252)
@@ -647,6 +724,8 @@ def _agrees_with_the_level_order_search(d1, d2, budget, shadow):
     verdict, _states = level_order_equivalent(d1, d2, budget, shadow=shadow)
     assert verdict is not None, "the budget must let both searches finish"
     assert res.equivalent is verdict
+    # one answer shape: a path exactly when the diagrams are equivalent
+    assert (res.path is not None) == (res.equivalent is True)
     if res.path is not None:
         assert _replays(d1, d2, res.path, shadow)
 

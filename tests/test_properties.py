@@ -36,7 +36,7 @@ from graphknot.criterion import VerifyReport
 from graphknot.diagram import Crossing, Diagram, Vertex
 from graphknot.gallery import figure_eight, hopf_link, k4_diagram, k5_diagram, linked_triangles
 from graphknot.layout import base_diagram
-from graphknot.moves import normalize_shadow
+from graphknot.moves import _KINDS, _spelled, normalize_shadow
 from graphknot.tangle import normalize_fraction, tangle_from_fraction
 from oracles import (
     arc_partners,
@@ -614,6 +614,24 @@ def test_every_listed_r2_removal_has_an_r2_add_inverse(d, shadow):
             for back in enumerate_moves(child, ("R2_add",), shadow=shadow)
         }
         assert key(d) in rebuilt, site
+
+
+@given(grown_diagrams(), st.booleans(), st.integers(0, 10_000))
+@settings(deadline=None, max_examples=150)
+def test_a_listed_site_of_each_kind_is_undone_by_its_undo_site(d, shadow, pick):
+    """For one listed site of each isotopy kind, the undo site its kind's
+    entry names is listed on the child, spelled as the listing spells it,
+    and its build has the parent's state key."""
+    key = Diagram.shadow_code if shadow else Diagram.canonical_code
+    for kind in ISOTOPY_KINDS:
+        sites = enumerate_moves(d, (kind,), shadow=shadow)
+        if not sites:
+            continue
+        site = sites[pick % len(sites)]
+        child = apply_move(d, site, shadow=shadow)
+        back = _spelled(child, _KINDS[kind][2](d, site.params), shadow)
+        assert back in enumerate_moves(child, (back.kind,), shadow=shadow), (site, back)
+        assert key(apply_move(child, back, shadow=shadow)) == key(d), (site, back)
 
 
 def isotopy_neighbours(d, image=lambda nd: nd):
