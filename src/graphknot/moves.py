@@ -316,8 +316,9 @@ def _r5_untwist(d: Diagram, params) -> Diagram:
 # undo names its site in dart form, which ``_spelled`` turns into the
 # listing's spelling on the child or on any diagram ``_carried`` takes it
 # to: an ``R1_add`` on an arc is ``((x, y), over)``, the darts its new
-# crossing's slots 0 and 1 join, and over parities and the order of two
-# poked darts are as the parent has them.
+# crossing's slots 0 and 1 join; a new crossing is over at the parity that
+# rebuilds the parent's crossing, even on a shadow; and two poked darts
+# come in the order that pokes the parent's strands.
 
 
 def _kept(n: int, *removed: int) -> int:
