@@ -14,6 +14,7 @@ Distinct components live on separate spheres.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -84,12 +85,13 @@ class Diagram:
     lists each arc once, at its lesser end, in dart order; a trusted
     diagram derives it from the arrays on first use.  ``canonical_code``
     and ``shadow_code`` hold one flat tuple per component (see
-    ``_least_traces``).
+    ``_least_traces``); the traces that give them also give the map's
+    symmetries (``_symmetries``), kept beside each key.
     """
 
     __slots__ = (
         "nodes", "_arcs", "free_loops", "crossing_count", "_darts", "_faces",
-        "_components", "_code", "_shadow",
+        "_components", "_code", "_shadow", "_code_maps", "_shadow_maps",
     )
 
     def __init__(self, nodes, arcs, free_loops: int = 0):
@@ -295,9 +297,10 @@ class Diagram:
     # -- canonical form -------------------------------------------------------
 
     def _least_traces(self, shadow: bool = False):
-        """(code, node order, slot origins) of each component's least trace,
-        in component order (by least node); the first root to reach the
-        least code wins.
+        """(code, node order, slot origins, ties) of each component's least
+        trace, in component order (by least node); the first root to reach
+        the least code wins, and ``ties`` holds the (node order, slot
+        origins) of every other root whose trace has that code.
 
         A trace is the breadth-first code of a component from a root dart.
         Node numbers and slot origins are both traversal-derived, so two
@@ -335,7 +338,7 @@ class Diagram:
                 continue
             if not deg[n]:
                 placed[n] = 1
-                pieces.append((n, (("isolated", label, 0), [n], {n: 0})))
+                pieces.append((n, (("isolated", label, 0), [n], {n: 0}, ())))
                 continue
             piece = _least_trace(nodes, darts, [(n, s) for s in range(deg[n])], heads)
             order = piece[1]
@@ -366,8 +369,7 @@ class Diagram:
     def canonical_code(self):
         """Hashable key equal for diagrams that are the same abstract map."""
         if self._code is None:
-            codes = sorted(code for code, _order, _origin in self._least_traces())
-            self._code = (tuple(codes), self.free_loops)
+            self._code, self._code_maps = self._keyed(False)
         return self._code
 
     def shadow_code(self):
@@ -375,9 +377,35 @@ class Diagram:
         up to crossing changes.  It is ``canonical_code`` with over/under
         ignored, and ``with_parities`` shares it."""
         if self._shadow is None:
-            codes = sorted(code for code, _order, _origin in self._least_traces(True))
-            self._shadow = (tuple(codes), self.free_loops)
+            self._shadow, self._shadow_maps = self._keyed(True)
         return self._shadow
+
+    def _keyed(self, shadow: bool):
+        """The state key of ``canonical_code`` or, with ``shadow``, of
+        ``shadow_code``, and the symmetries the same traces tie on."""
+        pieces = self._least_traces(shadow)
+        key = (tuple(sorted([piece[0] for piece in pieces])), self.free_loops)
+        maps = tuple(
+            _paired([((order, origin), tied)], len(self.nodes))
+            for _code, order, origin, ties in pieces
+            for tied in ties
+        )
+        return key, maps
+
+    def _symmetries(self, shadow: bool = False):
+        """Automorphisms of the map, or with ``shadow`` of its shadow, one
+        for each root that ties its component's least trace: every
+        automorphism of a component sends the winning root to a root of the
+        same trace, and is fixed by where it sends it, since the component
+        is connected.  Each is a dart map ``(node, turn)``, as ``_paired``
+        gives it, that moves one component and fixes the others; an empty
+        tuple when no trace ties.  Read off the traces that made the key,
+        so a diagram whose key is known is not traced again."""
+        if shadow:
+            self.shadow_code()
+            return self._shadow_maps
+        self.canonical_code()
+        return self._code_maps
 
     def shadow_parities(self) -> dict[int, int]:
         """Each crossing over at the parity of the slot by which the least
@@ -386,7 +414,7 @@ class Diagram:
         the least trace too, and ``canonical_code`` equals ``shadow_code``."""
         return {
             n: origin[n] % 2
-            for _code, order, origin in self._least_traces(True)
+            for _code, order, origin, _ties in self._least_traces(True)
             for n in order
             if isinstance(self.nodes[n], Crossing)
         }
@@ -398,7 +426,7 @@ class Diagram:
         new_index: dict[int, int] = {}
         origins: dict[int, int] = {}
         new_nodes: list[Node] = []
-        for _code, order, origin in pieces:
+        for _code, order, origin, _ties in pieces:
             for n in order:
                 new_index[n] = len(new_nodes)
                 origins[n] = origin[n]
@@ -502,7 +530,8 @@ class Diagram:
 
     def with_parities(self, overs: dict[int, int]) -> "Diagram":
         """This map with crossing ``n`` over at parity ``overs[n]``, sharing the
-        dart arrays, arcs, faces, components and shadow code."""
+        dart arrays, arcs, faces, components, shadow code and shadow
+        symmetries."""
         nodes = list(self.nodes)
         for n, over in overs.items():
             if not isinstance(nodes[n], Crossing):
@@ -512,7 +541,9 @@ class Diagram:
             tuple(nodes), self._darts, self.free_loops, self.crossing_count
         )
         out._arcs, out._faces = self._arcs, self._faces
-        out._components, out._shadow = self._components, self._shadow
+        out._components = self._components
+        if self._shadow is not None:
+            out._shadow, out._shadow_maps = self._shadow, self._shadow_maps
         return out
 
 
@@ -548,15 +579,17 @@ class GraphProjection:
 
 
 def _least_trace(nodes, darts, roots, heads):
-    """(code, node order, slot origins) of the least trace of one component
-    from the root darts ``roots``, as ``Diagram._least_traces`` describes
-    it.
+    """(code, node order, slot origins, ties) of the least trace of one
+    component from the root darts ``roots``, as ``Diagram._least_traces``
+    describes it.
 
     The traces from every root advance together, one row at a time, and a
     trace drops out once its row is larger than the least row of that
     round, so no root is traced twice.  Once one trace is left, it runs to
     its end, straight into the code.  Every trace covers the one component,
-    so all end at the same row.
+    so all end at the same row, and the traces still in step there are the
+    roots whose code ties the least: ``ties`` holds the (node order, slot
+    origins) of each but the first.
     """
     deg, first, partner = darts
     traces = []  # each root's node numbers, slot origins, order
@@ -602,7 +635,23 @@ def _least_trace(nodes, darts, roots, heads):
             traces = kept
         i += 1
     _number, origin, order = traces[0]
-    return tuple(code), order, origin
+    return tuple(code), order, origin, [(tied[2], tied[1]) for tied in traces[1:]]
+
+
+def _paired(pairs, size: int):
+    """The dart map ``(node, turn)`` that sends each trace of ``pairs``,
+    given as (node order, slot origins), onto its partner trace, which has
+    the same code.  Node ``n`` goes to ``node[n]``, the node of its place in
+    the partner's order, and since both traces count slots from their
+    origins, dart ``(n, s)`` goes to ``(node[n], (s + turn[n]) % deg[n])``.
+    Nodes that no trace of ``pairs`` covers stay where they are."""
+    node = list(range(size))
+    turn = [0] * size
+    for (order, origin), (order2, origin2) in pairs:
+        for n, m in zip(order, order2):
+            node[n] = m
+            turn[n] = origin2[m] - origin[n]
+    return node, turn
 
 
 def _arcs_of(darts) -> tuple[Arc, ...]:
@@ -687,6 +736,9 @@ def _trapped_loops(d: Diagram, thru: dict[Dart, Dart], passed: set[Dart]) -> int
 
 
 _CROSSINGS = (Crossing(0), Crossing(1))
+
+# an arc end of the text format, ASCII digits as ``parse_int`` reads them
+_ARC_END = re.compile(r"(-?[0-9]+)\.(-?[0-9]+)")
 
 
 def _grown(d: Diagram, overs):
@@ -863,7 +915,7 @@ def parse_diagram(text: str) -> Diagram:
         elif kw == "crossing":
             if len(fields) != 2 or fields[1] not in ("02", "13"):
                 raise FormatError(f"line {lineno}: expected 'crossing 02' or 'crossing 13'")
-            nodes.append(Crossing(0 if fields[1] == "02" else 1))
+            nodes.append(_CROSSINGS[fields[1] == "13"])
         elif kw == "vertex":
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'vertex <label> <degree>'")
@@ -881,13 +933,10 @@ def parse_diagram(text: str) -> Diagram:
                 raise FormatError(f"line {lineno}: expected 'arc <n>.<s> <n>.<s>'")
             ends = []
             for token in fields[1:]:
-                part = token.split(".")
-                if len(part) != 2:
+                end = _ARC_END.fullmatch(token)
+                if end is None:
                     raise FormatError(f"line {lineno}: bad arc end {token!r}")
-                try:
-                    ends.append((parse_int(part[0]), parse_int(part[1])))
-                except ValueError:
-                    raise FormatError(f"line {lineno}: bad arc end {token!r}") from None
+                ends.append((int(end[1]), int(end[2])))
             arcs.append(tuple(ends))
         else:
             raise FormatError(f"line {lineno}: unknown keyword {kw!r}")

@@ -360,30 +360,35 @@ def simple_cycles(g: Multigraph, max_cycles: int = 100_000) -> list[list[int]]:
             if len(cycles) > max_cycles:
                 raise SizeLimitExceeded("too many cycles to enumerate")
 
-    for i in range(g.edge_count):
-        if g.is_loop(i):
+    # each vertex's (edge, other end) pairs, in edge order, loops left out
+    near: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for i, (u, v) in enumerate(g.edges):
+        if u == v:
             record([i])
+        else:
+            near[u].append((i, v))
+            near[v].append((i, u))
     for root in range(g.vertex_count):
-        _extend_cycles(g, record, root, root, {root}, [])
+        _extend_cycles(near, record, root, root, {root}, [])
     return sorted(cycles, key=lambda c: (len(c), c))
 
 
 def _extend_cycles(
-    g: Multigraph, record, root: int, current: int, blocked: set[int], path: list[int]
+    near, record, root: int, current: int, blocked: set[int], path: list[int]
 ) -> None:
     """Record every cycle through ``root`` that continues the simple
-    ``path`` from ``root`` to ``current`` over vertices above ``root``.  A
+    ``path`` from ``root`` to ``current`` over vertices above ``root``,
+    along the (edge, other end) pairs ``near`` lists at each vertex.  A
     module function, not a closure: a recursive closure refers to itself
     through its own cell, and each call would leave that cycle behind for
     the collector."""
-    for e in g.incident_edges(current):
-        if e in path or g.is_loop(e):
+    for e, w in near[current]:
+        if e in path:
             continue
-        w = g.other_end(e, current)
         if w == root and path:
             record(path + [e])
         elif w > root and w not in blocked:
-            _extend_cycles(g, record, root, w, blocked | {w}, path + [e])
+            _extend_cycles(near, record, root, w, blocked | {w}, path + [e])
 
 
 def cycle_vertices(g: Multigraph, cycle: list[int]) -> set[int]:

@@ -48,6 +48,17 @@ meet, the path's second half walks the far side's record back by those
 undo sites, each carried onto the diagram the walk has reached by
 matching the least traces of the two (``_carried``); no step lists or
 builds a neighbourhood.
+
+An expansion builds one child per orbit of sites (``_neighbors``).  The
+roots that tie a component's least trace give its map automorphisms
+(``Diagram._symmetries``), which permute the sites and so the children;
+a side keeps them for the states that have any.  A site is skipped,
+unbuilt, when a symmetry takes an earlier built site to it, when it is the
+undo of the move that reached the state or an image of that undo, or when,
+off shadows, it is the twin of a built ``R2_add``.  Each skipped child
+has the key of an earlier sibling or of the state's parent, which the
+side has recorded already, so the records, answers and paths are those
+of building every site.
 """
 
 from __future__ import annotations
@@ -57,7 +68,16 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
 
-from .diagram import Crossing, Dart, Diagram, GraphProjection, _grown, _join, splice
+from .diagram import (
+    Crossing,
+    Dart,
+    Diagram,
+    GraphProjection,
+    _grown,
+    _join,
+    _paired,
+    splice,
+)
 from .errors import FormatError, MoveNotApplicable
 
 
@@ -560,23 +580,31 @@ def _spelled(d: Diagram, site: MoveSite, shadow: bool) -> MoveSite:
     return site
 
 
+def _dart_form(d: Diagram, site: MoveSite) -> MoveSite:
+    """The listed ``site`` of ``d`` in dart form, as the undos name sites:
+    an ``R1_add`` on an arc names the two darts its kink joins."""
+    if site.kind != "R1_add" or site.params[0] == "loop":
+        return site
+    i, over, flip = site.params
+    x, y = d.arcs[i]
+    return MoveSite("R1_add", ((y, x) if flip else (x, y), over))
+
+
 def _carried(src: Diagram, dst: Diagram, site: MoveSite, shadow: bool) -> MoveSite:
     """The dart form ``site`` of ``src`` carried onto ``dst``, a diagram of
     the same state key: each component's least trace numbers the nodes and
-    rotates the slots of both alike, so dart ``(n, s)`` of ``src`` is dart
-    ``(n', s - o[n] + o'[n'])`` of ``dst``, where ``n'`` has ``n``'s place in
-    the trace of ``dst``'s component of equal code and ``o``, ``o'`` are the
-    traces' slot origins."""
-    node = [0] * len(src.nodes)
-    turn = [0] * len(src.nodes)
-    for (_code, order, origin), (_same, order2, origin2) in zip(
-        sorted(src._least_traces(shadow), key=lambda p: p[0]),
-        sorted(dst._least_traces(shadow), key=lambda p: p[0]),
-    ):
-        for n, m in zip(order, order2):
-            node[n] = m
-            turn[n] = origin2[m] - origin[n]
-    deg = src._darts[0]
+    rotates the slots of both alike, so ``_paired`` sends each trace of
+    ``src`` onto the trace of ``dst``'s component of equal code."""
+    pairs = zip(
+        [piece[1:3] for piece in sorted(src._least_traces(shadow), key=lambda p: p[0])],
+        [piece[1:3] for piece in sorted(dst._least_traces(shadow), key=lambda p: p[0])],
+    )
+    return _moved(site, *_paired(pairs, len(src.nodes)), src._darts[0])
+
+
+def _moved(site: MoveSite, node, turn, deg) -> MoveSite:
+    """The dart form ``site`` sent through the dart map ``(node, turn)`` of
+    ``_paired``, on a diagram whose node degrees are ``deg``."""
 
     def to(u):
         if u == "loop":
@@ -597,6 +625,36 @@ def _carried(src: Diagram, dst: Diagram, site: MoveSite, shadow: bool) -> MoveSi
     return MoveSite(kind, params)
 
 
+def _alike(d: Diagram, site: MoveSite, shadow: bool) -> list[MoveSite]:
+    """``site`` and the sites of ``d`` that make the same map on sight: an
+    R3 triangle slid from any of its three darts, and off shadows an
+    ``R2_add``'s twin ``(u2, u1, 1 - over)``, which pokes the other strand
+    across, over at the other parity.  Each is spelled as ``site`` is."""
+    kind, params = site.kind, site.params
+    if kind == "R3":
+        (s1,) = params
+        s2 = d.phi(s1)
+        return [site, MoveSite(kind, (s2,)), MoveSite(kind, (d.phi(s2),))]
+    if kind == "R2_add" and not shadow:
+        u1, u2, over = params
+        return [site, MoveSite(kind, (u2, u1, 1 - over))]
+    return [site]
+
+
+def _orbit(d: Diagram, site: MoveSite, maps, shadow: bool) -> set:
+    """(kind, params) of the listed sites of ``d`` whose children have the
+    state key of the child of ``site``, a site in dart form: the sites
+    ``_alike`` it and their images under each symmetry of ``maps``, spelled
+    as the listing spells them."""
+    deg = d._darts[0]
+    found = set()
+    for same in _alike(d, site, shadow):
+        for image in (same, *[_moved(same, node, turn, deg) for node, turn in maps]):
+            spelled = _spelled(d, image, shadow)
+            found.add((spelled.kind, spelled.params))
+    return found
+
+
 # -- searches -----------------------------------------------------------------
 
 
@@ -607,27 +665,40 @@ class SearchResult:
     states: int
 
 
-def _neighbors(d: Diagram, budget: Budget, shadow: bool, kinds=ISOTOPY_KINDS):
-    """Each site of ``kinds`` on ``d`` within the budget, with the diagram
-    it makes.  A kind changes the crossing count by its delta exactly, so
-    keeping out the kinds that would pass the cap keeps out every child
+def _neighbors(
+    d: Diagram, budget: Budget, shadow: bool, kinds=ISOTOPY_KINDS, maps=(), back=None
+):
+    """Each site of ``kinds`` on ``d`` within the budget, in list order,
+    with the diagram it makes, but one site for each child known to repeat
+    a state key.  A kind changes the crossing count by its delta exactly,
+    so keeping out the kinds that would pass the cap keeps out every child
     over it.  Every site comes from the listing, so ``_build`` makes it
     without the look-up ``apply_move`` does.
 
-    ``enumerate_moves`` offers an R3 triangle at each of its three darts,
-    and all three slides make the same map, so only the first of them in
-    list order is applied."""
+    ``maps`` are symmetries of ``d`` (``Diagram._symmetries``), and
+    ``back`` is the site, in dart form, that undoes the move by which a
+    search reached ``d``, or None.  A site is skipped without being built
+    when its child has the key of an earlier child or of the state ``back``
+    rebuilds (``_orbit``): a site that ``_alike`` or a symmetry takes a
+    built site to, such as the other two darts of a slid R3 triangle, or
+    off shadows the twin of a built ``R2_add``; and ``back`` itself, with
+    its images.  A search has recorded both keys before it would key the
+    skipped child, so it records, yields and counts the same states as
+    building every site would, each through the same first site."""
     room = budget.max_crossings - d.crossing_count
     use = tuple(k for k in kinds if _KINDS[k][0] <= room)
-    slid: set[Dart] = set()  # the darts of the triangles already slid
+    # (kind, params) of the listed sites known to repeat a key
+    skip = _orbit(d, back, maps, shadow) if back is not None and back.kind in use else set()
     for site in enumerate_moves(d, use, shadow=shadow):
-        if site.kind == "R3":
-            (anchor,) = site.params
-            if anchor in slid:
-                continue
-            second = d.phi(anchor)
-            slid.update((anchor, second, d.phi(second)))
+        kind = site.kind
+        if (kind, site.params) in skip:
+            continue
         yield site, _build(d, site)
+        if maps:
+            skip |= _orbit(d, _dart_form(d, site), maps, shadow)
+        elif kind == "R3" or (kind == "R2_add" and not shadow):
+            # spelled as the listing spells them, like the listed site
+            skip.update([(same.kind, same.params) for same in _alike(d, site, shadow)])
 
 
 def _state_key(shadow: bool):
@@ -653,10 +724,20 @@ class _Side:
     lists no neighbourhood.  A state waiting to be
     expanded keeps only the diagram it was reached from, shared by its
     siblings, and is rebuilt from it and its site when expanded: most
-    states are never expanded, so this keeps few diagrams alive.
+    states are never expanded, so this keeps few diagrams alive.  The
+    rebuild numbers its nodes as the child that was keyed did, so the
+    symmetries read off that child's traces hold for it; ``symmetries``
+    keeps them for the recorded states that have any.  An expansion
+    builds one child per orbit of sites (``_neighbors``): it skips the
+    sites that repeat an earlier sibling's key, and the undo of the move
+    that reached the state, which rebuilds its parent.  That is the
+    used-operator rule of frontier search (Korf, Zhang, Thayer and
+    Hohwald, J. ACM 2005), and the skipped sites are those that plantri
+    avoids by symmetry (Brinkmann and McKay, MATCH 2007).
 
     The waiting entries form a heap: least rank first, then first to
-    arrive.  Each entry is a state and the kinds it is to be expanded by.
+    arrive.  Each entry is a state and the kinds it is to be expanded by;
+    a later batch also keeps the rebuilt diagram and its undo site.
     A plain side ranks every state 0 and expands it by every kind at once.
     A ``partial`` side ranks a state by its crossing count c and expands
     it in batches (partial expansion, Yoshizumi, Miura and Ishida, AAAI
@@ -672,6 +753,8 @@ class _Side:
         self.first = _BATCHES[0] if partial else ISOTOPY_KINDS
         code = self.key(d)
         self.record = {code: (None, None)}
+        ties = d._symmetries(shadow)
+        self.symmetries = {code: ties} if ties else {}
         self.pending = {code: d}
         self.waiting = [(self.rank(d), 0, code, self.first, None)]
         self.arrivals = count(1)
@@ -682,25 +765,34 @@ class _Side:
     def expand(self):
         """Pop the least waiting entry and yield its state with its code;
         then record each new neighbour its kinds make within the budget and
-        yield it with its code.  A state's first entry rebuilds it and, in a
-        partial side, pushes back its later batches."""
-        _rank, _arrival, code, kinds, cur = heappop(self.waiting)
-        if cur is None:
+        yield it with its code.  A state's first entry rebuilds it, names
+        the site that undoes its arrival and, in a partial side, pushes back
+        its later batches."""
+        _rank, _arrival, code, kinds, built = heappop(self.waiting)
+        if built is None:
             cur = self.pending.pop(code)
+            back = None
             reached_by = self.record[code][1]
             if reached_by is not None:
+                back = _KINDS[reached_by.kind][2](cur, reached_by.params)
                 cur = _build(cur, reached_by)
             if self.partial:
                 for added in (1, 2):
                     rank = cur.crossing_count + added
                     if rank <= self.budget.max_crossings:
-                        entry = (rank, next(self.arrivals), code, _BATCHES[added], cur)
+                        entry = (rank, next(self.arrivals), code, _BATCHES[added], (cur, back))
                         heappush(self.waiting, entry)
+        else:
+            cur, back = built
         yield code, cur
-        for site, nd in _neighbors(cur, self.budget, self.shadow, kinds):
+        maps = self.symmetries.get(code, ())
+        for site, nd in _neighbors(cur, self.budget, self.shadow, kinds, maps, back):
             ncode = self.key(nd)
             if ncode not in self.record:
                 self.record[ncode] = (code, site)
+                ties = nd._symmetries(self.shadow)
+                if ties:
+                    self.symmetries[ncode] = ties
                 self.pending[ncode] = cur
                 entry = (self.rank(nd), next(self.arrivals), ncode, self.first, None)
                 heappush(self.waiting, entry)

@@ -62,11 +62,6 @@ class Multigraph:
         u, v = self.edges[edge_index]
         return u == v
 
-    def incident_edges(self, vertex: int) -> list[int]:
-        """Indices of edges touching ``vertex`` (loops appear once)."""
-        self._check_vertex(vertex)
-        return [i for i, (u, v) in enumerate(self.edges) if vertex in (u, v)]
-
     def degrees(self) -> list[int]:
         out = [0] * self.vertex_count
         for u, v in self.edges:

@@ -33,11 +33,13 @@ from graphknot.invariants import (
 )
 from graphknot.layout import _route, base_diagram
 from graphknot.moves import (
+    _KINDS,
     ISOTOPY_KINDS,
     Budget,
-    _neighbors,
+    _build,
     _state_key,
     descending_diagram,
+    enumerate_moves,
     search_min_crossings,
 )
 from graphknot.multigraph import AutGroup, Permutation
@@ -431,6 +433,24 @@ def mirror_diagram(d: Diagram) -> Diagram:
     return d.with_parities({n: 1 - d.nodes[n].over for n in d.crossings()})
 
 
+def unpruned_neighbors(d: Diagram, budget: Budget, shadow: bool, kinds=ISOTOPY_KINDS):
+    """``moves._neighbors`` without its pruning by symmetries, undo sites
+    and twins: each site of ``kinds`` on ``d`` within the budget, in list
+    order, with the diagram it makes.  Of the three sites of an R3 triangle
+    only the first is built, since all three slide it alike."""
+    room = budget.max_crossings - d.crossing_count
+    use = tuple(k for k in kinds if _KINDS[k][0] <= room)
+    slid: set[Dart] = set()  # the darts of the triangles already slid
+    for site in enumerate_moves(d, use, shadow=shadow):
+        if site.kind == "R3":
+            (anchor,) = site.params
+            if anchor in slid:
+                continue
+            second = d.phi(anchor)
+            slid.update((anchor, second, d.phi(second)))
+        yield site, _build(d, site)
+
+
 def queued_search_min_crossings(
     d: Diagram, budget: Budget, stop_at: int | None = None, shadow: bool = False
 ):
@@ -450,7 +470,7 @@ def queued_search_min_crossings(
             best = cur
         if len(seen) >= budget.max_states:
             return best, len(seen), False
-        for _site, nd in _neighbors(cur, budget, shadow):
+        for _site, nd in unpruned_neighbors(cur, budget, shadow):
             code = key(nd)
             if code in seen:
                 continue
@@ -535,7 +555,7 @@ def level_order_equivalent(d1: Diagram, d2: Diagram, budget: Budget, shadow: boo
         frontier = frontiers[side]
         for _ in range(len(frontier)):
             cur = frontier.popleft()
-            for _site, nd in _neighbors(cur, budget, shadow):
+            for _site, nd in unpruned_neighbors(cur, budget, shadow):
                 code = key(nd)
                 if code in seen[side]:
                     continue
@@ -652,7 +672,7 @@ def ungated_neighbours(d: Diagram, budget: Budget, shadow: bool):
     an ``R2_add`` could undo it.  The other kinds are the searches' own
     neighbours; the removals are made by the validating splice."""
     kinds = tuple(k for k in ISOTOPY_KINDS if k != "R2_remove")
-    found = [nd for _site, nd in _neighbors(d, budget, shadow, kinds)]
+    found = [nd for _site, nd in unpruned_neighbors(d, budget, shadow, kinds)]
     pair = arc_partners(d)
     for face in d.faces():
         if len(face) == 2 and bigon_pokes(d, pair, *face, shadow):

@@ -29,7 +29,15 @@ from graphknot import (
     search_min_crossings,
     simplify,
 )
-from graphknot.diagram import Crossing, Diagram, Vertex, parse_diagram
+from graphknot.diagram import (
+    _CROSSING_HEADS,
+    _SHADOW_HEADS,
+    Crossing,
+    Diagram,
+    Vertex,
+    _least_trace,
+    parse_diagram,
+)
 from graphknot.gallery import (
     figure_eight,
     hopf_link,
@@ -44,9 +52,12 @@ from graphknot.gallery import (
 )
 from graphknot.layout import base_diagram
 from graphknot.moves import (
+    _BATCHES,
     _KINDS,
     _Side,
+    _build,
     _carried,
+    _dart_form,
     _kink,
     _neighbors,
     _poke,
@@ -67,6 +78,7 @@ from oracles import (
     splice_identify,
     twisted,
     ungated_reachable,
+    unpruned_neighbors,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -246,16 +258,6 @@ def renumbered(d, rng):
     return Diagram(nodes, [(moved(a), moved(b)) for a, b in d.arcs], d.free_loops)
 
 
-def _dart_form(d, site):
-    """``site`` with an ``R1_add``'s arc named by the two darts its kink
-    joins, as the undos name it."""
-    if site.kind != "R1_add" or site.params[0] == "loop":
-        return site
-    i, over, flip = site.params
-    x, y = d.arcs[i]
-    return MoveSite("R1_add", ((y, x) if flip else (x, y), over))
-
-
 @pytest.mark.parametrize("shadow", [False, True])
 @pytest.mark.parametrize("d", MOVE_CORPUS + GATED_BIGONS)
 def test_a_site_carried_to_a_renumbered_copy_is_listed_there_and_builds_alike(d, shadow):
@@ -315,7 +317,7 @@ def test_the_site_predicates_match_their_pair_oracles(d):
     raises ``MoveNotApplicable`` exactly where the oracle fails the site."""
     for shadow in (False, True):
         budget = Budget(max_crossings=d.crossing_count + 2)  # room for every kind
-        for e in [d, *(child for _site, child in _neighbors(d, budget, shadow))]:
+        for e in [d, *(child for _site, child in unpruned_neighbors(d, budget, shadow))]:
             for kind, params, fast, slow in _site_cases(e, shadow):
                 assert fast == slow, (kind, params, shadow)
                 try:
@@ -349,25 +351,139 @@ def removal_thru(d, site):
 def test_unguarded_builds_match_the_guarded_moves(d):
     """A search builds the sites ``enumerate_moves`` lists without looking
     them up in the listing; each child equals what ``apply_move`` makes of
-    the same site, and is a map that full validation accepts."""
+    the same site, and is a map that full validation accepts.  The
+    unpruned oracle builds every site a search may build, and the search
+    builds some of them, in the oracle's order."""
     budget = Budget(max_crossings=d.crossing_count + 2)  # room for every kind
     for shadow in (False, True):
-        expected, slid = [], set()
-        for site in enumerate_moves(d, ISOTOPY_KINDS, shadow=shadow):
-            if site.kind == "R3":  # a search slides each triangle once
-                (anchor,) = site.params
-                if anchor in slid:
-                    continue
-                second = d.phi(anchor)
-                slid.update((anchor, second, d.phi(second)))
-            expected.append((site, apply_move(d, site, shadow=shadow)))
-        built = list(_neighbors(d, budget, shadow))
-        assert [site for site, _r in built] == [site for site, _r in expected]
-        for (site, r), (_site, want) in zip(built, expected):
+        expected = dict(unpruned_neighbors(d, budget, shadow))
+        for site, r in expected.items():
+            want = apply_move(d, site, shadow=shadow)
             assert r._darts == want._darts and r.nodes == want.nodes, site
             assert r.free_loops == want.free_loops, site
             assert r.crossing_count == want.crossing_count, site
             assert Diagram(r.nodes, r.arcs, r.free_loops)._darts == r._darts, site
+        built = list(_neighbors(d, budget, shadow, maps=d._symmetries(shadow)))
+        assert [site for site, _r in built] == [s for s in expected if s in dict(built)]
+        for site, r in built:
+            assert r._darts == expected[site]._darts and r.nodes == expected[site].nodes
+
+
+def _first_sites(neighbours, key, known):
+    """The site of each first child whose state key is not ``known`` or an
+    earlier child's, in order."""
+    seen, firsts = {known}, []
+    for site, child in neighbours:
+        code = key(child)
+        if code not in seen:
+            seen.add(code)
+            firsts.append(site)
+    return firsts
+
+
+def _assert_pruned_exactly(d, shadow, parent=None, arrival=None):
+    """For each kind tuple a search expands ``d`` by, ``_neighbors`` with
+    ``d``'s symmetries and the undo of ``arrival``, the site that made
+    ``d`` of ``parent``, builds a subsequence of the oracle's sites, and
+    keeps the first site of every child key the oracle yields but the
+    parent's."""
+    key = _state_key(shadow)
+    budget = Budget(max_crossings=d.crossing_count + 2)  # room for every kind
+    back = None if arrival is None else _KINDS[arrival.kind][2](parent, arrival.params)
+    known = None if parent is None else key(parent)
+    for kinds in (ISOTOPY_KINDS, *_BATCHES.values()):
+        pruned = list(_neighbors(d, budget, shadow, kinds, d._symmetries(shadow), back))
+        full = list(unpruned_neighbors(d, budget, shadow, kinds))
+        place = {site: i for i, (site, _child) in enumerate(full)}
+        places = [place[site] for site, _child in pruned]
+        assert places == sorted(set(places)), kinds
+        assert _first_sites(pruned, key, known) == _first_sites(full, key, known), kinds
+
+
+@pytest.mark.parametrize("shadow", [False, True])
+@pytest.mark.parametrize("d", MOVE_CORPUS + GATED_BIGONS)
+def test_a_pruned_neighbourhood_keeps_the_first_site_of_each_key(d, shadow):
+    """On each diagram of the corpus, and on each child of its first two
+    sites of every kind reached by that site, the search's pruning skips
+    only sites whose child repeats a key: an earlier child's, or the
+    parent's, which the undo of the arrival rebuilds."""
+    _assert_pruned_exactly(d, shadow)
+    sites = enumerate_moves(d, ISOTOPY_KINDS, shadow=shadow)
+    for kind in ISOTOPY_KINDS:
+        for site in [s for s in sites if s.kind == kind][:2]:
+            _assert_pruned_exactly(_build(d, site), shadow, d, site)
+
+
+@given(st.sampled_from(MOVE_CORPUS + GATED_BIGONS), st.booleans(), st.data())
+@settings(deadline=None, max_examples=40)
+def test_a_grown_diagram_keeps_the_first_site_of_each_key(d, shadow, data):
+    parent = arrival = None
+    for _ in range(data.draw(st.integers(1, 2))):
+        sites = enumerate_moves(d, ISOTOPY_KINDS, shadow=shadow)
+        if not sites:
+            break
+        arrival = data.draw(st.sampled_from(sites))
+        parent, d = d, _build(d, arrival)
+    _assert_pruned_exactly(d, shadow, parent, arrival)
+
+
+@pytest.mark.parametrize("shadow", [False, True])
+@pytest.mark.parametrize("d", MOVE_CORPUS + GATED_BIGONS)
+def test_the_tied_traces_give_every_symmetry(d, shadow):
+    """Each map read off a tied trace is an automorphism: renumbering ``d``
+    by it gives the same dart arrays and, off shadows, the same over/under.
+    It moves one component, and a component's maps plus one are the roots
+    whose own trace gives its least code, counted root by root."""
+    deg, first, partner = d._darts
+    maps = d._symmetries(shadow)
+    for node, turn in maps:
+        assert sorted(node) == list(range(len(d.nodes)))
+
+        def moved(u):
+            n, s = u
+            return (node[n], (s + turn[n]) % deg[n])
+
+        renumbered = list(partner)
+        for x in d.darts():
+            m, t = moved(x)
+            renumbered[first[m] + t] = moved(partner[first[x[0]] + x[1]])
+        assert renumbered == partner
+        if not shadow:
+            for n in d.crossings():
+                assert d.nodes[node[n]].over == (d.nodes[n].over + turn[n]) % 2
+    heads = _SHADOW_HEADS if shadow else _CROSSING_HEADS
+    moves_of = [
+        {n for n in range(len(d.nodes)) if node[n] != n or turn[n] % deg[n]}
+        for node, turn in maps
+    ]
+    counted = 0
+    for code, order, _origin, _ties in d._least_traces(shadow):
+        roots = [(n, s) for n in order for s in range(deg[n])]
+        if not roots:  # a vertex of degree 0
+            continue
+        least = [r for r in roots if _least_trace(d.nodes, d._darts, [r], heads)[0] == code]
+        moving = [moved for moved in moves_of if moved & set(order)]
+        assert all(moved <= set(order) for moved in moving)
+        assert len(moving) + 1 == len(least)
+        counted += len(moving)
+    assert counted == len(maps)
+
+
+def test_every_r2_add_and_its_twin_build_one_key():
+    """Off shadows, poking the strand at ``u1`` across the one at ``u2``,
+    over at one parity, and the one at ``u2`` across ``u1``, over at the
+    other, make the same map wherever both are listed."""
+    twins = 0
+    for d in MOVE_CORPUS + GATED_BIGONS:
+        listed = {s.params for s in enumerate_moves(d, ("R2_add",))}
+        for u1, u2, over in listed:
+            twin = (u2, u1, 1 - over)
+            if twin in listed:
+                twins += 1
+                poked = _build(d, MoveSite("R2_add", (u1, u2, over)))
+                poked_back = _build(d, MoveSite("R2_add", twin))
+                assert poked.canonical_code() == poked_back.canonical_code()
+    assert twins == 774
 
 
 REMOVALS = ("R1_remove", "R2_remove", "R5_untwist")

@@ -509,9 +509,14 @@ def test_lock_step_traces_match_a_sequential_reference(d, data):
         if isinstance(d.nodes[n], Crossing)
     }
     # in component order, the first root in dart order to reach its
-    # component's least trace wins: the same node order and slot origins
-    assert [(order, [origin[n] for n in order]) for _c, order, origin in d._least_traces(True)] == [
+    # component's least trace wins: the same node order and slot origins,
+    # and the roots that tie it are the others whose trace has its code
+    traces = d._least_traces(True)
+    assert [(order, [origin[n] for n in order]) for _c, order, origin, _t in traces] == [
         (order, [origin.get(n, 0) for n in order]) for (_c, order, origin), _ties in pieces
+    ]
+    assert [len(tied) + 1 for _c, _order, _origin, tied in traces] == [
+        ties for _best, ties in pieces
     ]
     assert d.canonical_code() == flat(reference_canonical_code(d))
     assert d.canonical_form() == reference_canonical_form(d)
