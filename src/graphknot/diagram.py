@@ -86,12 +86,12 @@ class Diagram:
     diagram derives it from the arrays on first use.  ``canonical_code``
     and ``shadow_code`` hold one flat tuple per component (see
     ``_least_traces``); the traces that give them also give the map's
-    symmetries (``_symmetries``), kept beside each key.
+    symmetries (``_ties``), kept beside each key.
     """
 
     __slots__ = (
         "nodes", "_arcs", "free_loops", "crossing_count", "_darts", "_faces",
-        "_components", "_code", "_shadow", "_code_maps", "_shadow_maps",
+        "_components", "_code", "_shadow", "_code_ties", "_shadow_ties",
     )
 
     def __init__(self, nodes, arcs, free_loops: int = 0):
@@ -299,8 +299,8 @@ class Diagram:
     def _least_traces(self, shadow: bool = False):
         """(code, node order, slot origins, ties) of each component's least
         trace, in component order (by least node); the first root to reach
-        the least code wins, and ``ties`` holds the (node order, slot
-        origins) of every other root whose trace has that code.
+        the least code wins, and ``ties`` holds the traces (node numbers,
+        slot origins, node order) of the other roots that reach it.
 
         A trace is the breadth-first code of a component from a root dart.
         Node numbers and slot origins are both traversal-derived, so two
@@ -369,7 +369,7 @@ class Diagram:
     def canonical_code(self):
         """Hashable key equal for diagrams that are the same abstract map."""
         if self._code is None:
-            self._code, self._code_maps = self._keyed(False)
+            self._code, self._code_ties = self._keyed(False)
         return self._code
 
     def shadow_code(self):
@@ -377,35 +377,36 @@ class Diagram:
         up to crossing changes.  It is ``canonical_code`` with over/under
         ignored, and ``with_parities`` shares it."""
         if self._shadow is None:
-            self._shadow, self._shadow_maps = self._keyed(True)
+            self._shadow, self._shadow_ties = self._keyed(True)
         return self._shadow
 
     def _keyed(self, shadow: bool):
         """The state key of ``canonical_code`` or, with ``shadow``, of
-        ``shadow_code``, and the symmetries the same traces tie on."""
+        ``shadow_code``, and the ties of the same traces (``_ties``)."""
         pieces = self._least_traces(shadow)
         key = (tuple(sorted([piece[0] for piece in pieces])), self.free_loops)
-        maps = tuple(
-            _paired([((order, origin), tied)], len(self.nodes))
-            for _code, order, origin, ties in pieces
-            for tied in ties
-        )
-        return key, maps
+        ties = ()
+        for _code, order, origin, tied in pieces:
+            if tied:
+                ties += tuple([((order, origin), (t[2], t[1])) for t in tied])
+        return key, ties
 
-    def _symmetries(self, shadow: bool = False):
-        """Automorphisms of the map, or with ``shadow`` of its shadow, one
-        for each root that ties its component's least trace: every
+    def _ties(self, shadow: bool = False):
+        """One pair of traces, each as (node order, slot origins), for each
+        root that ties its component's least trace, or with ``shadow`` its
+        least shadow trace: the winning trace and the tied one.  Every
         automorphism of a component sends the winning root to a root of the
         same trace, and is fixed by where it sends it, since the component
-        is connected.  Each is a dart map ``(node, turn)``, as ``_paired``
-        gives it, that moves one component and fixes the others; an empty
-        tuple when no trace ties.  Read off the traces that made the key,
-        so a diagram whose key is known is not traced again."""
+        is connected.  So ``_paired([tie], len(nodes))`` of each tie is an
+        automorphism of the map, or of its shadow, that moves one component
+        and fixes the others, and with the identity they are all of each
+        component's.  Read off the traces that made the key, so a diagram
+        whose key is known is not traced again."""
         if shadow:
             self.shadow_code()
-            return self._shadow_maps
+            return self._shadow_ties
         self.canonical_code()
-        return self._code_maps
+        return self._code_ties
 
     def shadow_parities(self) -> dict[int, int]:
         """Each crossing over at the parity of the slot by which the least
@@ -531,7 +532,7 @@ class Diagram:
     def with_parities(self, overs: dict[int, int]) -> "Diagram":
         """This map with crossing ``n`` over at parity ``overs[n]``, sharing the
         dart arrays, arcs, faces, components, shadow code and shadow
-        symmetries."""
+        ties."""
         nodes = list(self.nodes)
         for n, over in overs.items():
             if not isinstance(nodes[n], Crossing):
@@ -543,7 +544,7 @@ class Diagram:
         out._arcs, out._faces = self._arcs, self._faces
         out._components = self._components
         if self._shadow is not None:
-            out._shadow, out._shadow_maps = self._shadow, self._shadow_maps
+            out._shadow, out._shadow_ties = self._shadow, self._shadow_ties
         return out
 
 
@@ -588,8 +589,7 @@ def _least_trace(nodes, darts, roots, heads):
     round, so no root is traced twice.  Once one trace is left, it runs to
     its end, straight into the code.  Every trace covers the one component,
     so all end at the same row, and the traces still in step there are the
-    roots whose code ties the least: ``ties`` holds the (node order, slot
-    origins) of each but the first.
+    roots whose code ties the least: ``ties`` holds each but the first.
     """
     deg, first, partner = darts
     traces = []  # each root's node numbers, slot origins, order
@@ -635,7 +635,7 @@ def _least_trace(nodes, darts, roots, heads):
             traces = kept
         i += 1
     _number, origin, order = traces[0]
-    return tuple(code), order, origin, [(tied[2], tied[1]) for tied in traces[1:]]
+    return tuple(code), order, origin, traces[1:]
 
 
 def _paired(pairs, size: int):

@@ -51,8 +51,8 @@ builds a neighbourhood.
 
 An expansion builds one child per orbit of sites (``_neighbors``).  The
 roots that tie a component's least trace give its map automorphisms
-(``Diagram._symmetries``), which permute the sites and so the children;
-a side keeps them for the states that have any.  A site is skipped,
+(``Diagram._ties``), which permute the sites and so the children; a side
+keeps them for the states that have any.  A site is skipped,
 unbuilt, when a symmetry takes an earlier built site to it, when it is the
 undo of the move that reached the state or an image of that undo, or when,
 off shadows, it is the twin of a built ``R2_add``.  Each skipped child
@@ -642,17 +642,16 @@ def _alike(d: Diagram, site: MoveSite, shadow: bool) -> list[MoveSite]:
 
 
 def _orbit(d: Diagram, site: MoveSite, maps, shadow: bool) -> set:
-    """(kind, params) of the listed sites of ``d`` whose children have the
-    state key of the child of ``site``, a site in dart form: the sites
-    ``_alike`` it and their images under each symmetry of ``maps``, spelled
-    as the listing spells them."""
+    """The params of the listed sites of ``d`` whose children have the
+    state key of the child of ``site``, a site in dart form, all of its
+    kind: the sites ``_alike`` it and their images under each symmetry of
+    ``maps``, spelled as the listing spells them."""
     deg = d._darts[0]
-    found = set()
-    for same in _alike(d, site, shadow):
-        for image in (same, *[_moved(same, node, turn, deg) for node, turn in maps]):
-            spelled = _spelled(d, image, shadow)
-            found.add((spelled.kind, spelled.params))
-    return found
+    return {
+        _spelled(d, image, shadow).params
+        for same in _alike(d, site, shadow)
+        for image in (same, *[_moved(same, node, turn, deg) for node, turn in maps])
+    }
 
 
 # -- searches -----------------------------------------------------------------
@@ -669,36 +668,37 @@ def _neighbors(
     d: Diagram, budget: Budget, shadow: bool, kinds=ISOTOPY_KINDS, maps=(), back=None
 ):
     """Each site of ``kinds`` on ``d`` within the budget, in list order,
-    with the diagram it makes, but one site for each child known to repeat
-    a state key.  A kind changes the crossing count by its delta exactly,
-    so keeping out the kinds that would pass the cap keeps out every child
-    over it.  Every site comes from the listing, so ``_build`` makes it
-    without the look-up ``apply_move`` does.
+    with the diagram it makes, less the sites known to repeat a key.  A
+    kind changes the crossing count by its delta exactly, so keeping out
+    the kinds that would pass the cap keeps out every child over it.
+    Every site comes from the listing, so ``_build`` makes it without the
+    look-up ``apply_move`` does.
 
-    ``maps`` are symmetries of ``d`` (``Diagram._symmetries``), and
+    ``maps`` are symmetries of ``d``, dart maps (``Diagram._ties``), and
     ``back`` is the site, in dart form, that undoes the move by which a
-    search reached ``d``, or None.  A site is skipped without being built
-    when its child has the key of an earlier child or of the state ``back``
-    rebuilds (``_orbit``): a site that ``_alike`` or a symmetry takes a
-    built site to, such as the other two darts of a slid R3 triangle, or
-    off shadows the twin of a built ``R2_add``; and ``back`` itself, with
+    search reached ``d``, or None.  A site is skipped unbuilt when
+    ``_orbit`` finds its child has the key of an earlier child or of the
+    state ``back`` rebuilds: a site that ``_alike`` or a symmetry takes a
+    built site to, such as the other two darts of a slid R3 triangle or,
+    off shadows, the twin of a built ``R2_add``; and ``back`` itself, with
     its images.  A search has recorded both keys before it would key the
-    skipped child, so it records, yields and counts the same states as
-    building every site would, each through the same first site."""
+    skipped child, so it records the same states through the same first
+    sites as it would building every site."""
     room = budget.max_crossings - d.crossing_count
     use = tuple(k for k in kinds if _KINDS[k][0] <= room)
-    # (kind, params) of the listed sites known to repeat a key
-    skip = _orbit(d, back, maps, shadow) if back is not None and back.kind in use else set()
+    skip: dict[str, set] = {}  # each kind's listed params known to repeat a key
+    if back is not None and back.kind in use:
+        skip[back.kind] = _orbit(d, back, maps, shadow)
     for site in enumerate_moves(d, use, shadow=shadow):
-        kind = site.kind
-        if (kind, site.params) in skip:
+        kind, params = site.kind, site.params
+        if params in skip.get(kind, ()):
             continue
         yield site, _build(d, site)
         if maps:
-            skip |= _orbit(d, _dart_form(d, site), maps, shadow)
+            skip.setdefault(kind, set()).update(_orbit(d, _dart_form(d, site), maps, shadow))
         elif kind == "R3" or (kind == "R2_add" and not shadow):
             # spelled as the listing spells them, like the listed site
-            skip.update([(same.kind, same.params) for same in _alike(d, site, shadow)])
+            skip.setdefault(kind, set()).update([same.params for same in _alike(d, site, shadow)])
 
 
 def _state_key(shadow: bool):
@@ -726,18 +726,19 @@ class _Side:
     siblings, and is rebuilt from it and its site when expanded: most
     states are never expanded, so this keeps few diagrams alive.  The
     rebuild numbers its nodes as the child that was keyed did, so the
-    symmetries read off that child's traces hold for it; ``symmetries``
-    keeps them for the recorded states that have any.  An expansion
-    builds one child per orbit of sites (``_neighbors``): it skips the
-    sites that repeat an earlier sibling's key, and the undo of the move
-    that reached the state, which rebuilds its parent.  That is the
-    used-operator rule of frontier search (Korf, Zhang, Thayer and
-    Hohwald, J. ACM 2005), and the skipped sites are those that plantri
-    avoids by symmetry (Brinkmann and McKay, MATCH 2007).
+    symmetries read off that child's traces hold for it; ``ties`` keeps
+    them, as ``Diagram._ties`` gives them, for the recorded states that
+    have any, and an expansion turns them into dart maps.  An expansion skips
+    the sites whose children repeat a sibling's key (as plantri skips
+    symmetric expansions: Brinkmann and McKay, MATCH 58, 2007) and the
+    undo of the state's arrival, which rebuilds its parent (the
+    used-operator rule of frontier search: Korf, Zhang, Thayer and
+    Hohwald, J. ACM 52, 2005).
 
     The waiting entries form a heap: least rank first, then first to
     arrive.  Each entry is a state and the kinds it is to be expanded by;
-    a later batch also keeps the rebuilt diagram and its undo site.
+    a later batch also keeps the rebuilt diagram, its undo site and its
+    symmetries.
     A plain side ranks every state 0 and expands it by every kind at once.
     A ``partial`` side ranks a state by its crossing count c and expands
     it in batches (partial expansion, Yoshizumi, Miura and Ishida, AAAI
@@ -753,8 +754,8 @@ class _Side:
         self.first = _BATCHES[0] if partial else ISOTOPY_KINDS
         code = self.key(d)
         self.record = {code: (None, None)}
-        ties = d._symmetries(shadow)
-        self.symmetries = {code: ties} if ties else {}
+        ties = d._ties(shadow)
+        self.ties = {code: ties} if ties else {}
         self.pending = {code: d}
         self.waiting = [(self.rank(d), 0, code, self.first, None)]
         self.arrivals = count(1)
@@ -776,23 +777,25 @@ class _Side:
             if reached_by is not None:
                 back = _KINDS[reached_by.kind][2](cur, reached_by.params)
                 cur = _build(cur, reached_by)
+            ties = self.ties.get(code)
+            maps = [_paired([tie], len(cur.nodes)) for tie in ties] if ties else ()
             if self.partial:
                 for added in (1, 2):
                     rank = cur.crossing_count + added
                     if rank <= self.budget.max_crossings:
-                        entry = (rank, next(self.arrivals), code, _BATCHES[added], (cur, back))
+                        later = (cur, back, maps)
+                        entry = (rank, next(self.arrivals), code, _BATCHES[added], later)
                         heappush(self.waiting, entry)
         else:
-            cur, back = built
+            cur, back, maps = built
         yield code, cur
-        maps = self.symmetries.get(code, ())
         for site, nd in _neighbors(cur, self.budget, self.shadow, kinds, maps, back):
             ncode = self.key(nd)
             if ncode not in self.record:
                 self.record[ncode] = (code, site)
-                ties = nd._symmetries(self.shadow)
+                ties = nd._ties(self.shadow)
                 if ties:
-                    self.symmetries[ncode] = ties
+                    self.ties[ncode] = ties
                 self.pending[ncode] = cur
                 entry = (self.rank(nd), next(self.arrivals), ncode, self.first, None)
                 heappush(self.waiting, entry)
