@@ -382,26 +382,25 @@ class Diagram:
 
     def _keyed(self, shadow: bool):
         """The state key of ``canonical_code`` or, with ``shadow``, of
-        ``shadow_code``, and the ties of the same traces (``_ties``)."""
+        ``shadow_code``, and the pieces of the same traces that have ties
+        (``_ties``)."""
         pieces = self._least_traces(shadow)
+        if len(pieces) == 1:
+            piece = pieces[0]
+            return ((piece[0],), self.free_loops), pieces if piece[3] else ()
         key = (tuple(sorted([piece[0] for piece in pieces])), self.free_loops)
-        ties = ()
-        for _code, order, origin, tied in pieces:
-            if tied:
-                ties += tuple([((order, origin), (t[2], t[1])) for t in tied])
-        return key, ties
+        return key, [piece for piece in pieces if piece[3]]
 
     def _ties(self, shadow: bool = False):
-        """One pair of traces, each as (node order, slot origins), for each
-        root that ties its component's least trace, or with ``shadow`` its
-        least shadow trace: the winning trace and the tied one.  Every
+        """The pieces of ``_least_traces``, or with ``shadow`` of its shadow
+        traces, whose component has a root that ties its least trace.  Every
         automorphism of a component sends the winning root to a root of the
         same trace, and is fixed by where it sends it, since the component
-        is connected.  So ``_paired([tie], len(nodes))`` of each tie is an
-        automorphism of the map, or of its shadow, that moves one component
-        and fixes the others, and with the identity they are all of each
-        component's.  Read off the traces that made the key, so a diagram
-        whose key is known is not traced again."""
+        is connected.  So ``_symmetries`` of them are automorphisms of the
+        map, or of its shadow, each moving one component and fixing the
+        others, and with the identity they are all of each component's.
+        Read off the traces that made the key, so a diagram whose key is
+        known is not traced again."""
         if shadow:
             self.shadow_code()
             return self._shadow_ties
@@ -654,6 +653,17 @@ def _paired(pairs, size: int):
     return node, turn
 
 
+def _symmetries(ties, size: int):
+    """The dart map (``_paired``) of each tied trace of the pieces ``ties``
+    (``Diagram._ties``) onto its component's least trace, on a diagram of
+    ``size`` nodes."""
+    return [
+        _paired([((order, origin), (tie[2], tie[1]))], size)
+        for _code, order, origin, tied in ties
+        for tie in tied
+    ]
+
+
 def _arcs_of(darts) -> tuple[Arc, ...]:
     """Every arc of the dart arrays once, as (lesser end, greater end), in
     dart order."""
@@ -901,10 +911,9 @@ def parse_diagram(text: str) -> Diagram:
     free_loops = 0
     saw_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         kw = fields[0]
         if kw == "diagram":
             if saw_header:
@@ -912,6 +921,15 @@ def parse_diagram(text: str) -> Diagram:
             saw_header = True
         elif not saw_header:
             raise FormatError(f"line {lineno}: content before diagram header")
+        elif kw == "arc":  # the most frequent line first
+            if len(fields) != 3:
+                raise FormatError(f"line {lineno}: expected 'arc <n>.<s> <n>.<s>'")
+            a = _ARC_END.fullmatch(fields[1])
+            b = _ARC_END.fullmatch(fields[2])
+            if a is None or b is None:
+                token = fields[1] if a is None else fields[2]
+                raise FormatError(f"line {lineno}: bad arc end {token!r}")
+            arcs.append(((int(a[1]), int(a[2])), (int(b[1]), int(b[2]))))
         elif kw == "crossing":
             if len(fields) != 2 or fields[1] not in ("02", "13"):
                 raise FormatError(f"line {lineno}: expected 'crossing 02' or 'crossing 13'")
@@ -928,16 +946,6 @@ def parse_diagram(text: str) -> Diagram:
             if len(fields) != 1:
                 raise FormatError(f"line {lineno}: 'loop' takes no arguments")
             free_loops += 1
-        elif kw == "arc":
-            if len(fields) != 3:
-                raise FormatError(f"line {lineno}: expected 'arc <n>.<s> <n>.<s>'")
-            ends = []
-            for token in fields[1:]:
-                end = _ARC_END.fullmatch(token)
-                if end is None:
-                    raise FormatError(f"line {lineno}: bad arc end {token!r}")
-                ends.append((int(end[1]), int(end[2])))
-            arcs.append(tuple(ends))
         else:
             raise FormatError(f"line {lineno}: unknown keyword {kw!r}")
     if not saw_header:

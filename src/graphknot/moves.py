@@ -76,6 +76,7 @@ from .diagram import (
     _grown,
     _join,
     _paired,
+    _symmetries,
     splice,
 )
 from .errors import FormatError, MoveNotApplicable
@@ -533,10 +534,16 @@ def enumerate_moves(
     """All applicable sites, in a fixed deterministic order."""
     sites: list[MoveSite] = []
     for kind in kinds:
-        found = _listed(d, kind, shadow)
-        found.sort(key=str)
-        sites.extend(MoveSite(kind, p) for p in found)
+        sites.extend(MoveSite(kind, p) for p in _ordered(d, kind, shadow))
     return sites
+
+
+def _ordered(d: Diagram, kind: str, shadow: bool) -> list[tuple]:
+    """The parameters of every site of ``kind`` on ``d``, in the order of
+    ``enumerate_moves``."""
+    found = _listed(d, kind, shadow)
+    found.sort(key=str)
+    return found
 
 
 def _build(d: Diagram, site: MoveSite) -> Diagram:
@@ -665,17 +672,18 @@ class SearchResult:
 
 
 def _neighbors(
-    d: Diagram, budget: Budget, shadow: bool, kinds=ISOTOPY_KINDS, maps=(), back=None
+    d: Diagram, budget: Budget, shadow: bool, kinds=ISOTOPY_KINDS, ties=(), back=None
 ):
     """Each site of ``kinds`` on ``d`` within the budget, in list order,
     with the diagram it makes, less the sites known to repeat a key.  A
     kind changes the crossing count by its delta exactly, so keeping out
     the kinds that would pass the cap keeps out every child over it.
-    Every site comes from the listing, so ``_build`` makes it without the
-    look-up ``apply_move`` does.
+    Every site comes from the listing, so its kind's build makes it
+    without the look-up ``apply_move`` does.
 
-    ``maps`` are symmetries of ``d``, dart maps (``Diagram._ties``), and
-    ``back`` is the site, in dart form, that undoes the move by which a
+    ``ties`` are the tied traces of ``d`` (``Diagram._ties``), whose
+    ``_symmetries`` are dart maps of its automorphisms, and ``back`` is
+    the site, in dart form, that undoes the move by which a
     search reached ``d``, or None.  A site is skipped unbuilt when
     ``_orbit`` finds its child has the key of an earlier child or of the
     state ``back`` rebuilds: a site that ``_alike`` or a symmetry takes a
@@ -683,22 +691,31 @@ def _neighbors(
     off shadows, the twin of a built ``R2_add``; and ``back`` itself, with
     its images.  A search has recorded both keys before it would key the
     skipped child, so it records the same states through the same first
-    sites as it would building every site."""
+    sites as it would building every site.  A kind's last site adds
+    nothing to the kind's skip set, since no later site looks there."""
     room = budget.max_crossings - d.crossing_count
     use = tuple(k for k in kinds if _KINDS[k][0] <= room)
-    skip: dict[str, set] = {}  # each kind's listed params known to repeat a key
-    if back is not None and back.kind in use:
-        skip[back.kind] = _orbit(d, back, maps, shadow)
-    for site in enumerate_moves(d, use, shadow=shadow):
-        kind, params = site.kind, site.params
-        if params in skip.get(kind, ()):
+    maps = _symmetries(ties, len(d.nodes)) if ties else ()
+    for kind in use:
+        found = _ordered(d, kind, shadow)
+        if not found:
             continue
-        yield site, _build(d, site)
-        if maps:
-            skip.setdefault(kind, set()).update(_orbit(d, _dart_form(d, site), maps, shadow))
-        elif kind == "R3" or (kind == "R2_add" and not shadow):
-            # spelled as the listing spells them, like the listed site
-            skip.setdefault(kind, set()).update([same.params for same in _alike(d, site, shadow)])
+        build = _KINDS[kind][1]
+        # the listed params of this kind known to repeat a key
+        skip = _orbit(d, back, maps, shadow) if back is not None and back.kind == kind else set()
+        last = found[-1]
+        for params in found:
+            if params in skip:
+                continue
+            site = MoveSite(kind, params)
+            yield site, build(d, params)
+            if params is last:
+                break  # no later site of this kind to skip
+            if maps:
+                skip |= _orbit(d, _dart_form(d, site), maps, shadow)
+            elif kind == "R3" or (kind == "R2_add" and not shadow):
+                # spelled as the listing spells them, like the listed site
+                skip.update([same.params for same in _alike(d, site, shadow)])
 
 
 def _state_key(shadow: bool):
@@ -728,7 +745,7 @@ class _Side:
     rebuild numbers its nodes as the child that was keyed did, so the
     symmetries read off that child's traces hold for it; ``ties`` keeps
     them, as ``Diagram._ties`` gives them, for the recorded states that
-    have any, and an expansion turns them into dart maps.  An expansion skips
+    have any, and ``_neighbors`` turns them into dart maps.  An expansion skips
     the sites whose children repeat a sibling's key (as plantri skips
     symmetric expansions: Brinkmann and McKay, MATCH 58, 2007) and the
     undo of the state's arrival, which rebuilds its parent (the
@@ -738,7 +755,7 @@ class _Side:
     The waiting entries form a heap: least rank first, then first to
     arrive.  Each entry is a state and the kinds it is to be expanded by;
     a later batch also keeps the rebuilt diagram, its undo site and its
-    symmetries.
+    ties.
     A plain side ranks every state 0 and expands it by every kind at once.
     A ``partial`` side ranks a state by its crossing count c and expands
     it in batches (partial expansion, Yoshizumi, Miura and Ishida, AAAI
@@ -777,25 +794,24 @@ class _Side:
             if reached_by is not None:
                 back = _KINDS[reached_by.kind][2](cur, reached_by.params)
                 cur = _build(cur, reached_by)
-            ties = self.ties.get(code)
-            maps = [_paired([tie], len(cur.nodes)) for tie in ties] if ties else ()
+            ties = self.ties.get(code, ())
             if self.partial:
                 for added in (1, 2):
                     rank = cur.crossing_count + added
                     if rank <= self.budget.max_crossings:
-                        later = (cur, back, maps)
+                        later = (cur, back, ties)
                         entry = (rank, next(self.arrivals), code, _BATCHES[added], later)
                         heappush(self.waiting, entry)
         else:
-            cur, back, maps = built
+            cur, back, ties = built
         yield code, cur
-        for site, nd in _neighbors(cur, self.budget, self.shadow, kinds, maps, back):
+        for site, nd in _neighbors(cur, self.budget, self.shadow, kinds, ties, back):
             ncode = self.key(nd)
             if ncode not in self.record:
                 self.record[ncode] = (code, site)
-                ties = nd._ties(self.shadow)
-                if ties:
-                    self.ties[ncode] = ties
+                tied = nd._ties(self.shadow)
+                if tied:
+                    self.ties[ncode] = tied
                 self.pending[ncode] = cur
                 entry = (self.rank(nd), next(self.arrivals), ncode, self.first, None)
                 heappush(self.waiting, entry)

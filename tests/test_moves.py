@@ -36,7 +36,7 @@ from graphknot.diagram import (
     Diagram,
     Vertex,
     _least_trace,
-    _paired,
+    _symmetries,
     parse_diagram,
 )
 from graphknot.gallery import (
@@ -364,15 +364,10 @@ def test_unguarded_builds_match_the_guarded_moves(d):
             assert r.free_loops == want.free_loops, site
             assert r.crossing_count == want.crossing_count, site
             assert Diagram(r.nodes, r.arcs, r.free_loops)._darts == r._darts, site
-        built = dict(_neighbors(d, budget, shadow, maps=_symmetries(d, shadow)))
+        built = dict(_neighbors(d, budget, shadow, ties=d._ties(shadow)))
         assert list(built) == [site for site in expected if site in built]
         for site, r in built.items():
             assert r._darts == expected[site]._darts and r.nodes == expected[site].nodes
-
-
-def _symmetries(d, shadow):
-    """The dart maps of the ties of ``d``'s least traces."""
-    return [_paired([tie], len(d.nodes)) for tie in d._ties(shadow)]
 
 
 def _first_sites(neighbours, key, known):
@@ -398,7 +393,7 @@ def _assert_pruned_exactly(d, shadow, parent=None, arrival=None):
     back = None if arrival is None else _KINDS[arrival.kind][2](parent, arrival.params)
     known = None if parent is None else key(parent)
     for kinds in (ISOTOPY_KINDS, *_BATCHES.values()):
-        pruned = list(_neighbors(d, budget, shadow, kinds, _symmetries(d, shadow), back))
+        pruned = list(_neighbors(d, budget, shadow, kinds, d._ties(shadow), back))
         full = list(unpruned_neighbors(d, budget, shadow, kinds))
         place = {site: i for i, (site, _child) in enumerate(full)}
         places = [place[site] for site, _child in pruned]
@@ -441,7 +436,7 @@ def test_the_tied_traces_give_every_symmetry(d, shadow):
     It moves one component, and a component's maps plus one are the roots
     whose own trace gives its least code, counted root by root."""
     deg, first, partner = d._darts
-    maps = _symmetries(d, shadow)
+    maps = _symmetries(d._ties(shadow), len(d.nodes))
     for node, turn in maps:
         assert sorted(node) == list(range(len(d.nodes)))
 
