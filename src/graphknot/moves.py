@@ -52,10 +52,10 @@ builds a neighbourhood.
 An expansion builds one child per orbit of sites (``_neighbors``).  The
 roots that tie a component's least trace give its map automorphisms
 (``Diagram._ties``), which permute the sites and so the children; a side
-keeps them for the states that have any.  A site is skipped,
-unbuilt, when a symmetry takes an earlier built site to it, when it is the
-undo of the move that reached the state or an image of that undo, or when,
-off shadows, it is the twin of a built ``R2_add``.  Each skipped child
+keeps them for the states that have any.  A site is skipped, unbuilt,
+when a symmetry takes an earlier built site to it, when it is the undo of
+the move that reached the state or an image of that undo, or when, off
+shadows, it is the twin of a built ``R2_add``.  Each skipped child
 has the key of an earlier sibling or of the state's parent, which the
 side has recorded already, so the records, answers and paths are those
 of building every site.
@@ -683,8 +683,8 @@ def _neighbors(
 
     ``ties`` are the tied traces of ``d`` (``Diagram._ties``), whose
     ``_symmetries`` are dart maps of its automorphisms, and ``back`` is
-    the site, in dart form, that undoes the move by which a
-    search reached ``d``, or None.  A site is skipped unbuilt when
+    the site, in dart form, that undoes the move by which a search reached
+    ``d``, or None.  A site is skipped unbuilt when
     ``_orbit`` finds its child has the key of an earlier child or of the
     state ``back`` rebuilds: a site that ``_alike`` or a symmetry takes a
     built site to, such as the other two darts of a slid R3 triangle or,
@@ -745,10 +745,10 @@ class _Side:
     rebuild numbers its nodes as the child that was keyed did, so the
     symmetries read off that child's traces hold for it; ``ties`` keeps
     them, as ``Diagram._ties`` gives them, for the recorded states that
-    have any, and ``_neighbors`` turns them into dart maps.  An expansion skips
-    the sites whose children repeat a sibling's key (as plantri skips
-    symmetric expansions: Brinkmann and McKay, MATCH 58, 2007) and the
-    undo of the state's arrival, which rebuilds its parent (the
+    have any, and ``_neighbors`` turns them into dart maps.  An expansion
+    skips the sites whose children repeat a sibling's key (as plantri
+    skips symmetric expansions: Brinkmann and McKay, MATCH 58, 2007) and
+    the undo of the state's arrival, which rebuilds its parent (the
     used-operator rule of frontier search: Korf, Zhang, Thayer and
     Hohwald, J. ACM 52, 2005).
 
