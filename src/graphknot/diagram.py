@@ -24,7 +24,7 @@ from .errors import (
     SizeLimitExceeded,
     TopologyError,
 )
-from .multigraph import Multigraph, parse_int
+from .multigraph import _INTEGER, Multigraph, parse_int
 
 Dart = tuple[int, int]
 Arc = tuple[Dart, Dart]
@@ -299,8 +299,8 @@ class Diagram:
     def _least_traces(self, shadow: bool = False):
         """(code, node order, slot origins, ties) of each component's least
         trace, in component order (by least node); the first root to reach
-        the least code wins, and ``ties`` holds the traces (node numbers,
-        slot origins, node order) of the other roots that reach it.
+        the least code wins, and ``ties`` holds the traces (node order, slot
+        origins) of the other roots that reach it.
 
         A trace is the breadth-first code of a component from a root dart.
         Node numbers and slot origins are both traversal-derived, so two
@@ -385,9 +385,6 @@ class Diagram:
         ``shadow_code``, and the pieces of the same traces that have ties
         (``_ties``)."""
         pieces = self._least_traces(shadow)
-        if len(pieces) == 1:
-            piece = pieces[0]
-            return ((piece[0],), self.free_loops), pieces if piece[3] else ()
         key = (tuple(sorted([piece[0] for piece in pieces])), self.free_loops)
         return key, [piece for piece in pieces if piece[3]]
 
@@ -634,7 +631,9 @@ def _least_trace(nodes, darts, roots, heads):
             traces = kept
         i += 1
     _number, origin, order = traces[0]
-    return tuple(code), order, origin, traces[1:]
+    # a tie keeps its order and origins, not its node numbers
+    ties = [(tie[2], tie[1]) for tie in traces[1:]] if len(traces) > 1 else ()
+    return tuple(code), order, origin, ties
 
 
 def _paired(pairs, size: int):
@@ -658,7 +657,7 @@ def _symmetries(ties, size: int):
     (``Diagram._ties``) onto its component's least trace, on a diagram of
     ``size`` nodes."""
     return [
-        _paired([((order, origin), (tie[2], tie[1]))], size)
+        _paired([((order, origin), tie)], size)
         for _code, order, origin, tied in ties
         for tie in tied
     ]
@@ -747,8 +746,9 @@ def _trapped_loops(d: Diagram, thru: dict[Dart, Dart], passed: set[Dart]) -> int
 
 _CROSSINGS = (Crossing(0), Crossing(1))
 
-# an arc end of the text format, ASCII digits as ``parse_int`` reads them
-_ARC_END = re.compile(r"(-?[0-9]+)\.(-?[0-9]+)")
+# an arc end of the text format: two integer tokens, read as ``parse_int``
+# reads one, joined by a dot
+_ARC_END = re.compile(rf"({_INTEGER.pattern})\.({_INTEGER.pattern})")
 
 
 def _grown(d: Diagram, overs):

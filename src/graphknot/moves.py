@@ -703,6 +703,9 @@ def _neighbors(
         build = _KINDS[kind][1]
         # the listed params of this kind known to repeat a key
         skip = _orbit(d, back, maps, shadow) if back is not None and back.kind == kind else set()
+        # whether a built site's orbit holds any site but itself: only under
+        # a symmetry, or for the sites ``_alike`` pairs up
+        grows = maps or kind == "R3" or (kind == "R2_add" and not shadow)
         last = found[-1]
         for params in found:
             if params in skip:
@@ -711,11 +714,8 @@ def _neighbors(
             yield site, build(d, params)
             if params is last:
                 break  # no later site of this kind to skip
-            if maps:
+            if grows:
                 skip |= _orbit(d, _dart_form(d, site), maps, shadow)
-            elif kind == "R3" or (kind == "R2_add" and not shadow):
-                # spelled as the listing spells them, like the listed site
-                skip.update([same.params for same in _alike(d, site, shadow)])
 
 
 def _state_key(shadow: bool):
@@ -745,7 +745,8 @@ class _Side:
     rebuild numbers its nodes as the child that was keyed did, so the
     symmetries read off that child's traces hold for it; ``ties`` keeps
     them, as ``Diagram._ties`` gives them, for the recorded states that
-    have any, and ``_neighbors`` turns them into dart maps.  An expansion
+    have any until their first expansion takes them, and ``_neighbors``
+    turns them into dart maps.  An expansion
     skips the sites whose children repeat a sibling's key (as plantri
     skips symmetric expansions: Brinkmann and McKay, MATCH 58, 2007) and
     the undo of the state's arrival, which rebuilds its parent (the
@@ -794,7 +795,7 @@ class _Side:
             if reached_by is not None:
                 back = _KINDS[reached_by.kind][2](cur, reached_by.params)
                 cur = _build(cur, reached_by)
-            ties = self.ties.get(code, ())
+            ties = self.ties.pop(code, ())
             if self.partial:
                 for added in (1, 2):
                     rank = cur.crossing_count + added
