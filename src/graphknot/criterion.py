@@ -21,13 +21,14 @@ number used, so ``verify_certificate`` can recheck them arithmetically,
 with no search.
 
 All ``2^c`` reassignments share one shadow, and the +1 and -1 tangles
-differ only in the parity of their crossing.  So condition (ii) and
-``verify_certificate`` substitute each tangle at most once per call and
-keep that map's projection, cycles, cycle pairs and sublinks in an
-``ObstructionScan``; a crossing assignment is a parity update of the map
-(``Diagram.with_parities``) that costs only the linking numbers and
-brackets of parity vectors its sublinks have not met yet, walked in the
-same order as a fresh scan would walk it.
+differ only in the parity of their crossing, so both substitutions are one
+map.  Condition (ii) and ``verify_certificate`` substitute the +1 tangle
+once per call and keep that map's projection, cycles, cycle pairs and
+sublinks in one ``ObstructionScan``.  A crossing assignment with either
+tangle is a parity vector of that map, not a diagram: it costs only the
+linking numbers and brackets of sublink parities that neither it nor
+their mirror images have met yet, walked in the same order as a fresh
+scan would walk it.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .multigraph import Multigraph, disjoint_union, one_point_union
 from .tangle import RationalTangle, VertexOrientation, substitute
 
 TANGLE_PLUS = RationalTangle((1,))
-TANGLE_MINUS = RationalTangle((-1,))
 
 CERTIFICATE_FORMAT = "graphknot-certificate-v1"
 
@@ -156,28 +156,31 @@ class AssignmentRecord:
 
 
 class _Substitutions:
-    """The +1 and -1 tangle substituted at ``where``, each at most once.
+    """The +1 and -1 tangle substituted at ``where``, as one map.
 
-    Substitution keeps the diagram's nodes, in order, ahead of the tangle's,
-    so the first crossings of a substituted map are the diagram's own: a
-    crossing assignment reaches it as a parity update of one shared map,
-    and the map's ``ObstructionScan`` serves every assignment.
+    The two tangles are one twist of opposite sign: one crossing on the
+    same darts, over at opposite parities.  Substitution keeps the
+    diagram's nodes, in order, ahead of the tangle's, so the +1 tangle is
+    substituted once, its map's ``ObstructionScan`` serves both tangles,
+    and an assignment with either tangle is a parity vector of that map:
+    the assignment's bits, then the tangle crossing's parity (``parities``).
     """
 
     def __init__(self, d: Diagram, where: VertexOrientation):
         self._d, self._where = d, where
-        self._scans: dict[int, ObstructionScan] = {}
+        self._scan: ObstructionScan | None = None
 
-    def scan(self, r: int) -> ObstructionScan:
-        if r not in self._scans:
-            tangle = TANGLE_PLUS if r == 1 else TANGLE_MINUS
-            self._scans[r] = ObstructionScan(substitute(self._d, self._where, tangle))
-        return self._scans[r]
+    @property
+    def scan(self) -> ObstructionScan:
+        if self._scan is None:
+            self._scan = ObstructionScan(substitute(self._d, self._where, TANGLE_PLUS))
+        return self._scan
 
-    def assigned(self, r: int, bits: tuple[int, ...]) -> Diagram:
-        """The substitution of tangle ``r`` into the assignment ``bits``."""
-        base = self.scan(r).diagram
-        return base.with_parities(dict(zip(base.crossings(), bits)))
+    def parities(self, r: int, bits: tuple[int, ...]) -> tuple[int, ...]:
+        """The map's parity vector of the assignment ``bits`` with tangle
+        ``r``: the -1 tangle's crossing is the +1 tangle's, switched."""
+        plus = self.scan.diagram.nodes[-1].over
+        return bits + (plus if r == 1 else 1 - plus,)
 
 
 def condition_ii(
@@ -193,24 +196,22 @@ def condition_ii(
     Only assignment-independent obstructions (linked cycles or a sublink
     span) are tried, never a move search, so every record can be replayed
     by ``verify_certificate`` and the outcome is sound unconditionally.
-    Each tangle's map is substituted and scanned once; an assignment costs
-    only its linking numbers and brackets.
+    The tangles' one map is substituted and scanned once; an assignment
+    costs only the linking numbers and brackets of its parity vector.
     """
     subs = _Substitutions(d, where)
     records: list[AssignmentRecord] = []
     for bits in crossing_assignments(d):
-        hit = None
+        scan = subs.scan
+        if scan.diagram.crossing_count <= 1:
+            return None  # it needs at most one crossing, so nothing bounds it by two
         for r in (1, -1):
-            sub = subs.assigned(r, bits)
-            if sub.crossing_count <= 1:
-                continue  # it needs at most one crossing, so nothing bounds it by two
-            found = subs.scan(r).at_least_two(sub)
+            found = scan.at_least_two(subs.parities(r, bits))
             if found is not None:
-                hit = AssignmentRecord(bits, r, *found)
+                records.append(AssignmentRecord(bits, r, *found))
                 break
-        if hit is None:
+        else:
             return None
-        records.append(hit)
     return tuple(records)
 
 
@@ -337,7 +338,7 @@ def _map_problem(scan: ObstructionScan, kind, cycles) -> str | None:
             return "linked cycles are not vertex-disjoint"
     if kind in _REPLAYABLE:
         try:
-            scan.sublink(cycles, scan.diagram)
+            scan.sublink(cycles)
         except (FormatError, TopologyError) as exc:
             return f"cycles do not extract to a sublink: {exc}"
     return None
@@ -347,25 +348,25 @@ def _replay_assignment(
     subs: _Substitutions, bits: tuple[int, ...], rec: AssignmentRecord, checked: dict
 ) -> str | None:
     """Recheck the record of one crossing assignment; a message on failure,
-    None when good.  ``checked`` keeps ``_map_problem`` per tangle, kind and
-    cycles across the records of one certificate."""
+    None when good.  ``checked`` keeps ``_map_problem`` per kind and cycles
+    across the records of one certificate."""
     if rec.r not in (1, -1):
         return f"r must be +1 or -1, got {rec.r}"
     cert = rec.certificate
     if cert.bound < 2:
         return "certificate bound is below two"
-    scan = subs.scan(rec.r)
+    scan = subs.scan
     kind = cert.kind if cert.kind in _REPLAYABLE else None
-    shape = (rec.r, kind, cert.cycles)
+    shape = (kind, cert.cycles)
     if shape not in checked:
         checked[shape] = _map_problem(scan, kind, cert.cycles)
     if checked[shape] is not None:
         return checked[shape]
     if kind is None:
         return f"certificate kind {cert.kind!r} cannot be replayed without a search"
-    assigned = subs.assigned(rec.r, bits)
+    parities = subs.parities(rec.r, bits)
     if kind == "linked-cycles":
-        signed = scan.linking(cert.cycles, assigned)
+        signed = scan.linking(cert.cycles, parities)
         if signed != rec.linking:
             return (
                 f"stored linking numbers {list(rec.linking)} disagree with "
@@ -375,7 +376,7 @@ def _replay_assignment(
         if total != cert.value or 2 * total != cert.bound:
             return "linking numbers do not support the stored bound"
         return None
-    bound = scan.span_bound(cert.cycles, assigned)
+    bound = scan.span_bound(cert.cycles, parities)
     if bound != cert.bound:
         return f"recomputed span bound {bound} != stored {cert.bound}"
     return None

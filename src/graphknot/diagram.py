@@ -43,6 +43,10 @@ class Crossing:
             raise FormatError("crossing 'over' parity must be the int 0 or 1")
 
 
+# the two crossings, shared by every diagram that is not handed its own
+_CROSSINGS = (Crossing(0), Crossing(1))
+
+
 @dataclass(frozen=True)
 class Vertex:
     label: str
@@ -525,6 +529,11 @@ class Diagram:
 
     # -- simple rewrites ----------------------------------------------------------
 
+    def parities(self) -> tuple[int, ...]:
+        """The over parity of each crossing, by node index: the parity
+        vector of this crossing assignment of the map."""
+        return tuple(node.over for node in self.nodes if type(node) is Crossing)
+
     def with_parities(self, overs: dict[int, int]) -> "Diagram":
         """This map with crossing ``n`` over at parity ``overs[n]``, sharing the
         dart arrays, arcs, faces, components, shadow code and shadow
@@ -533,7 +542,9 @@ class Diagram:
         for n, over in overs.items():
             if not isinstance(nodes[n], Crossing):
                 raise InvalidVertexError(f"node {n} is not a crossing")
-            nodes[n] = Crossing(over)
+            # the shared crossing; any other value fails ``Crossing``'s check
+            ok = type(over) is int and over in (0, 1)
+            nodes[n] = _CROSSINGS[over] if ok else Crossing(over)
         out = Diagram._trusted(
             tuple(nodes), self._darts, self.free_loops, self.crossing_count
         )
@@ -743,8 +754,6 @@ def _trapped_loops(d: Diagram, thru: dict[Dart, Dart], passed: set[Dart]) -> int
             trapped.discard(cur)
     return loops
 
-
-_CROSSINGS = (Crossing(0), Crossing(1))
 
 # an arc end of the text format: two integer tokens, read as ``parse_int``
 # reads one, joined by a dot

@@ -438,6 +438,19 @@ class Obstruction:
         }
 
 
+class _Sublink:
+    """A candidate's extraction: its cycle tuple ``key``, the sublink
+    ``diagram`` it extracts to, the ``positions`` in the map's parity vector
+    of the crossings that sublink keeps, and its ``values`` by measure and
+    by the over bits of those crossings, the first bit 0."""
+
+    __slots__ = ("key", "diagram", "positions", "values")
+
+    def __init__(self, key, diagram: Diagram, positions: tuple[int, ...]):
+        self.key, self.diagram, self.positions = key, diagram, positions
+        self.values: dict = {}
+
+
 class ObstructionScan:
     """The lower-bound scan of one map, its over/under-free half kept.
 
@@ -445,12 +458,20 @@ class ObstructionScan:
     (``Multigraph.crossing_lower_bound``), simple cycles and disjoint cycle
     pairs, and the sublink each candidate extracts to (or the error
     extracting it raises), depend on its map alone.  They are built on first
-    use, in scan order, and kept, so ``obstructions`` run on every diagram
-    sharing the map (``Diagram.with_parities``) reads only parities.
+    use, in scan order, and kept, so a crossing assignment of the map is
+    only a parity vector: one over parity per crossing, by node index, as
+    ``crossing_assignments`` yields them.  ``obstructions`` reads nothing
+    else of it.  Each candidate's kept crossings are positions in that
+    vector, found once.
 
     A sublink's linking numbers and span bounds depend only on the over bits
     of the crossings it keeps, so they are kept per (cycles, bits): ``hits``
     counts the values served from there instead of computed again.
+    Switching every kept crossing gives the sublink's mirror image, whose
+    bracket is the sublink's with A and A^-1 exchanged: the spans and span
+    bounds stay, and the signed linking numbers negate (Kauffman, Topology
+    26, 1987).  So the bits are kept by the representative whose first bit
+    is 0, and a vector and its complement share one value.
 
     ``obstructions`` skips, before extracting it, a candidate whose sublink
     keeps too few crossings to yield anything; the count of kept crossings
@@ -470,11 +491,16 @@ class ObstructionScan:
         self._planar: bool | None = None
         self._graph_bound: int | None = None
         self._cycles: list[list[int]] | None = None
-        self._pairs: list[tuple[list[int], list[int]]] = []
-        self._more_pairs = None
-        self._sublinks: dict = {}
+        self._position: dict[int, int] | None = None
+        self._itself: _Sublink | None = None
         self._kept: dict = {}
-        self._values: dict = {}
+        self._sublinks: dict = {}
+        # the candidates in scan order, each None when skipped, extended as
+        # far as some scan has asked from the iterators of their cycle tuples
+        self._pairs: list[_Sublink | None] = []
+        self._more_pairs = None
+        self._singles: list[_Sublink | None] = []
+        self._more_singles = None
         self.hits = 0
         self.skipped = 0
 
@@ -504,15 +530,11 @@ class ObstructionScan:
             self._cycles = simple_cycles(self.projection.graph)
         return self._cycles
 
-    def disjoint_pairs(self):
-        """``disjoint_cycle_pairs`` of the map, enumerated once and only as
-        far as some scan has asked."""
-        if self._more_pairs is None:
-            self._more_pairs = disjoint_cycle_pairs(self.projection.graph, self.cycles())
-        yield from self._pairs
-        for pair in self._more_pairs:
-            self._pairs.append(pair)
-            yield pair
+    def _positions(self, kept: list[int]) -> tuple[int, ...]:
+        """The positions of the crossings ``kept`` in the parity vector."""
+        if self._position is None:
+            self._position = {n: i for i, n in enumerate(self.diagram.crossings())}
+        return tuple(self._position[n] for n in kept)
 
     def _kept_crossings(self, key) -> list[int]:
         """``sublink_crossings`` of the cycle tuple ``key``, kept per tuple."""
@@ -521,22 +543,15 @@ class ObstructionScan:
             kept = self._kept[key] = sublink_crossings(self.projection, key)
         return kept
 
-    def _extraction(self, cycles) -> tuple[tuple, Diagram, list[int]]:
-        """The cycle tuple of ``cycles``, the sublink it extracts to and the
-        crossings that sublink keeps.
-
-        The extraction, or the ``FormatError`` or ``TopologyError`` it
-        raises, is kept per cycle tuple.
-        """
+    def _extraction(self, cycles) -> _Sublink:
+        """The extraction of ``cycles``.  It, or the ``FormatError`` or
+        ``TopologyError`` extracting raises, is kept per cycle tuple."""
         key = tuple(map(tuple, cycles))
         hit = self._sublinks.get(key)
         if hit is None:
-            projection = self.projection
             try:
-                hit = (
-                    extract_sublink(projection, [list(c) for c in key]),
-                    self._kept_crossings(key),
-                )
+                sub = extract_sublink(self.projection, [list(c) for c in key])
+                hit = _Sublink(key, sub, self._positions(self._kept_crossings(key)))
             except (FormatError, TopologyError) as exc:
                 hit = exc.with_traceback(None)
             self._sublinks[key] = hit
@@ -544,39 +559,68 @@ class ObstructionScan:
             # a fresh error each time: a traceback on the kept one would hold
             # this frame, and so the scan, in a reference cycle
             raise type(hit)(*hit.args)
-        return (key, *hit)
+        return hit
 
-    def sublink(self, cycles, d: Diagram) -> Diagram:
-        """``extract_sublink`` of ``cycles`` in ``d``, a diagram of this map;
-        only ``d``'s parities are applied afresh."""
-        _, sub, kept = self._extraction(cycles)
-        return sub.with_parities({i: d.nodes[n].over for i, n in enumerate(kept)})
+    def _walk(self, walk: list, more, least: int):
+        """Yield the candidates of ``walk`` in order, extending it from the
+        iterator of cycle tuples ``more`` as far as asked: None for a tuple
+        whose sublink keeps fewer than ``least`` crossings, else its
+        extraction.  A tuple whose extraction raises ``TopologyError`` is
+        left out."""
+        i = 0
+        while True:
+            while i < len(walk):
+                yield walk[i]
+                i += 1
+            for key in more:
+                if len(self._kept_crossings(key)) < least:
+                    walk.append(None)
+                    break
+                try:
+                    walk.append(self._extraction(key))
+                    break
+                except TopologyError:
+                    continue
+            else:
+                return
 
-    def _per_parity(self, measure, extraction, d: Diagram):
-        """``measure`` of an ``_extraction`` with ``d``'s parities, kept per
-        cycle tuple and over bits of the crossings the sublink keeps."""
-        key, sub, kept = extraction
-        bits = tuple(d.nodes[n].over for n in kept)
-        slot = (measure, key, bits)
-        value = self._values.get(slot)
+    def _value(self, measure, sub: _Sublink, bits: tuple[int, ...]):
+        """``measure`` of the sublink ``sub`` at the parity vector ``bits``,
+        kept per measure and over bits of its kept crossings, a vector and
+        its complement sharing one value."""
+        over = tuple([bits[i] for i in sub.positions])
+        mirrored = bool(over) and over[0] == 1
+        if mirrored:
+            over = tuple([1 - b for b in over])
+        slot = (measure, over)
+        value = sub.values.get(slot)
         if value is None:
-            value = measure(sub.with_parities(dict(enumerate(bits))))
-            self._values[slot] = value
+            value = measure(sub.diagram.with_parities(dict(enumerate(over))))
+            sub.values[slot] = value
         else:
             self.hits += 1
+        if mirrored and measure is _signed_linking:
+            return tuple([-lk for lk in value])
         return value
 
-    def linking(self, cycles, d: Diagram) -> tuple[int, ...]:
-        """The signed linking numbers of the sublink, by circle pair."""
-        return self._per_parity(_signed_linking, self._extraction(cycles), d)
+    def sublink(self, cycles) -> Diagram:
+        """``extract_sublink`` of ``cycles`` in the scan's diagram."""
+        return self._extraction(cycles).diagram
 
-    def span_bound(self, cycles, d: Diagram) -> int:
-        """``component_span_lower_bound`` of the sublink."""
-        return self._per_parity(component_span_lower_bound, self._extraction(cycles), d)
+    def linking(self, cycles, bits: tuple[int, ...]) -> tuple[int, ...]:
+        """The signed linking numbers of the sublink at the parity vector
+        ``bits``, by circle pair."""
+        return self._value(_signed_linking, self._extraction(cycles), bits)
 
-    def obstructions(self, d: Diagram):
-        """Yield each obstruction of ``d``, a diagram of this map, with the
-        signed linking numbers behind it (empty unless linked-cycles).
+    def span_bound(self, cycles, bits: tuple[int, ...]) -> int:
+        """``component_span_lower_bound`` of the sublink at the parity vector
+        ``bits``."""
+        return self._value(component_span_lower_bound, self._extraction(cycles), bits)
+
+    def obstructions(self, bits: tuple[int, ...]):
+        """Yield each obstruction of the map at the parity vector ``bits``,
+        with the signed linking numbers behind it (empty unless
+        linked-cycles).
 
         Cheap evidence comes first: a link diagram's own span, then linking
         numbers of disjoint cycle pairs, then bracket spans of single
@@ -584,50 +628,50 @@ class ObstructionScan:
         two crossings, or a cycle fewer than three, is skipped unextracted:
         it yields nothing (see the class docstring).
         """
-        if not d.vertices() and (d.components() or d.free_loops):
-            # a pure link diagram bounds itself through its own span
-            bound = component_span_lower_bound(d)
+        if self._more_pairs is None:
+            d = self.diagram
+            if not d.vertices() and (d.components() or d.free_loops):
+                # a pure link diagram bounds itself through its own span; all
+                # its nodes are crossings, so node n is at position n
+                self._itself = _Sublink((), d, tuple(range(d.crossing_count)))
+            pairs = disjoint_cycle_pairs(self.projection.graph, self.cycles())
+            self._more_pairs = ((tuple(c1), tuple(c2)) for c1, c2 in pairs)
+            self._more_singles = ((tuple(c),) for c in self.cycles())
+        if self._itself is not None:
+            bound = self._value(component_span_lower_bound, self._itself, bits)
             if bound > 0:
                 yield Obstruction("sublink-span", bound, (), -1), ()
         unlinked = []
-        for c1, c2 in self.disjoint_pairs():
-            key = (tuple(c1), tuple(c2))
-            if len(self._kept_crossings(key)) < 2:
+        for sub in self._walk(self._pairs, self._more_pairs, 2):
+            if sub is None:
                 self.skipped += 1
                 continue
-            try:
-                extraction = self._extraction(key)
-            except TopologyError:
-                continue
-            signed = self._per_parity(_signed_linking, extraction, d)
+            signed = self._value(_signed_linking, sub, bits)
             total = sum(abs(v) for v in signed)
             if total >= 1:
-                yield Obstruction("linked-cycles", 2 * total, extraction[0], total), signed
+                yield Obstruction("linked-cycles", 2 * total, sub.key, total), signed
             else:
-                unlinked.append(extraction)
-        for cycle in self.cycles():
-            key = (tuple(cycle),)
-            if len(self._kept_crossings(key)) < 3:
+                unlinked.append(sub)
+        for sub in self._walk(self._singles, self._more_singles, 3):
+            if sub is None:
                 self.skipped += 1
                 continue
-            try:
-                extraction = self._extraction(key)
-            except TopologyError:
-                continue
             # one cycle extracts to one circle, so its bound is its own span's
-            span = self._per_parity(_bracket_span, extraction, d)
+            span = self._value(_bracket_span, sub, bits)
             bound = (span + 3) // 4
             if bound > 0:
-                yield Obstruction("sublink-span", bound, extraction[0], span), ()
-        for extraction in unlinked:
-            bound = self._per_parity(component_span_lower_bound, extraction, d)
+                yield Obstruction("sublink-span", bound, sub.key, span), ()
+        for sub in unlinked:
+            bound = self._value(component_span_lower_bound, sub, bits)
             if bound >= 2:
-                yield Obstruction("sublink-span", bound, extraction[0], -1), ()
+                yield Obstruction("sublink-span", bound, sub.key, -1), ()
 
-    def at_least_two(self, d: Diagram) -> tuple[Obstruction, tuple[int, ...]] | None:
-        """The first obstruction of ``d`` with bound two or more, and its
-        signed linking numbers; None when none bites."""
-        return next(((o, lk) for o, lk in self.obstructions(d) if o.bound >= 2), None)
+    def at_least_two(
+        self, bits: tuple[int, ...]
+    ) -> tuple[Obstruction, tuple[int, ...]] | None:
+        """The first obstruction at the parity vector ``bits`` with bound two
+        or more, and its signed linking numbers; None when none bites."""
+        return next(((o, lk) for o, lk in self.obstructions(bits) if o.bound >= 2), None)
 
 
 @dataclass(frozen=True)
@@ -687,7 +731,7 @@ def lower_bound_obstructions(
         if below_stop() and scan.graph_bound > 1:
             obstructions.append(Obstruction("block-euler-girth", scan.graph_bound))
     if below_stop() and not shadow:
-        for o, _signed in scan.obstructions(d):
+        for o, _signed in scan.obstructions(d.parities()):
             obstructions.append(o)
             if stop_when is not None and o.bound >= stop_when:
                 break

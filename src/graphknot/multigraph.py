@@ -50,18 +50,6 @@ class Multigraph:
     def endpoints(self, edge_index: int) -> tuple[int, int]:
         return self.edges[edge_index]
 
-    def other_end(self, edge_index: int, vertex: int) -> int:
-        u, v = self.edges[edge_index]
-        if vertex == u:
-            return v
-        if vertex == v:
-            return u
-        raise InvalidVertexError(f"vertex {vertex} is not on edge {edge_index}")
-
-    def is_loop(self, edge_index: int) -> bool:
-        u, v = self.edges[edge_index]
-        return u == v
-
     def degrees(self) -> list[int]:
         out = [0] * self.vertex_count
         for u, v in self.edges:

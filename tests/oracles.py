@@ -20,7 +20,7 @@ from graphknot.diagram import (
     extract_sublink,
     sublink_crossings,
 )
-from graphknot.errors import FormatError, TopologyError
+from graphknot.errors import FormatError, InvalidVertexError, TopologyError
 from graphknot.invariants import (
     MAX_BRACKET_CROSSINGS,
     Obstruction,
@@ -38,11 +38,17 @@ from graphknot.moves import (
     Budget,
     _build,
     _state_key,
+    apply_move,
     descending_diagram,
     enumerate_moves,
     search_min_crossings,
 )
-from graphknot.multigraph import AutGroup, Permutation
+from graphknot.multigraph import (
+    AutGroup,
+    Permutation,
+    automorphisms,
+    symmetric_product_orbits,
+)
 from graphknot.tangle import normalize_fraction, tangle_from_fraction
 
 # the value of one closed loop, -A^2 - A^-2
@@ -94,6 +100,21 @@ def splice_identify(d: Diagram, thru: dict) -> Diagram:
             used.update((x, thru[x]))
             x = pair[thru[x]]
     return Diagram([d.nodes[n] for n in keep], arcs, d.free_loops + loops)
+
+
+def other_end(g: Multigraph, edge_index: int, vertex: int) -> int:
+    """The end of edge ``edge_index`` of ``g`` that is not ``vertex``."""
+    u, v = g.edges[edge_index]
+    if vertex == u:
+        return v
+    if vertex == v:
+        return u
+    raise InvalidVertexError(f"vertex {vertex} is not on edge {edge_index}")
+
+
+def is_loop(g: Multigraph, edge_index: int) -> bool:
+    u, v = g.edges[edge_index]
+    return u == v
 
 
 def walked_sublink(projection: GraphProjection, cycles) -> Diagram:
@@ -162,7 +183,7 @@ def walked_sublink(projection: GraphProjection, cycles) -> Diagram:
             if prev_end is not None:
                 thru[prev_end] = path.ends[0]
                 thru[path.ends[0]] = prev_end
-            nxt = g.other_end(e, visited[-1])
+            nxt = other_end(g, e, visited[-1])
             visited.append(nxt)
             prev_end = path.ends[1]
         if visited[-1] != visited[0]:
@@ -428,6 +449,25 @@ def small_crossing_number(g: Multigraph) -> int | None:
     return None
 
 
+def sweep_drawings() -> list[Diagram]:
+    """The planar soundness sweep's drawings: each connected planar simple
+    graph with at most six vertices that passes the symmetric-product
+    screen, drawn by ``base_diagram`` when that has at most two crossings,
+    and also with its first ``R2_add`` when it has none."""
+    out = []
+    for _i, g in atlas_graphs():
+        if not g.is_planar() or symmetric_product_orbits(automorphisms(g)) is None:
+            continue
+        base = base_diagram(g)
+        if base.crossing_count <= 2:
+            out.append(base)
+        if base.crossing_count == 0:
+            sites = enumerate_moves(base, ("R2_add",))
+            if sites:
+                out.append(apply_move(base, sites[0]))
+    return out
+
+
 def mirror_diagram(d: Diagram) -> Diagram:
     """Every crossing switched: the mirror image through the sphere."""
     return d.with_parities({n: 1 - d.nodes[n].over for n in d.crossings()})
@@ -487,7 +527,7 @@ def _assignment_bound(d: Diagram, scan: ObstructionScan) -> int:
     reaches ``d``'s crossing count."""
     bound = 0 if scan.planar else max(1, scan.graph_bound)
     if bound < d.crossing_count:
-        for o, _signed in scan.obstructions(d):
+        for o, _signed in scan.obstructions(d.parities()):
             bound = max(bound, o.bound)
             if bound >= d.crossing_count:
                 break
@@ -569,9 +609,9 @@ def level_order_equivalent(d1: Diagram, d2: Diagram, budget: Budget, shadow: boo
 
 
 def full_obstructions(d: Diagram):
-    """``ObstructionScan(d).obstructions(d)`` with no candidate skipped and
-    nothing kept: every disjoint cycle pair and every cycle is extracted
-    from ``d`` itself and measured.
+    """``ObstructionScan(d).obstructions(d.parities())`` with no candidate
+    skipped and nothing kept: every disjoint cycle pair and every cycle is
+    extracted from ``d`` itself and measured.
 
     Returns the obstructions with their signed linking numbers, in scan
     order; the crossing count of each candidate's sublink by cycle tuple

@@ -20,7 +20,6 @@ from graphknot import (
     VertexOrientation,
     additivity_check,
     apply_move,
-    automorphisms,
     cc_equivalent_within,
     check_nonplanar,
     complete_graph,
@@ -33,7 +32,6 @@ from graphknot import (
     replay_path,
     section3_crossing_number,
     substitute,
-    symmetric_product_orbits,
     verify_certificate,
 )
 from graphknot.gallery import (
@@ -58,6 +56,7 @@ from oracles import (
     is_alternating,
     is_reduced,
     normal_forms,
+    sweep_drawings,
 )
 
 
@@ -103,28 +102,17 @@ def test_soundness_sweep_on_small_planar_graphs():
     diagrams with at most two crossings."""
     with scored("soundness-sweep-planar-graphs", 600.0):
         cases = 0
-        for _i, g in atlas_graphs():
-            if not g.is_planar():
-                continue
-            if symmetric_product_orbits(automorphisms(g)) is None:
-                continue
-            base = base_diagram(g)
-            diagrams = [base] if base.crossing_count <= 2 else []
-            if base.crossing_count == 0:
-                sites = enumerate_moves(base, ("R2_add",))
-                if sites:
-                    diagrams.append(apply_move(base, sites[0]))
-            for d in diagrams:
-                for v in d.vertices():
-                    if d.nodes[v].degree != 4:
-                        continue
-                    for slot in range(4):
-                        cases += 1
-                        cert = check_nonplanar(d, VertexOrientation(v, slot))
-                        assert cert is None, (
-                            f"false positive on planar {g.edges} "
-                            f"at vertex {v}, slot {slot}"
-                        )
+        for d in sweep_drawings():
+            for v in d.vertices():
+                if d.nodes[v].degree != 4:
+                    continue
+                for slot in range(4):
+                    cases += 1
+                    cert = check_nonplanar(d, VertexOrientation(v, slot))
+                    assert cert is None, (
+                        f"false positive on planar {d.underlying_graph().graph.edges} "
+                        f"at vertex {v}, slot {slot}"
+                    )
         assert cases > 300  # the sweep must not silently go vacuous
 
 

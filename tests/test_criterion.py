@@ -36,16 +36,22 @@ from graphknot import (
 from graphknot import apply_move, enumerate_moves, extract_sublink, linking_numbers
 from graphknot import criterion, invariants
 from graphknot.criterion import (
-    TANGLE_MINUS,
     TANGLE_PLUS,
     AssignmentRecord,
     condition_i,
     condition_ii,
 )
-from graphknot.diagram import crossing_assignments
-from graphknot.invariants import Obstruction, ObstructionScan
+from graphknot.diagram import Crossing, Diagram, crossing_assignments
+from graphknot.invariants import (
+    Obstruction,
+    ObstructionScan,
+    _bracket_span,
+    _signed_linking,
+    _Sublink,
+    component_span_lower_bound,
+)
 from graphknot.moves import descending_diagram, search_min_crossings
-from graphknot.tangle import substitute
+from graphknot.tangle import RationalTangle, substitute
 from graphknot.gallery import (
     bowtie,
     k5_diagram,
@@ -59,11 +65,16 @@ from oracles import (
     atlas_graphs,
     full_obstructions,
     small_crossing_number,
+    sweep_drawings,
     walked_sublink,
 )
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+
+# the other tangle of condition (ii), which the criterion reaches as the
+# +1 tangle's map with its crossing switched
+TANGLE_MINUS = RationalTangle((-1,))
 
 
 def degree_four_vertices(d):
@@ -233,7 +244,7 @@ def test_verifier_takes_an_obstruction_cycle_in_any_edge_order():
     with pytest.raises(FormatError, match="share no vertex"):
         walked_sublink(scan.projection, [shuffled])
     assert criterion._map_problem(scan, "sublink-span", (tuple(shuffled),)) is None
-    assert scan.sublink([shuffled], d) == scan.sublink([ordered], d)
+    assert scan.sublink([shuffled]) == scan.sublink([ordered])
 
 
 # -- extract_sublink against the walk it replaced ------------------------------------
@@ -325,7 +336,7 @@ def oracle_condition_ii(d, where):
         assigned = d.with_parities(dict(zip(d.crossings(), bits)))
         for r, tangle in ((1, TANGLE_PLUS), (-1, TANGLE_MINUS)):
             sub = substitute(assigned, where, tangle)
-            found = ObstructionScan(sub).at_least_two(sub)
+            found = ObstructionScan(sub).at_least_two(sub.parities())
             if found is None:
                 continue
             certificate = found[0]
@@ -357,20 +368,23 @@ def k5_routing(crossings, rng):
 def test_condition_ii_matches_its_per_assignment_oracle():
     started = time.monotonic()
     rng = random.Random(6)
-    drawings = [k5_routing(c, rng) for c in range(2, 7)]
+    drawings = [k5_routing(c, rng) for c in (*range(2, 7), *range(2, 6))]
     drawings += [base_diagram(g) for g in (wheel4(), bowtie(), two_squares())]
     certified = 0
     for d in drawings:
         for v in degree_four_vertices(d):
-            where = VertexOrientation(v, 0)
-            records = condition_ii(d, where)
-            assert records == oracle_condition_ii(d, where)
-            certified += records is not None
-    assert certified >= 5
+            for slot in range(4):
+                where = VertexOrientation(v, slot)
+                records = condition_ii(d, where)
+                assert records == oracle_condition_ii(d, where)
+                certified += records is not None
+    assert certified >= 100
     assert time.monotonic() - started < 10
 
 
 def test_condition_ii_substitutes_each_tangle_once(monkeypatch):
+    """Both tangles come from one substitution, of the +1 tangle, in a
+    certificate run and in its replay."""
     calls = []
 
     def counted(*args):
@@ -382,10 +396,112 @@ def test_condition_ii_substitutes_each_tangle_once(monkeypatch):
     where = VertexOrientation(degree_four_vertices(d)[0], 0)
     cert = check_nonplanar(d, where)
     assert cert is not None and len(cert.per_assignment) == 16
-    assert len(calls) <= 2 and len(set(calls)) == len(calls)
+    assert {rec.r for rec in cert.per_assignment} == {1, -1}
+    assert calls == [TANGLE_PLUS]
     calls.clear()
     assert verify_certificate(cert).ok
-    assert len(calls) <= 2 and len(set(calls)) == len(calls)
+    assert calls == [TANGLE_PLUS]
+
+
+def test_a_parity_update_is_built_only_for_a_computed_value(monkeypatch):
+    """Neither condition (ii) nor its replay builds a diagram per crossing
+    assignment: ``with_parities`` runs once for each sublink value the one
+    scan computes, and for nothing else."""
+    scans, updates = [], []
+    with_parities = Diagram.with_parities
+
+    class Kept(ObstructionScan):
+        def __init__(self, d):
+            super().__init__(d)
+            scans.append(self)
+
+    def counted(self, overs):
+        updates.append(self)
+        return with_parities(self, overs)
+
+    def computed():
+        (scan,) = scans
+        return sum(len(s.values) for s in scan._sublinks.values() if isinstance(s, _Sublink))
+
+    monkeypatch.setattr(criterion, "ObstructionScan", Kept)
+    monkeypatch.setattr(Diagram, "with_parities", counted)
+    d = k5_routing(5, random.Random(4))
+    cert = check_nonplanar(d, VertexOrientation(degree_four_vertices(d)[0], 0))
+    assert cert is not None
+    assert 0 < len(updates) == computed()
+    scans.clear()
+    updates.clear()
+    assert verify_certificate(cert).ok
+    assert 0 < len(updates) == computed()
+
+
+def one_map_cases():
+    """(diagram, where) at each degree-4 vertex and slot of K5 routings with
+    2-6 crossings, of the K5 certificate's diagram and of the planar
+    sweep's drawings."""
+    rng = random.Random(31)
+    drawings = [k5_routing(c, rng) for c in range(2, 7)]
+    certificate = json.loads((DATA / "k5_certificate.json").read_text())
+    drawings.append(parse_diagram(certificate["diagram"]))
+    drawings += sweep_drawings()
+    return [
+        (d, VertexOrientation(v, slot))
+        for d in drawings
+        for v in degree_four_vertices(d)
+        for slot in range(4)
+    ]
+
+
+def test_both_tangles_substitute_to_one_map():
+    """The -1 tangle's substitution is the +1 tangle's map with the last
+    crossing switched, so one parity vector per assignment and tangle
+    stands for either."""
+    cases = one_map_cases()
+    assert len(cases) > 400
+    for d, where in cases:
+        plus, minus = (substitute(d, where, t) for t in (TANGLE_PLUS, TANGLE_MINUS))
+        assert plus._darts == minus._darts
+        assert plus.nodes[:-1] == minus.nodes[:-1]
+        assert {plus.nodes[-1], minus.nodes[-1]} == {Crossing(0), Crossing(1)}
+        subs = criterion._Substitutions(d, where)
+        assert subs.parities(1, d.parities()) == plus.parities()
+        assert subs.parities(-1, d.parities()) == minus.parities()
+
+
+MEASURES = (_signed_linking, _bracket_span, component_span_lower_bound)
+
+
+def test_a_scan_value_is_a_fresh_measure_and_its_mirror_shares_it():
+    """On the shared maps of ``one_map_cases``, at every slot of the drawings
+    with at most two crossings and at one slot of the others, each value
+    the scan keeps for a scanned candidate, at every parity vector, is that
+    measure of a sublink extracted afresh from the assigned diagram; and on
+    the complement vector the linking numbers negate and both spans stay."""
+    maps = [
+        substitute(d, where, TANGLE_PLUS)
+        for d, where in one_map_cases()
+        if where.a_slot == 0 or d.crossing_count <= 2
+    ]
+    candidates = 0
+    for m in maps:
+        scan = ObstructionScan(m)
+        vectors = list(crossing_assignments(m))
+        for bits in vectors:
+            list(scan.obstructions(bits))
+        scanned = [sub for sub in scan._pairs + scan._singles if sub is not None]
+        candidates += len(scanned)
+        fresh = {}
+        for bits in vectors:
+            projection = m.with_parities(dict(zip(m.crossings(), bits))).underlying_graph()
+            for sub in scanned:
+                sublink = extract_sublink(projection, [list(c) for c in sub.key])
+                values = tuple(measure(sublink) for measure in MEASURES)
+                assert values == tuple(scan._value(f, sub, bits) for f in MEASURES)
+                fresh[sub.key, bits] = values
+        for (key, bits), (lk, span, bound) in fresh.items():
+            mirror = fresh[key, tuple(1 - b for b in bits)]
+            assert mirror == (tuple(-x for x in lk), span, bound)
+    assert candidates > 100
 
 
 def test_verifier_names_each_tampered_record():
@@ -603,9 +719,9 @@ def test_driver_reports_what_a_fresh_crossing_number_reports(g, searches, monkey
 def test_a_shared_scan_finds_what_a_fresh_scan_finds():
     """One scan serves every crossing assignment of its map: the obstructions
     are a fresh scan's, in the same order, and the linking numbers and spans
-    of a sublink are computed once per parity vector of its crossings.  The
-    candidates skipped for keeping too few crossings are counted on every
-    assignment."""
+    of a sublink are computed once per parity vector of its crossings and
+    its complement, the mirror image's.  The candidates skipped for keeping
+    too few crossings are counted on every assignment."""
     rng = random.Random(8)
     maps = [k5_routing(c, rng) for c in (3, 4, 5)]
     where = VertexOrientation(degree_four_vertices(maps[-1])[0], 0)
@@ -615,15 +731,15 @@ def test_a_shared_scan_finds_what_a_fresh_scan_finds():
         scan = ObstructionScan(d)
         for bits in crossing_assignments(d):
             assigned = d.with_parities(dict(zip(d.crossings(), bits)))
-            shared = list(scan.obstructions(assigned))
+            shared = list(scan.obstructions(bits))
             fresh = ObstructionScan(assigned)
-            assert shared == list(fresh.obstructions(assigned))
+            assert shared == list(fresh.obstructions(bits))
             assert fresh.hits == 0
             found += len(shared)
         hits.append(scan.hits)
         skipped.append(scan.skipped)
     assert found == 64  # 32 from each tangle's 64 assignments
-    assert hits == [0, 16, 120, 300, 300]
+    assert hits == [0, 24, 140, 326, 326]
     assert skipped == [296, 560, 1024, 960, 960]
 
 
@@ -660,7 +776,7 @@ def test_the_scan_skips_only_candidates_that_yield_nothing():
             assigned = d.with_parities(dict(zip(d.crossings(), bits)))
             before = scan.skipped
             expected, kept, yielded = full_obstructions(assigned)
-            assert list(scan.obstructions(assigned)) == expected
+            assert list(scan.obstructions(bits)) == expected
             short = {
                 key
                 for key, n in kept.items()

@@ -36,7 +36,7 @@ from graphknot.gallery import (
     unlink,
     wheel4,
 )
-from graphknot.diagram import splice
+from graphknot.diagram import _CROSSINGS, splice
 from graphknot.invariants import CIRCLE_POLY, LaurentPoly, cycle_vertices
 from graphknot.layout import base_diagram
 from oracles import (
@@ -158,13 +158,24 @@ def test_json_vertex_fields_must_be_what_the_text_format_writes(key, value):
         Vertex(**fields)
 
 
-@pytest.mark.parametrize("over", [True, False, 1.0, 0.0, 2])
+@pytest.mark.parametrize("over", [True, False, 1.0, 0.0, 2, -1])
 def test_a_crossing_parity_is_the_int_0_or_1(over):
-    # a bool or float equals its int, and would otherwise be held as given
-    with pytest.raises(FormatError):
+    # a bool or float equals its int, and would otherwise be held as given;
+    # a parity update refuses it with the same error, though it would index
+    # the shared crossings
+    with pytest.raises(FormatError) as made:
         Crossing(over)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as updated:
         trefoil().with_parities({0: over})
+    assert str(updated.value) == str(made.value)
+
+
+def test_a_parity_update_shares_the_two_crossings():
+    d = trefoil()
+    for over in (0, 1):
+        updated = d.with_parities({n: over for n in d.crossings()})
+        assert all(node is _CROSSINGS[over] for node in updated.nodes)
+        assert updated.parities() == (over,) * d.crossing_count
 
 
 @pytest.mark.parametrize("free_loops", [1.7, True, "3", -1])

@@ -213,7 +213,7 @@ def test_obstruction_scan_keeps_failed_extractions_without_cycles():
     try:
         for _ in range(2):  # extracted once, then kept
             with pytest.raises(FormatError, match="appears in two cycles"):
-                scan.sublink((edges, edges), d)
+                scan.sublink((edges, edges))
         gone = weakref.ref(scan)
         del scan
         assert gone() is None  # freed by reference counting alone
@@ -240,13 +240,13 @@ def test_crossing_number_reports():
 
 def test_cr_at_least_two_answers():
     for d in (hopf_link(), trefoil()):
-        assert ObstructionScan(d).at_least_two(d) is not None
+        assert ObstructionScan(d).at_least_two(d.parities()) is not None
     # with no obstruction, the answer stays undecided
     for d in (unknot(), kinked_unknot(1), kinked_unknot(2)):
-        assert ObstructionScan(d).at_least_two(d) is None
+        assert ObstructionScan(d).at_least_two(d.parities()) is None
 
 
 def test_certified_answers_carry_obstructions():
     d = linked_triangles()
-    found = ObstructionScan(d).at_least_two(d)
+    found = ObstructionScan(d).at_least_two(d.parities())
     assert found is not None and found[0].kind == "linked-cycles"
